@@ -9,14 +9,16 @@ rate until its budget runs out, at which point its rate drops to zero while
 the configuration itself stays fixed.  `greedy_allocate` plays the
 highest-rate configuration and reconsiders only when an exhaustion makes a
 strictly better one available, so it changes configuration at most once per
-ad.
+ad.  The generic `seqcore.greedy_continuous` driven by `incremental_oracle`
+over `enumerate_configurations` is the paper-faithful form of the same
+greedy; it is kept as the test reference for `greedy_allocate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations, islice, product
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,25 +51,30 @@ class AdInstance:
         if len(set(self.type_ids)) != len(self.type_ids):
             raise InstanceError("query_types: duplicate type id")
         for ad, b in zip(self.ad_ids, self.budgets):
-            if not b >= 0.0:
-                raise InstanceError(f"ads: budget of {ad!r} must be >= 0, got {b}")
+            if not 0.0 <= b < math.inf:
+                raise InstanceError(f"ads: budget of {ad!r} must be finite and >= 0, got {b}")
+        for q, tid in zip(self.probs, self.type_ids):
+            if not 0.0 <= q < math.inf:
+                raise InstanceError(f"query_types: probability of {tid!r} must be finite and >= 0")
         if abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise InstanceError(
                 f"query_types: probabilities sum to {math.fsum(self.probs)!r}, expected 1 within 1e-9"
             )
-        for q, tid in zip(self.probs, self.type_ids):
-            if not q >= 0.0:
-                raise InstanceError(f"query_types: probability of {tid!r} must be >= 0")
         for row in self.bid_matrix:
             for p in row:
-                if not p >= 0.0:
-                    raise InstanceError(f"bids: expected payment must be >= 0, got {p}")
+                if not 0.0 <= p < math.inf:
+                    raise InstanceError(f"bids: expected payment must be finite and >= 0, got {p}")
         if self.slots < 1:
             raise InstanceError(f"slots: must be >= 1, got {self.slots}")
-        if not self.horizon > 0.0:
-            raise InstanceError(f"horizon: must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise InstanceError(f"horizon: must be finite and > 0, got {self.horizon}")
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
         object.__setattr__(self, "_type_index", {t: j for j, t in enumerate(self.type_ids)})
+        ranking = []
+        for j in range(len(self.type_ids)):
+            by_bid = sorted((-row[j], i) for i, row in enumerate(self.bid_matrix) if row[j] > 0.0)
+            ranking.append(tuple(i for _, i in by_bid))
+        object.__setattr__(self, "_ranking", tuple(ranking))
 
     @classmethod
     def build(
@@ -119,6 +126,10 @@ class AdInstance:
             return self._type_index[type_id]
         except KeyError:
             raise InstanceError(f"unknown type id {type_id!r}") from None
+
+    def ranked_ads(self, j: int) -> Tuple[int, ...]:
+        """Positive-bid ads of type `j` by decreasing payment, ties to lower ad index."""
+        return self._ranking[j]
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,6 @@ class SpendLedger:
         return self.spent[self.ad_ids.index(ad_id)]
 
 
-@lru_cache(maxsize=4096)
 def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """Index form of a configuration, validated against the instance."""
     out = []
@@ -203,14 +213,22 @@ def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> l
     return rates
 
 
-def _next_exhaustion(remaining: Sequence[float], rates: Sequence[float]) -> Optional[float]:
-    tau = None
-    for rem, rate in zip(remaining, rates):
+def _step(instance: AdInstance, cfg_idx, remaining: list, limit: float) -> Tuple[float, bool]:
+    """Run a configuration until its next budget exhaustion or for `limit`, whichever is first.
+
+    Mutates `remaining`, clamping spent-out budgets to zero.  Returns the time
+    run and whether the step stopped on an exhaustion.
+    """
+    rates = _spend_rates(instance, cfg_idx, remaining)
+    tau = min((rem / rate for rem, rate in zip(remaining, rates) if rate > 0.0), default=math.inf)
+    hit = tau < limit
+    dt = tau if hit else limit
+    for i, rate in enumerate(rates):
         if rate > 0.0:
-            t = rem / rate
-            if tau is None or t < tau:
-                tau = t
-    return tau
+            remaining[i] -= rate * dt
+            if remaining[i] <= EXHAUSTED:
+                remaining[i] = 0.0
+    return dt, hit
 
 
 def _advance(
@@ -227,19 +245,10 @@ def _advance(
     """
     done = 0.0
     while duration - done > 0.0:
-        rates = _spend_rates(instance, cfg_idx, remaining)
-        tau = _next_exhaustion(remaining, rates)
-        left = duration - done
-        last = tau is None or tau >= left
-        step = left if last else tau
-        for i, rate in enumerate(rates):
-            if rate > 0.0:
-                remaining[i] -= rate * step
-                if remaining[i] <= EXHAUSTED:
-                    remaining[i] = 0.0
-        if last:
+        dt, hit = _step(instance, cfg_idx, remaining, duration - done)
+        if not hit:
             return
-        done += step
+        done += dt
         if events is not None:
             events.append(t0 + done)
 
@@ -252,7 +261,7 @@ def _budget_vector(instance: AdInstance, remaining) -> list:
         return vec
     vec = [float(v) for v in remaining]
     if len(vec) != instance.num_ads:
-        raise ValueError(f"remaining vector has {len(vec)} entries for {instance.num_ads} ads")
+        raise ValueError(f"budget vector has {len(vec)} entries for {instance.num_ads} ads")
     return vec
 
 
@@ -313,8 +322,7 @@ def marginal_rate(
         raise ValueError("delta must be >= 0")
     remaining = _remaining_after(instance, prefix)
     cfg_idx = _config_indices(instance, config)
-    if delta > 0.0:
-        _advance(instance, cfg_idx, remaining, delta)
+    _advance(instance, cfg_idx, remaining, delta)
     return math.fsum(_spend_rates(instance, cfg_idx, remaining))
 
 
@@ -323,13 +331,8 @@ def best_configuration(instance: AdInstance, remaining) -> Configuration:
     rem = _budget_vector(instance, remaining)
     assignment = {}
     for j, tid in enumerate(instance.type_ids):
-        cands = [
-            i
-            for i in range(instance.num_ads)
-            if rem[i] > EXHAUSTED and instance.bid_matrix[i][j] > 0.0
-        ]
-        cands.sort(key=lambda i: (-instance.bid_matrix[i][j], i))
-        chosen = cands[: instance.slots]
+        live = (i for i in instance.ranked_ads(j) if rem[i] > EXHAUSTED)
+        chosen = tuple(islice(live, instance.slots))
         if chosen:
             assignment[tid] = tuple(instance.ad_ids[i] for i in chosen)
     return Configuration.of(assignment)
@@ -353,12 +356,7 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
             instance, current, remaining
         ):
             current = best
-        cfg_idx = _config_indices(instance, current)
-        rates = _spend_rates(instance, cfg_idx, remaining)
-        tau = _next_exhaustion(remaining, rates)
-        room = horizon - elapsed
-        dt = room if (tau is None or tau >= room) else tau
-        _advance(instance, cfg_idx, remaining, dt)
+        dt, _ = _step(instance, _config_indices(instance, current), remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
             segs[-1][1] += dt
         else:
@@ -373,18 +371,17 @@ def configuration_hold(instance: AdInstance, config: Configuration, remaining) -
 
     Simulates forward through the exhaustions of the assigned ads and returns
     the first offset at which some other configuration becomes strictly
-    better, or infinity when that never happens.
+    better, or infinity when that never happens.  Part of the paper-faithful
+    test reference for `greedy_allocate` (see `incremental_oracle`).
     """
     rem = _budget_vector(instance, remaining)
     cfg_idx = _config_indices(instance, config)
     elapsed = 0.0
     while True:
-        rates = _spend_rates(instance, cfg_idx, rem)
-        tau = _next_exhaustion(rem, rates)
-        if tau is None:
+        dt, hit = _step(instance, cfg_idx, rem, math.inf)
+        if not hit:
             return math.inf
-        _advance(instance, cfg_idx, rem, tau)
-        elapsed += tau
+        elapsed += dt
         r_here = math.fsum(_spend_rates(instance, cfg_idx, rem))
         alt = best_configuration(instance, rem)
         if revenue_rate(instance, alt, rem) > r_here:
@@ -396,6 +393,8 @@ def incremental_oracle(instance: AdInstance):
 
     Returns `oracle(prefix, config) -> (rate, hold)` where `hold` is how long
     the configuration keeps satisfying the driver's best-choice condition.
+    With `enumerate_configurations` as the action set this is the
+    paper-faithful test reference for `greedy_allocate`, not a production path.
     """
 
     def oracle(prefix: AllocationStrategy, config: Configuration) -> Tuple[float, float]:
@@ -413,16 +412,15 @@ def enumerate_configurations(
 
     Per-type options are subsets of size at most `slots`, smaller subsets
     first, lexicographic by ad index within a size; the cross product runs
-    with the first type as the slowest axis.
+    with the first type as the slowest axis.  Part of the paper-faithful
+    test reference for `greedy_allocate`.
     """
-    import itertools
-
     per_type = []
     for j, tid in enumerate(instance.type_ids):
         ads = [i for i in range(instance.num_ads) if instance.bid_matrix[i][j] > 0.0]
         options = [()]
         for size in range(1, min(instance.slots, len(ads)) + 1):
-            options.extend(itertools.combinations(ads, size))
+            options.extend(combinations(ads, size))
         per_type.append((tid, options))
     count = 1
     for _, options in per_type:
@@ -430,7 +428,7 @@ def enumerate_configurations(
     if count > max_count:
         raise ValueError(f"{count} configurations exceed the cap of {max_count}")
     configs = []
-    for combo in itertools.product(*(options for _, options in per_type)):
+    for combo in product(*(options for _, options in per_type)):
         assignment = {}
         for (tid, _), chosen in zip(per_type, combo):
             if chosen:
@@ -497,17 +495,9 @@ class FluidRateModel:
     def breakpoints(self, config: Configuration, prefix: AllocationStrategy) -> Tuple[float, ...]:
         """Offsets at which the rate of `config` after `prefix` jumps."""
         remaining = _remaining_after(self.instance, prefix)
-        cfg_idx = _config_indices(self.instance, config)
-        out = []
-        elapsed = 0.0
-        while True:
-            rates = _spend_rates(self.instance, cfg_idx, remaining)
-            tau = _next_exhaustion(remaining, rates)
-            if tau is None:
-                return tuple(out)
-            _advance(self.instance, cfg_idx, remaining, tau)
-            elapsed += tau
-            out.append(elapsed)
+        out: list = []
+        _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
+        return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
         remaining = _remaining_after(self.instance, prefix)
@@ -524,34 +514,52 @@ class FluidRateModel:
 # JSON instance schema
 # ---------------------------------------------------------------------------
 
+def _convert(field: str, kind, value):
+    """`kind(value)`, reporting a failed conversion as an error in `field`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"{field}: {exc}") from None
+
+
+def _entries(data: Mapping, key: str, value_key: str) -> list:
+    """(id, float value) pairs of a list-of-objects field such as "ads"."""
+    entries = data[key]
+    if not isinstance(entries, (list, tuple)):
+        raise InstanceError(f"{key}: must be a list of objects")
+    out = []
+    for entry in entries:
+        if not isinstance(entry, Mapping) or "id" not in entry or value_key not in entry:
+            raise InstanceError(f"{key}: each entry needs 'id' and {value_key!r}")
+        ident = str(entry["id"])
+        out.append((ident, _convert(f"{key}: {value_key} of {ident!r}", float, entry[value_key])))
+    return out
+
+
 def parse_instance(data: Mapping) -> AdInstance:
     """Build an instance from the JSON schema, naming the bad field on error.
 
     Schema: {"ads": [{"id", "budget"}], "query_types": [{"id", "prob"}],
     "bids": {ad_id: {type_id: payment}}, "slots": int, "horizon": num}.
-    Missing bid entries mean a zero payment.
+    Missing bid entries mean a zero payment.  Every malformed value raises
+    `InstanceError`.
     """
+    if not isinstance(data, Mapping):
+        raise InstanceError("instance: must be an object")
     for key in ("ads", "query_types", "slots", "horizon"):
         if key not in data:
             raise InstanceError(f"{key}: missing required field")
-    ads = []
-    for entry in data["ads"]:
-        if "id" not in entry or "budget" not in entry:
-            raise InstanceError("ads: each entry needs 'id' and 'budget'")
-        ads.append((str(entry["id"]), float(entry["budget"])))
-    query_types = []
-    for entry in data["query_types"]:
-        if "id" not in entry or "prob" not in entry:
-            raise InstanceError("query_types: each entry needs 'id' and 'prob'")
-        query_types.append((str(entry["id"]), float(entry["prob"])))
+    ads = _entries(data, "ads", "budget")
+    query_types = _entries(data, "query_types", "prob")
     bids = data.get("bids", {})
-    if not isinstance(bids, Mapping):
-        raise InstanceError("bids: must be an object keyed by ad id")
-    try:
-        slots = int(data["slots"])
-        horizon = float(data["horizon"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"slots/horizon: {exc}") from None
+    if not isinstance(bids, Mapping) or not all(isinstance(row, Mapping) for row in bids.values()):
+        raise InstanceError("bids: must be an object keyed by ad id, then by type id")
+    bids = {
+        ad: {tid: _convert(f"bids: {ad}/{tid}", float, p) for tid, p in row.items()}
+        for ad, row in bids.items()
+    }
+    slots = _convert("slots", int, data["slots"])
+    horizon = _convert("horizon", float, data["horizon"])
     return AdInstance.build(ads, query_types, bids, slots, horizon)
 
 

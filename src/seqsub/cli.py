@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,22 +45,14 @@ def _digest(path: Path) -> str:
 
 def _load_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise InstanceError(f"instance: file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise InstanceError(f"instance: cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"instance: invalid JSON: {exc}") from None
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SEQSUB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InstanceError(f"SEQSUB_THREADS: expected an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InstanceError(f"SEQSUB_THREADS: must be >= 0, got {cap}")
-    return cap
+    if not isinstance(data, dict):
+        raise InstanceError("instance: the top level must be a JSON object")
+    return data
 
 
 def _strategy_json(strategy) -> list:
@@ -71,17 +62,23 @@ def _strategy_json(strategy) -> list:
     ]
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
+def _emit(args, params: dict, outputs: dict) -> None:
+    """Write the report envelope for one command run to `--out` or stdout."""
+    report = {
+        "command": args.command,
+        "instance_sha256": _digest(Path(args.instance)),
+        "params": params,
+        "outputs": outputs,
+    }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_allocate(args) -> int:
-    path = Path(args.instance)
-    instance = adalloc.parse_instance(_load_json(path))
+    instance = adalloc.parse_instance(_load_json(Path(args.instance)))
     strategy, ledger = adalloc.greedy_allocate(instance)
     outputs: Dict[str, object] = {
         "utility": ledger.utility,
@@ -96,19 +93,12 @@ def cmd_allocate(args) -> int:
         outputs["ratio"] = ledger.utility / opt.value if opt.value > 0.0 else 1.0
         outputs["ratio_bound"] = CONTINUOUS_RATIO_BOUND
         outputs["optimum_spend"] = {f"{ad}/{tid}": z for (ad, tid), z in opt.witness.items()}
-    report = {
-        "command": "allocate",
-        "instance_sha256": _digest(path),
-        "params": {"oracle": bool(args.oracle)},
-        "outputs": outputs,
-    }
-    _emit(report, args.out)
+    _emit(args, {"oracle": bool(args.oracle)}, outputs)
     return EXIT_OK
 
 
 def cmd_rewrite(args) -> int:
-    path = Path(args.instance)
-    instance = qrewrite.parse_rewrite_instance(_load_json(path))
+    instance = qrewrite.parse_rewrite_instance(_load_json(Path(args.instance)))
     plan, utility = qrewrite.greedy_rewrite(instance)
     outputs: Dict[str, object] = {
         "utility": utility,
@@ -120,42 +110,34 @@ def cmd_rewrite(args) -> int:
         outputs["optimum"] = opt.value
         outputs["ratio"] = utility / opt.value if opt.value > 0.0 else 1.0
         outputs["ratio_bound"] = REWRITE_RATIO_BOUND
-    report = {
-        "command": "rewrite",
-        "instance_sha256": _digest(path),
-        "params": {"oracle": bool(args.oracle)},
-        "outputs": outputs,
-    }
-    _emit(report, args.out)
+    _emit(args, {"oracle": bool(args.oracle)}, outputs)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    path = Path(args.instance)
-    instance = adalloc.parse_instance(_load_json(path))
+    instance = adalloc.parse_instance(_load_json(Path(args.instance)))
     if args.trials < 1:
         raise InstanceError(f"trials: must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise InstanceError(f"seed: must be >= 0, got {args.seed}")
     if args.queries is not None and args.queries < 1:
         raise InstanceError(f"queries: must be >= 1, got {args.queries}")
+    if args.queries is None and round(instance.horizon) < 1:
+        raise InstanceError(
+            f"horizon: {instance.horizon} rounds to 0 queries per trial; pass --queries"
+        )
     strategy, _ = adalloc.greedy_allocate(instance)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)
     result = stochsim.simulate_stream(instance, strategy, cfg)
     outputs = result.to_json(include_per_trial=args.per_trial)
     outputs["seed"] = args.seed
-    report = {
-        "command": "simulate",
-        "instance_sha256": _digest(path),
-        "params": {
-            "queries": args.queries,
-            "per_trial": bool(args.per_trial),
-            "seed": args.seed,
-            "trials": args.trials,
-        },
-        "outputs": outputs,
+    params = {
+        "queries": args.queries,
+        "per_trial": bool(args.per_trial),
+        "seed": args.seed,
+        "trials": args.trials,
     }
-    _emit(report, args.out)
+    _emit(args, params, outputs)
     return EXIT_OK
 
 
@@ -218,8 +200,7 @@ def _run_checks(
 
 
 def cmd_verify(args) -> int:
-    path = Path(args.instance)
-    data = _load_json(path)
+    data = _load_json(Path(args.instance))
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in CHECK_NAMES:
@@ -240,23 +221,18 @@ def cmd_verify(args) -> int:
         instance, rewrite_instance, checks, args.samples, args.seed, args.planted_violation
     )
     total_violations = sum(len(r.violations) for r in reports)
-    report = {
-        "command": "verify",
-        "instance_sha256": _digest(path),
-        "params": {"checks": checks, "samples": args.samples, "seed": args.seed},
-        "outputs": {
-            "reports": [
-                {
-                    "check": r.check,
-                    "samples_tested": r.samples_tested,
-                    "violations": [_violation_json(v) for v in r.violations],
-                }
-                for r in reports
-            ],
-            "violations": total_violations,
-        },
+    outputs = {
+        "reports": [
+            {
+                "check": r.check,
+                "samples_tested": r.samples_tested,
+                "violations": [_violation_json(v) for v in r.violations],
+            }
+            for r in reports
+        ],
+        "violations": total_violations,
     }
-    _emit(report, args.out)
+    _emit(args, {"checks": checks, "samples": args.samples, "seed": args.seed}, outputs)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
@@ -304,7 +280,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        _thread_cap()  # validated; evaluation currently runs single-threaded
         code = args.func(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

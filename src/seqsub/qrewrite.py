@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence, Set, Tuple
 import numpy as np
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
+from .adalloc import _budget_vector, _convert
 from .seqcore import DiscreteSequence, SequenceFunction
 
 
@@ -112,20 +113,10 @@ def single_type_allocate(
     mapping by ad id).
     """
     j = instance.type_index(type_id)
-    if isinstance(caps, Mapping):
-        cap_vec = [0.0] * instance.num_ads
-        for ad, v in caps.items():
-            cap_vec[instance.ad_index(ad)] = float(v)
-    else:
-        cap_vec = [float(c) for c in caps]
-        if len(cap_vec) != instance.num_ads:
-            raise ValueError("caps vector length does not match the ad count")
+    cap_vec = _budget_vector(instance, caps)
     allowed_idx = {instance.ad_index(a) for a in allowed}
     qj = instance.probs[j]
-    candidates = sorted(
-        (i for i in allowed_idx if instance.bid_matrix[i][j] > 0.0),
-        key=lambda i: (-instance.bid_matrix[i][j], i),
-    )
+    candidates = [i for i in instance.ranked_ads(j) if i in allowed_idx]
     spent = [0.0] * instance.num_ads
     boundaries = []
     time_left = instance.slots * horizon
@@ -169,18 +160,12 @@ def evaluate_plan(
         items = plan.items
     else:
         items = tuple(plan)
-    base = instance.base
-    remaining = list(base.budgets)
+    remaining = list(instance.base.budgets)
     total = 0.0
     for pa in items:
-        base.type_index(pa.query_type)
-        allowed = instance.reachable_ads(pa.rewrites)
         caps_eff = [min(r, c) for r, c in zip(remaining, pa.caps)]
-        ledger = single_type_allocate(base, pa.query_type, allowed, caps_eff, base.horizon)
-        for i, s in enumerate(ledger.spent):
-            remaining[i] -= s
-            if remaining[i] <= EXHAUSTED:
-                remaining[i] = 0.0
+        ledger = _tuple_value(instance, pa.query_type, pa.rewrites, caps_eff)
+        _charge(remaining, ledger.spent)
         total += ledger.utility
     return total, tuple(remaining)
 
@@ -190,6 +175,14 @@ def _tuple_value(
 ) -> SpendLedger:
     allowed = instance.reachable_ads(rewrite_ids)
     return single_type_allocate(instance.base, type_id, allowed, remaining, instance.base.horizon)
+
+
+def _charge(remaining: list, spent: Sequence[float]) -> None:
+    """Deduct one step's spend from the global budgets, clamping at EXHAUSTED."""
+    for i, s in enumerate(spent):
+        remaining[i] -= s
+        if remaining[i] <= EXHAUSTED:
+            remaining[i] = 0.0
 
 
 def best_rewrite_set(
@@ -246,10 +239,7 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[RewritePlan, float]:
                 best_type, best_set, best_val = tid, chosen, val
         ledger = _tuple_value(instance, best_type, best_set, remaining)
         allocations.append(PartialAllocation(best_type, best_set, ledger.spent))
-        for i, s in enumerate(ledger.spent):
-            remaining[i] -= s
-            if remaining[i] <= EXHAUSTED:
-                remaining[i] = 0.0
+        _charge(remaining, ledger.spent)
         total += ledger.utility
         pending.remove(best_type)
     return RewritePlan(tuple(allocations)), total
@@ -290,15 +280,16 @@ def parse_rewrite_instance(data: Mapping) -> RewriteInstance:
         raise InstanceError("rewrites: missing required field")
     if "k" not in data:
         raise InstanceError("k: missing required field")
+    if not isinstance(data["rewrites"], (list, tuple)):
+        raise InstanceError("rewrites: must be a list of objects")
     rewrites = []
     for entry in data["rewrites"]:
-        if "id" not in entry or "ads" not in entry:
+        if not isinstance(entry, Mapping) or "id" not in entry or "ads" not in entry:
             raise InstanceError("rewrites: each entry needs 'id' and 'ads'")
+        if not isinstance(entry["ads"], (list, tuple)):
+            raise InstanceError(f"rewrites: ads of {entry['id']!r} must be a list of ad ids")
         rewrites.append(Rewrite(str(entry["id"]), tuple(str(a) for a in entry["ads"])))
-    try:
-        k = int(data["k"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"k: {exc}") from None
+    k = _convert("k", int, data["k"])
     return RewriteInstance(base=base, rewrites=tuple(rewrites), max_rewrites=k)
 
 

@@ -196,12 +196,6 @@ def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
     return TimedSequence(a.segments + b.segments, acts)
 
 
-def empty_like(seq: SequenceLike) -> SequenceLike:
-    if isinstance(seq, DiscreteSequence):
-        return DiscreteSequence((), seq.actions)
-    return TimedSequence((), seq.actions)
-
-
 def equivalent(a: SequenceLike, b: SequenceLike, tol: float = DEFAULT_TOL) -> bool:
     """Pointwise equality of the functions the two sequences represent."""
     if type(a) is not type(b):
@@ -348,21 +342,19 @@ def greedy_continuous(
     rate_oracle: Callable[[TimedSequence, Hashable], Tuple[float, float]],
     actions: ActionSet,
     horizon: float,
-    alpha: float = 1.0,
     max_segments: Optional[int] = None,
 ) -> TimedSequence:
     """Build a timed sequence of total duration `horizon` from a rate oracle.
 
     `rate_oracle(prefix, action)` returns `(rate, hold)`: the instantaneous
     marginal rate of appending `action` after `prefix`, and a duration for
-    which the chosen action is guaranteed to stay an alpha-fraction of the
-    best.  Each step appends the highest-rate action (ties to action-set
-    order) for `min(hold, remaining horizon)`.  The driver is not guaranteed
-    to terminate for adversarial oracles, so it aborts once `max_segments`
-    (default 10 * len(actions)) segments have been emitted.
+    which the chosen action is guaranteed to stay the best.  Each step
+    appends the highest-rate action (ties to action-set order) for
+    `min(hold, remaining horizon)`.  It is not guaranteed to terminate
+    for adversarial oracles, so it aborts once `max_segments`
+    (default 10 * len(actions)) segments have been emitted.  `adalloc` uses
+    it only as the paper-faithful test reference for `greedy_allocate`.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
     if max_segments is None:

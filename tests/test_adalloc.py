@@ -22,11 +22,13 @@ from seqsub.adalloc import (
     revenue_rate,
 )
 from seqsub.seqcore import (
+    ActionSet,
     TimedSequence,
     check_derivative_props,
     check_nondecreasing,
     check_submodular,
     dominates,
+    greedy_continuous,
     sample_dominated,
 )
 
@@ -199,6 +201,32 @@ def test_greedy_segment_bound_random():
         assert strat.length == pytest.approx(inst.horizon, abs=1e-12)
 
 
+def test_greedy_allocate_matches_paper_reference():
+    # greedy_continuous over every configuration is the paper's algorithm verbatim.
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        inst = random_ad_instance(rng, max_ads=3, max_types=3)
+        strat, led = greedy_allocate(inst)
+        actions = ActionSet(adalloc.enumerate_configurations(inst))
+        ref = greedy_continuous(adalloc.incremental_oracle(inst), actions, inst.horizon)
+        assert evaluate_strategy(inst, ref).utility == pytest.approx(led.utility, abs=1e-12)
+        assert len(ref.canonical().segments) == len(strat.canonical().segments)
+
+
+def test_ranked_ads_precomputed_outside_fields():
+    inst = adalloc.AdInstance.build(
+        ads=[("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        query_types=[("t1", 0.5), ("t2", 0.5)],
+        bids={"a": {"t1": 1.0}, "b": {"t1": 2.0, "t2": 1.0}, "c": {"t1": 1.0}},
+        slots=1,
+        horizon=1.0,
+    )
+    assert inst.ranked_ads(0) == (1, 0, 2)
+    assert inst.ranked_ads(1) == (1,)
+    again = parse_instance(instance_to_json(inst))
+    assert again == inst and hash(again) == hash(inst)
+
+
 def test_configuration_hold_extends_past_pointless_switch(i0):
     # After a1 exhausts nothing better exists, so the hold never ends.
     c = cfg({"t1": ("a1",)})
@@ -310,3 +338,18 @@ def test_instance_validation():
         adalloc.AdInstance.build([("a", 1.0)], [("t", 1.0)], {}, 1, 0.0)
     with pytest.raises(InstanceError, match="budget"):
         adalloc.AdInstance.build([("a", -1.0)], [("t", 1.0)], {}, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "ads, probs, bid, horizon, field",
+    [
+        ([("a", math.inf)], [("t", 1.0)], 1.0, 1.0, "budget"),
+        ([("a", 1.0)], [("t", math.inf)], 1.0, 1.0, "probability"),
+        ([("a", 1.0)], [("t", 1.0)], math.inf, 1.0, "bids"),
+        ([("a", 1.0)], [("t", 1.0)], math.nan, 1.0, "bids"),
+        ([("a", 1.0)], [("t", 1.0)], 1.0, math.inf, "horizon"),
+    ],
+)
+def test_instance_requires_finite_values(ads, probs, bid, horizon, field):
+    with pytest.raises(InstanceError, match=field):
+        adalloc.AdInstance.build(ads, probs, {"a": {"t": bid}}, 1, horizon)

@@ -1,6 +1,8 @@
 """CLI commands: reports, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,13 @@ def test_allocate_bad_probabilities_exits_2(tmp_path, capsys):
 
 def test_allocate_missing_file_exits_2(tmp_path):
     assert main(["allocate", "--instance", str(tmp_path / "absent.json")]) == 2
+
+
+def test_allocate_unreadable_instance_exits_2(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert main(["allocate", "--instance", str(binary)]) == 2
+    assert main(["allocate", "--instance", str(tmp_path)]) == 2  # a directory
 
 
 def test_allocate_oracle_guard_exits_3(tmp_path):
@@ -217,8 +226,94 @@ def test_verify_unknown_check_exits_2(i1_file, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_thread_cap_env_validated(i1_file, monkeypatch):
-    monkeypatch.setenv("SEQSUB_THREADS", "banana")
-    assert main(["allocate", "--instance", str(i1_file)]) == 2
-    monkeypatch.setenv("SEQSUB_THREADS", "2")
-    assert main(["allocate", "--instance", str(i1_file)]) == 0
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with the field named, never a traceback or a hang
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["bids"]["a1"].update(t1=float("inf")), "bids"),
+        (lambda d: d.update(horizon=float("inf")), "horizon"),
+        (lambda d: d["ads"][0].update(budget="x"), "budget"),
+        (lambda d: d.update(ads=5), "ads"),
+        (lambda d: d["query_types"][0].update(prob=None), "prob"),
+        (lambda d: d.update(bids={"a1": ["t1"]}), "bids"),
+        (lambda d: d.update(slots=float("inf")), "slots"),
+    ],
+    ids=["bid-infinity", "horizon-infinity", "budget-string", "ads-number", "prob-null",
+         "bids-row-list", "slots-infinity"],
+)
+def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
+    data = adalloc.instance_to_json(make_i1())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["allocate", "--instance", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_top_level_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for command in ("allocate", "rewrite", "simulate", "verify"):
+        extra = ["--trials", "1", "--seed", "0"] if command == "simulate" else []
+        assert main([command, "--instance", str(path), *extra]) == 2
+        assert "instance" in capsys.readouterr().err
+
+
+def test_rewrite_malformed_rewrites_exit_2(i3_file, capsys):
+    path = i3_file(1)
+    original = path.read_text()
+    for key, value in (("rewrites", 5), ("rewrites", [{"id": "r1", "ads": 3}]), ("k", "x")):
+        data = json.loads(original)
+        data[key] = value
+        path.write_text(json.dumps(data))
+        assert main(["rewrite", "--instance", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_simulate_short_horizon_without_queries_exits_2(tmp_path, capsys):
+    data = adalloc.instance_to_json(make_i1())
+    data["horizon"] = 0.3
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--instance", str(path), "--trials", "1", "--seed", "0"]) == 2
+    assert "horizon" in capsys.readouterr().err
+    args = ["simulate", "--instance", str(path), "--trials", "1", "--seed", "0", "--queries", "3"]
+    assert main([*args, "--out", str(tmp_path / "r.json")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# golden reports: the README commands on instances/*.json, pinned by digest
+# ---------------------------------------------------------------------------
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+GOLDEN = [
+    (
+        ["allocate", "--instance", "two_ads_two_types.json", "--oracle"],
+        "482faab05e615c433bed43e562823626b67b68fa06a32ece40cf3e3ab7727f6c",
+    ),
+    (
+        ["rewrite", "--instance", "rewrite_two_paths.json", "--oracle"],
+        "d480681f6294368e187b33b277fcb38ad14ef47b6401443b21d81147318462b7",
+    ),
+    (
+        ["simulate", "--instance", "two_ads_two_types.json", "--trials", "1000", "--seed", "42"],
+        "cc988454be91b56b83db4eb223f5cb629b00ac9cce9e22cf408d0b53752d8dde",
+    ),
+    (
+        ["verify", "--instance", "two_ads_two_types.json", "--checks", "mono,submod,deriv,lemma1",
+         "--samples", "500", "--seed", "7"],
+        "228843f21c31eddcbf697575bfee9f74edcf071b1a7a2b3c0dad04b35cbde8f1",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN, ids=[a[0] for a, _ in GOLDEN])
+def test_readme_reports_match_golden_digests(args, digest, tmp_path):
+    args = [str(INSTANCES / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "report.json"
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

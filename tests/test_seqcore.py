@@ -230,12 +230,6 @@ def test_greedy_continuous_bad_hold():
         greedy_continuous(lambda p, a: (1.0, 0.0), actions, 1.0)
 
 
-def test_greedy_continuous_alpha_validation():
-    actions = ActionSet(("a",))
-    with pytest.raises(ValueError):
-        greedy_continuous(lambda p, a: (1.0, 1.0), actions, 1.0, alpha=0.0)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
