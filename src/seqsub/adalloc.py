@@ -177,7 +177,12 @@ AllocationStrategy = TimedSequence
 
 @dataclass(frozen=True)
 class SpendLedger:
-    """Per-ad spend of an evaluated strategy, plus rate-change times."""
+    """Per-ad spend of an evaluated strategy, plus rate-change times.
+
+    `breakpoints` are the interior times at which some ad's spend rate
+    changes.  Ledgers from `qrewrite.single_type_allocate` fix spend per ad
+    but no schedule, so they carry none.
+    """
 
     ad_ids: Tuple[str, ...]
     spent: Tuple[float, ...]
@@ -254,11 +259,6 @@ def _advance(
 
 
 def _budget_vector(instance: AdInstance, remaining) -> list:
-    if isinstance(remaining, Mapping):
-        vec = [0.0] * instance.num_ads
-        for ad, v in remaining.items():
-            vec[instance.ad_index(ad)] = float(v)
-        return vec
     vec = [float(v) for v in remaining]
     if len(vec) != instance.num_ads:
         raise ValueError(f"budget vector has {len(vec)} entries for {instance.num_ads} ads")

@@ -126,6 +126,12 @@ def cmd_simulate(args) -> int:
         raise InstanceError(
             f"horizon: {instance.horizon} rounds to 0 queries per trial; pass --queries"
         )
+    queries = args.queries if args.queries is not None else round(instance.horizon)
+    if queries > stochsim.MAX_QUERIES:
+        source = "queries" if args.queries is not None else "horizon"
+        raise InstanceError(
+            f"{source}: {queries} queries per trial exceed the limit of {stochsim.MAX_QUERIES}"
+        )
     strategy, _ = adalloc.greedy_allocate(instance)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)
     result = stochsim.simulate_stream(instance, strategy, cfg)

@@ -84,13 +84,8 @@ def brute_force_discrete(u: SequenceFunction, actions: ActionSet, horizon: int) 
     size = len(actions) ** horizon
     if size > 10**6:
         raise SizeGuardError(f"brute force would enumerate {size} sequences (cap 10^6)")
-    best_seq = None
-    best_val = -math.inf
-    for combo in itertools.product(actions.actions, repeat=horizon):
-        seq = DiscreteSequence(combo, actions)
-        val = u(seq)
-        if val > best_val:
-            best_seq, best_val = seq, val
+    sequences = (DiscreteSequence(c, actions) for c in itertools.product(actions.actions, repeat=horizon))
+    best_seq, best_val = max(((seq, u(seq)) for seq in sequences), key=lambda entry: entry[1])
     return OptResult(best_val, best_seq, "brute_force_discrete", size)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, Set, Tuple
 import numpy as np
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
-from .adalloc import _budget_vector, _convert
+from .adalloc import _convert
 from .seqcore import DiscreteSequence, SequenceFunction
 
 
@@ -93,13 +93,9 @@ class RewritePlan:
 
 
 def single_type_allocate(
-    instance: AdInstance,
-    type_id: str,
-    allowed: Iterable[str],
-    caps,
-    horizon: float,
+    instance: AdInstance, type_id: str, allowed: Iterable[str], caps: Sequence[float]
 ) -> SpendLedger:
-    """Optimal fluid allocation of one query type.
+    """Optimal fluid allocation of one query type over the instance's horizon.
 
     Allowed ads are granted running time in decreasing payment order (ties to
     lower ad index): each gets what it needs to hit its cap, truncated by the
@@ -109,40 +105,33 @@ def single_type_allocate(
     type.  With one slot this is exactly "run the best ad, replace it with
     the next best when its cap runs out".
 
-    `caps` is a per-ad spend limit aligned with the instance's ad order (or a
-    mapping by ad id).
+    `caps` is a per-ad spend limit aligned with the instance's ad order.  An
+    ad whose spend rate is 0.0 (probability times payment underflowed)
+    spends nothing, as in the fluid event loop.  The ledger fixes spend per
+    ad, not a schedule, so its `breakpoints` are empty.
     """
+    if len(caps) != instance.num_ads:
+        raise ValueError(f"budget vector has {len(caps)} entries for {instance.num_ads} ads")
     j = instance.type_index(type_id)
-    cap_vec = _budget_vector(instance, caps)
     allowed_idx = {instance.ad_index(a) for a in allowed}
     qj = instance.probs[j]
-    candidates = [i for i in instance.ranked_ads(j) if i in allowed_idx]
+    horizon = instance.horizon
     spent = [0.0] * instance.num_ads
-    boundaries = []
     time_left = instance.slots * horizon
-    scheduled = 0.0
-    if qj > 0.0:
-        for i in candidates:
-            if time_left <= 0.0:
-                break
-            rate = qj * instance.bid_matrix[i][j]
-            cap = cap_vec[i]
-            if cap <= EXHAUSTED:
-                continue
-            need = cap / rate
-            run = min(horizon, need, time_left)
-            if run <= 0.0:
-                continue
-            spent[i] = cap if run == need else rate * run
-            time_left -= run
-            scheduled += run
-            boundaries.append(scheduled)
-    # Wall-clock times where the set of running ads changes, under the
-    # wrap-around schedule of the per-ad allotments across the slots.
-    events = sorted(
-        {b % horizon for b in boundaries if 0.0 < b % horizon < horizon and b < instance.slots * horizon}
-    )
-    return SpendLedger(instance.ad_ids, tuple(spent), math.fsum(spent), tuple(events))
+    for i in instance.ranked_ads(j):
+        if time_left <= 0.0:
+            break
+        if i not in allowed_idx:
+            continue
+        rate = qj * instance.bid_matrix[i][j]
+        cap = caps[i]
+        if rate == 0.0 or cap <= EXHAUSTED:
+            continue
+        need = cap / rate
+        run = min(horizon, need, time_left)
+        spent[i] = cap if run == need else rate * run
+        time_left -= run
+    return SpendLedger(instance.ad_ids, tuple(spent), math.fsum(spent), ())
 
 
 def evaluate_plan(
@@ -174,7 +163,7 @@ def _tuple_value(
     instance: RewriteInstance, type_id: str, rewrite_ids: Sequence[str], remaining: Sequence[float]
 ) -> SpendLedger:
     allowed = instance.reachable_ads(rewrite_ids)
-    return single_type_allocate(instance.base, type_id, allowed, remaining, instance.base.horizon)
+    return single_type_allocate(instance.base, type_id, allowed, remaining)
 
 
 def _charge(remaining: list, spent: Sequence[float]) -> None:
@@ -195,20 +184,15 @@ def best_rewrite_set(
     and has diminishing gains in the rewrite set, this inner greedy is within
     1 - 1/e of the best possible rewrite set for the type.
     """
+
+    def value(rewrite_ids) -> float:
+        return _tuple_value(instance, type_id, rewrite_ids, remaining).utility
+
     chosen: list = []
-    k = min(instance.max_rewrites, len(instance.rewrites))
-    for _ in range(k):
-        best_id = None
-        best_val = -math.inf
-        for r in instance.rewrites:
-            if r.id in chosen:
-                continue
-            val = _tuple_value(instance, type_id, [*chosen, r.id], remaining).utility
-            if val > best_val:
-                best_id, best_val = r.id, val
-        chosen.append(best_id)
-    value = _tuple_value(instance, type_id, chosen, remaining).utility if chosen else 0.0
-    return tuple(chosen), value
+    for _ in range(min(instance.max_rewrites, len(instance.rewrites))):
+        candidates = (r.id for r in instance.rewrites if r.id not in chosen)
+        chosen.append(max(candidates, key=lambda rid: value([*chosen, rid])))
+    return tuple(chosen), value(chosen) if chosen else 0.0
 
 
 def greedy_rewrite(instance: RewriteInstance) -> Tuple[RewritePlan, float]:
@@ -230,13 +214,10 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[RewritePlan, float]:
     allocations: list = []
     total = 0.0
     while pending:
-        best_type = None
-        best_set: Tuple[str, ...] = ()
-        best_val = -math.inf
-        for tid in pending:
-            chosen, val = best_rewrite_set(instance, tid, remaining)
-            if val > best_val:
-                best_type, best_set, best_val = tid, chosen, val
+        best_type, best_set, _ = max(
+            ((tid, *best_rewrite_set(instance, tid, remaining)) for tid in pending),
+            key=lambda entry: entry[2],
+        )
         ledger = _tuple_value(instance, best_type, best_set, remaining)
         allocations.append(PartialAllocation(best_type, best_set, ledger.spent))
         _charge(remaining, ledger.spent)

@@ -304,13 +304,7 @@ def marginal_value(u: SequenceFunction, b: SequenceLike, a: SequenceLike) -> flo
 def exact_argmax(u: SequenceFunction, prefix: DiscreteSequence, actions: ActionSet) -> Hashable:
     """Action with the largest marginal gain after `prefix`; first wins ties."""
     base = u(prefix)
-    best = None
-    best_gain = -math.inf
-    for s in actions:
-        gain = u(concat(prefix, DiscreteSequence((s,), actions))) - base
-        if gain > best_gain:
-            best, best_gain = s, gain
-    return best
+    return max(actions, key=lambda s: u(concat(prefix, DiscreteSequence((s,), actions))) - base)
 
 
 def greedy_discrete(
@@ -363,13 +357,9 @@ def greedy_continuous(
     elapsed = 0.0
     while horizon - elapsed > LENGTH_TOL:
         prefix = TimedSequence(tuple(segs))
-        best = None
-        best_rate = -math.inf
-        best_hold = 0.0
-        for a in actions:
-            rate, hold = rate_oracle(prefix, a)
-            if rate > best_rate:
-                best, best_rate, best_hold = a, rate, hold
+        best, _, best_hold = max(
+            ((a, *rate_oracle(prefix, a)) for a in actions), key=lambda entry: entry[1]
+        )
         if not best_hold > 0.0:
             raise ValueError(f"oracle returned non-positive hold {best_hold} for {best!r}")
         if len(segs) >= max_segments:

@@ -15,9 +15,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adalloc import AdInstance, AllocationStrategy, evaluate_strategy, greedy_allocate
+from .adalloc import AdInstance, AllocationStrategy, _config_indices, evaluate_strategy, greedy_allocate
 
 RNG_NAME = "numpy-pcg64"
+# Largest per-trial query count the CLI accepts.  A run holds several arrays
+# of this length (arrival times, segment of each time, drawn types), so the
+# cap keeps one run to a few hundred MB instead of a MemoryError.
+MAX_QUERIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,8 @@ def _segment_tables(instance: AdInstance, strategy: AllocationStrategy):
     for config, dur in strategy.segments:
         t += dur
         ends.append(t)
-        table = {}
-        for tid, ads in config.assignment:
-            j = instance.type_index(tid)
-            table[j] = tuple(
-                (instance.ad_index(a), instance.bid_matrix[instance.ad_index(a)][j]) for a in ads
-            )
-        tables.append(table)
+        cfg_idx = _config_indices(instance, config)
+        tables.append({j: tuple((i, instance.bid_matrix[i][j]) for i in ads) for j, ads in cfg_idx})
     return np.asarray(ends, dtype=float), tables
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seqsub import adalloc
+from seqsub import adalloc, stochsim
 from seqsub.cli import main
 
 from conftest import make_i1, make_i3
@@ -120,6 +120,25 @@ def test_rewrite_k2(i3_file, tmp_path):
     assert code == 0
     assert report["outputs"]["utility"] == pytest.approx(0.7, abs=1e-9)
     assert report["outputs"]["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rewrite_underflowing_rate_exits_0(tmp_path):
+    # prob * payment of a1 on t2 underflows to 0.0; the ad must spend nothing there.
+    data = {
+        "ads": [{"id": "a1", "budget": 1.0}],
+        "query_types": [{"id": "t1", "prob": 1.0}, {"id": "t2", "prob": 1e-300}],
+        "bids": {"a1": {"t1": 1.0, "t2": 1e-300}},
+        "slots": 1,
+        "horizon": 1.0,
+        "rewrites": [{"id": "r1", "ads": ["a1"]}],
+        "k": 1,
+    }
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(data))
+    code, report = run(["rewrite", "--instance", str(path)], tmp_path)
+    assert code == 0
+    assert report["outputs"]["utility"] == 1.0
+    assert main(["allocate", "--instance", str(path), "--out", str(tmp_path / "a.json")]) == 0
 
 
 def test_rewrite_k_zero_exits_2(i3_file, tmp_path, capsys):
@@ -282,6 +301,24 @@ def test_simulate_short_horizon_without_queries_exits_2(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
     args = ["simulate", "--instance", str(path), "--trials", "1", "--seed", "0", "--queries", "3"]
     assert main([*args, "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_simulate_oversized_query_count_exits_2(tmp_path, capsys, monkeypatch):
+    # The guard must reject before the simulator builds any per-query array.
+    def no_simulation(*args):
+        raise AssertionError("simulate_stream reached")
+
+    monkeypatch.setattr(stochsim, "simulate_stream", no_simulation)
+    data = adalloc.instance_to_json(make_i1())
+    path = tmp_path / "i1.json"
+    path.write_text(json.dumps(data))
+    args = ["simulate", "--instance", str(path), "--trials", "1", "--seed", "0"]
+    assert main([*args, "--queries", "100000000000"]) == 2
+    assert "queries" in capsys.readouterr().err
+    data["horizon"] = 1e15
+    path.write_text(json.dumps(data))
+    assert main(args) == 2
+    assert "horizon" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

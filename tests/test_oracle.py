@@ -1,5 +1,6 @@
 """Exact oracles: brute force, rational LP, rewrite enumeration, fixtures."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -164,12 +165,20 @@ def test_lp_scaling_covariance(i1):
 
 def test_lp_matches_single_type_allocator():
     rng = np.random.default_rng(79)
-    for _ in range(15):
+    for trial in range(45):
         inst = random_ad_instance(rng, max_types=1)
-        led = single_type_allocate(
-            inst, inst.type_ids[0], set(inst.ad_ids), inst.budgets, inst.horizon
-        )
-        assert lp_opt_fluid(inst).value == pytest.approx(led.utility, abs=1e-9)
+        tid = inst.type_ids[0]
+        if trial < 15:
+            allowed, caps = set(inst.ad_ids), inst.budgets
+        else:
+            # Restricted ad sets and caps below the budgets: the LP of the
+            # instance with caps as budgets, over the allowed pairs only.
+            allowed = {a for a in inst.ad_ids if rng.random() < 0.6}
+            caps = tuple(float(rng.uniform(0.0, b)) for b in inst.budgets)
+        led = single_type_allocate(inst, tid, allowed, caps)
+        capped = dataclasses.replace(inst, budgets=caps)
+        expected = lp_opt_fluid(capped, [(a, tid) for a in allowed]).value
+        assert expected == pytest.approx(led.utility, abs=1e-9)
 
 
 def test_lp_witness_spend_is_feasible(i1):

@@ -29,25 +29,25 @@ from conftest import random_rewrite_instance
 # ---------------------------------------------------------------------------
 
 def test_single_type_cap_binds(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", {"a1"}, (0.4, 0.0), 1.0)
+    led = single_type_allocate(i3k1.base, "t1", {"a1"}, (0.4, 0.0))
     assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
 
 
 def test_single_type_replacement(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", {"a1", "a2"}, i3k1.base.budgets, 1.0)
+    led = single_type_allocate(i3k1.base, "t1", {"a1", "a2"}, i3k1.base.budgets)
     assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
     assert led.spend_of("a2") == pytest.approx(0.3, abs=1e-9)
     assert led.utility == pytest.approx(0.7, abs=1e-9)
 
 
 def test_single_type_no_candidates(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", set(), i3k1.base.budgets, 1.0)
+    led = single_type_allocate(i3k1.base, "t1", set(), i3k1.base.budgets)
     assert led.utility == 0.0
 
 
 def test_single_type_unknown_type(i3k1):
     with pytest.raises(InstanceError):
-        single_type_allocate(i3k1.base, "nope", {"a1"}, i3k1.base.budgets, 1.0)
+        single_type_allocate(i3k1.base, "nope", {"a1"}, i3k1.base.budgets)
 
 
 def test_single_type_parallel_slots():
@@ -58,7 +58,7 @@ def test_single_type_parallel_slots():
         slots=2,
         horizon=1.0,
     )
-    led = single_type_allocate(inst, "t1", {"a1", "a2", "a3"}, inst.budgets, 1.0)
+    led = single_type_allocate(inst, "t1", {"a1", "a2", "a3"}, inst.budgets)
     # a1 and a2 run together; a3 takes over a1's slot when it caps out at t=0.2.
     assert led.spend_of("a1") == pytest.approx(0.2, abs=1e-9)
     assert led.spend_of("a2") == pytest.approx(0.5, abs=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seqsub import adalloc
+from seqsub import adalloc, qrewrite
 from seqsub.seqcore import (
     ActionSet,
     DiscreteSequence,
@@ -27,7 +27,7 @@ from seqsub.seqcore import (
     sample_dominated,
 )
 
-from conftest import random_coverage
+from conftest import make_i3, random_coverage
 
 
 ABC = ActionSet(("s1", "s2", "s3"))
@@ -186,6 +186,36 @@ def test_exact_argmax_tie_break(i2):
     u, actions = i2
     # s1 and s2 both gain 2.0 from the empty prefix; order breaks the tie.
     assert exact_argmax(u, DiscreteSequence((), actions), actions) == "s1"
+
+
+@pytest.mark.parametrize("order", [("x", "y"), ("y", "x")])
+def test_greedy_continuous_tie_break(order):
+    # Equal rates: the first action in input order runs, for its own hold.
+    holds = {"x": 2.0, "y": 0.5}
+    h = greedy_continuous(lambda prefix, a: (1.0, holds[a]), ActionSet(order), 1.0)
+    assert h.segments[0] == (order[0], min(holds[order[0]], 1.0))
+
+
+@pytest.mark.parametrize("order", [("rx", "ry"), ("ry", "rx")])
+def test_best_rewrite_set_tie_break(order):
+    # Both rewrites unlock the same ad, so every set of one has equal value.
+    base = make_i3(1).base
+    inst = qrewrite.RewriteInstance(base, tuple(qrewrite.Rewrite(r, ("a1",)) for r in order), 1)
+    assert qrewrite.best_rewrite_set(inst, "t1", base.budgets) == ((order[0],), 0.4)
+
+
+@pytest.mark.parametrize("order", [("t1", "t2"), ("t2", "t1")])
+def test_greedy_rewrite_tie_break(order):
+    # Two identical types: the first in input order is appended first.
+    base = adalloc.AdInstance.build(
+        ads=[("a1", 0.25)],
+        query_types=[(t, 0.5) for t in order],
+        bids={"a1": {"t1": 1.0, "t2": 1.0}},
+        slots=1,
+        horizon=1.0,
+    )
+    plan, _ = qrewrite.greedy_rewrite(qrewrite.RewriteInstance(base, (qrewrite.Rewrite("r1", ("a1",)),), 1))
+    assert [pa.query_type for pa in plan.allocations] == list(order)
 
 
 # ---------------------------------------------------------------------------
