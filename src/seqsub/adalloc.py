@@ -522,6 +522,13 @@ def _convert(field: str, kind, value):
         raise InstanceError(f"{field}: {exc}") from None
 
 
+def _integer(field: str, value) -> int:
+    """An integral JSON number; a boolean or a fractional part is an error in `field`."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InstanceError(f"{field}: must be an integer, got {value!r}")
+    return _convert(field, int, value)
+
+
 def _entries(data: Mapping, key: str, value_key: str) -> list:
     """(id, float value) pairs of a list-of-objects field such as "ads"."""
     entries = data[key]
@@ -558,7 +565,7 @@ def parse_instance(data: Mapping) -> AdInstance:
         ad: {tid: _convert(f"bids: {ad}/{tid}", float, p) for tid, p in row.items()}
         for ad, row in bids.items()
     }
-    slots = _convert("slots", int, data["slots"])
+    slots = _integer("slots", data["slots"])
     horizon = _convert("horizon", float, data["horizon"])
     return AdInstance.build(ads, query_types, bids, slots, horizon)
 

@@ -227,15 +227,12 @@ def brute_force_rewrite_opt(instance: RewriteInstance) -> OptResult:
         raise SizeGuardError(
             f"rewrite oracle would enumerate {raw_count} assignments (cap 10^5)"
         )
-    # Distinct maximal ad unions per type, keeping the first subset achieving each.
-    unions: List[Tuple[FrozenSet[str], Tuple[str, ...]]] = []
-    seen: Dict[FrozenSet[str], Tuple[str, ...]] = {}
+    # Distinct maximal ad-index unions per type, keeping the first subset achieving each.
+    rewrite_ids = [r.id for r in instance.rewrites]
+    seen: Dict[FrozenSet[int], Tuple[str, ...]] = {}
     for size in range(k + 1):
-        for combo in itertools.combinations(instance.rewrites, size):
-            ids = tuple(r.id for r in combo)
-            ads = frozenset(a for r in combo for a in r.ads)
-            if ads not in seen:
-                seen[ads] = ids
+        for ids in itertools.combinations(rewrite_ids, size):
+            seen.setdefault(instance.reachable_ads(ids), ids)
     maximal = [
         (ads, ids)
         for ads, ids in seen.items()
@@ -246,9 +243,9 @@ def brute_force_rewrite_opt(instance: RewriteInstance) -> OptResult:
     cache: Dict[FrozenSet[Tuple[str, str]], OptResult] = {}
     for combo in itertools.product(maximal, repeat=base.num_types):
         pairs = frozenset(
-            (ad, tid)
+            (base.ad_ids[i], tid)
             for (ads, _), tid in zip(combo, base.type_ids)
-            for ad in ads
+            for i in ads
         )
         res = cache.get(pairs)
         if res is None:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Set, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
-from .adalloc import _convert
+from .adalloc import _integer
 from .seqcore import DiscreteSequence, SequenceFunction
 
 
@@ -39,26 +39,21 @@ class RewriteInstance:
         ids = [r.id for r in self.rewrites]
         if len(set(ids)) != len(ids):
             raise InstanceError("rewrites: duplicate rewrite id")
+        ad_sets = {}
         for r in self.rewrites:
             if not r.ads:
                 raise InstanceError(f"rewrites: rewrite {r.id!r} has an empty ad set")
-            for ad in r.ads:
-                self.base.ad_index(ad)
+            ad_sets[r.id] = frozenset(self.base.ad_index(ad) for ad in r.ads)
         if self.max_rewrites < 1:
             raise InstanceError(f"k: must be >= 1, got {self.max_rewrites}")
-        object.__setattr__(self, "_by_id", {r.id: r for r in self.rewrites})
+        object.__setattr__(self, "_ad_sets", ad_sets)
 
-    def rewrite(self, rewrite_id: str) -> Rewrite:
+    def reachable_ads(self, rewrite_ids: Iterable[str]) -> FrozenSet[int]:
+        """Indices, in the base instance's ad order, of the ads the rewrites unlock."""
         try:
-            return self._by_id[rewrite_id]
-        except KeyError:
-            raise InstanceError(f"unknown rewrite id {rewrite_id!r}") from None
-
-    def reachable_ads(self, rewrite_ids: Iterable[str]) -> Set[str]:
-        ads: Set[str] = set()
-        for rid in rewrite_ids:
-            ads.update(self.rewrite(rid).ads)
-        return ads
+            return frozenset().union(*(self._ad_sets[rid] for rid in rewrite_ids))
+        except KeyError as exc:
+            raise InstanceError(f"unknown rewrite id {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class RewritePlan:
 
 
 def single_type_allocate(
-    instance: AdInstance, type_id: str, allowed: Iterable[str], caps: Sequence[float]
+    instance: AdInstance, type_id: str, allowed: AbstractSet[int], caps: Sequence[float]
 ) -> SpendLedger:
     """Optimal fluid allocation of one query type over the instance's horizon.
 
@@ -105,15 +100,14 @@ def single_type_allocate(
     type.  With one slot this is exactly "run the best ad, replace it with
     the next best when its cap runs out".
 
-    `caps` is a per-ad spend limit aligned with the instance's ad order.  An
-    ad whose spend rate is 0.0 (probability times payment underflowed)
-    spends nothing, as in the fluid event loop.  The ledger fixes spend per
-    ad, not a schedule, so its `breakpoints` are empty.
+    `allowed` holds ad indices and `caps` per-ad spend limits, both in the
+    instance's ad order.  An ad whose rate is 0.0 (probability times payment
+    underflowed) spends nothing, as in the fluid event loop.  The ledger
+    fixes spend per ad, not a schedule, so its `breakpoints` are empty.
     """
     if len(caps) != instance.num_ads:
         raise ValueError(f"budget vector has {len(caps)} entries for {instance.num_ads} ads")
     j = instance.type_index(type_id)
-    allowed_idx = {instance.ad_index(a) for a in allowed}
     qj = instance.probs[j]
     horizon = instance.horizon
     spent = [0.0] * instance.num_ads
@@ -121,7 +115,7 @@ def single_type_allocate(
     for i in instance.ranked_ads(j):
         if time_left <= 0.0:
             break
-        if i not in allowed_idx:
+        if i not in allowed:
             continue
         rate = qj * instance.bid_matrix[i][j]
         cap = caps[i]
@@ -270,7 +264,7 @@ def parse_rewrite_instance(data: Mapping) -> RewriteInstance:
         if not isinstance(entry["ads"], (list, tuple)):
             raise InstanceError(f"rewrites: ads of {entry['id']!r} must be a list of ad ids")
         rewrites.append(Rewrite(str(entry["id"]), tuple(str(a) for a in entry["ads"])))
-    k = _convert("k", int, data["k"])
+    k = _integer("k", data["k"])
     return RewriteInstance(base=base, rewrites=tuple(rewrites), max_rewrites=k)
 
 

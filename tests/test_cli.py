@@ -259,9 +259,11 @@ def test_verify_unknown_check_exits_2(i1_file, capsys):
         (lambda d: d["query_types"][0].update(prob=None), "prob"),
         (lambda d: d.update(bids={"a1": ["t1"]}), "bids"),
         (lambda d: d.update(slots=float("inf")), "slots"),
+        (lambda d: d.update(slots=1.5), "slots"),
+        (lambda d: d.update(slots=True), "slots"),
     ],
     ids=["bid-infinity", "horizon-infinity", "budget-string", "ads-number", "prob-null",
-         "bids-row-list", "slots-infinity"],
+         "bids-row-list", "slots-infinity", "slots-fraction", "slots-boolean"],
 )
 def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
     data = adalloc.instance_to_json(make_i1())
@@ -284,7 +286,9 @@ def test_top_level_not_an_object_exits_2(tmp_path, capsys):
 def test_rewrite_malformed_rewrites_exit_2(i3_file, capsys):
     path = i3_file(1)
     original = path.read_text()
-    for key, value in (("rewrites", 5), ("rewrites", [{"id": "r1", "ads": 3}]), ("k", "x")):
+    malformed = (("rewrites", 5), ("rewrites", [{"id": "r1", "ads": 3}]), ("k", "x"),
+                 ("k", 1.9), ("k", True))
+    for key, value in malformed:
         data = json.loads(original)
         data[key] = value
         path.write_text(json.dumps(data))

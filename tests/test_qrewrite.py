@@ -29,12 +29,15 @@ from conftest import random_rewrite_instance
 # ---------------------------------------------------------------------------
 
 def test_single_type_cap_binds(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", {"a1"}, (0.4, 0.0))
+    base = i3k1.base
+    led = single_type_allocate(base, "t1", {base.ad_index("a1")}, (0.4, 0.0))
     assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
 
 
 def test_single_type_replacement(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", {"a1", "a2"}, i3k1.base.budgets)
+    base = i3k1.base
+    allowed = {base.ad_index("a1"), base.ad_index("a2")}
+    led = single_type_allocate(base, "t1", allowed, base.budgets)
     assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
     assert led.spend_of("a2") == pytest.approx(0.3, abs=1e-9)
     assert led.utility == pytest.approx(0.7, abs=1e-9)
@@ -47,7 +50,7 @@ def test_single_type_no_candidates(i3k1):
 
 def test_single_type_unknown_type(i3k1):
     with pytest.raises(InstanceError):
-        single_type_allocate(i3k1.base, "nope", {"a1"}, i3k1.base.budgets)
+        single_type_allocate(i3k1.base, "nope", {i3k1.base.ad_index("a1")}, i3k1.base.budgets)
 
 
 def test_single_type_parallel_slots():
@@ -58,7 +61,7 @@ def test_single_type_parallel_slots():
         slots=2,
         horizon=1.0,
     )
-    led = single_type_allocate(inst, "t1", {"a1", "a2", "a3"}, inst.budgets)
+    led = single_type_allocate(inst, "t1", set(range(inst.num_ads)), inst.budgets)
     # a1 and a2 run together; a3 takes over a1's slot when it caps out at t=0.2.
     assert led.spend_of("a1") == pytest.approx(0.2, abs=1e-9)
     assert led.spend_of("a2") == pytest.approx(0.5, abs=1e-9)
@@ -94,6 +97,12 @@ def test_plan_duplicate_types_allowed(i3k2):
     total, _ = evaluate_plan(i3k2, plan)
     assert total == pytest.approx(0.9, abs=1e-9)  # 0.4 then 0.5 from the untouched a2
     assert qrewrite.RewritePlan(tuple(plan)).has_duplicate_types
+
+
+def test_plan_unknown_rewrite_id(i3k2):
+    plan = [PartialAllocation("t1", ("r1", "r9"), i3k2.base.budgets)]
+    with pytest.raises(InstanceError, match="'r9'"):
+        evaluate_plan(i3k2, plan)
 
 
 def test_plan_respects_global_budgets():
@@ -230,3 +239,9 @@ def test_parse_rejects_empty_rewrite_ads(i3k2):
     data["k"] = 1
     with pytest.raises(InstanceError, match="empty ad set"):
         parse_rewrite_instance(data)
+
+
+def test_rewrite_naming_unknown_ad_rejected(i3k2):
+    rewrites = (Rewrite("r1", ("a1",)), Rewrite("r2", ("a2", "a7")))
+    with pytest.raises(InstanceError, match="'a7'"):
+        RewriteInstance(i3k2.base, rewrites, 1)
