@@ -6,53 +6,4 @@ rewriting, `stochsim` cross-checks the fluid model against simulated query
 streams, and `oracle` supplies exact small-instance optima for ratio tests.
 """
 
-from .seqcore import (
-    ActionSet,
-    CheckReport,
-    DiscreteSequence,
-    SequenceFunction,
-    TimedSequence,
-    Violation,
-    check_derivative_props,
-    check_nondecreasing,
-    check_rate_gain_bound,
-    check_step_gain_bound,
-    check_submodular,
-    concat,
-    dominates,
-    equivalent,
-    greedy_continuous,
-    greedy_discrete,
-    marginal_value,
-    sample_dominated,
-)
-from .adalloc import (
-    AdInstance,
-    Configuration,
-    FluidRateModel,
-    SpendLedger,
-    best_configuration,
-    evaluate_strategy,
-    greedy_allocate,
-    marginal_rate,
-    revenue_rate,
-)
-from .qrewrite import (
-    PartialAllocation,
-    RewriteInstance,
-    RewritePlan,
-    evaluate_plan,
-    greedy_rewrite,
-    single_type_allocate,
-)
-from .oracle import (
-    OptResult,
-    SizeGuardError,
-    brute_force_discrete,
-    brute_force_rewrite_opt,
-    lp_opt_fluid,
-    make_coverage_fixture,
-)
-from .stochsim import SimResult, StreamConfig, convergence_report, simulate_stream
-
 __version__ = "0.1.0"

@@ -27,6 +27,11 @@ from .seqcore import SequenceFunction, TimedSequence
 
 # Remaining budget at or below this is treated as exhausted (float residue guard).
 EXHAUSTED = 1e-12
+# Input limits: more slots than this overflow islice and numpy's int64 draws,
+# and a larger total budget or payment lets sums of spend or of spend rates
+# overflow to infinity.
+MAX_SLOTS = 2**31 - 1
+MAX_AMOUNT = 1e300
 
 
 class InstanceError(ValueError):
@@ -53,6 +58,8 @@ class AdInstance:
         for ad, b in zip(self.ad_ids, self.budgets):
             if not 0.0 <= b < math.inf:
                 raise InstanceError(f"ads: budget of {ad!r} must be finite and >= 0, got {b}")
+        if sum(self.budgets) > MAX_AMOUNT:
+            raise InstanceError(f"ads: total budget {sum(self.budgets)} exceeds {MAX_AMOUNT}")
         for q, tid in zip(self.probs, self.type_ids):
             if not 0.0 <= q < math.inf:
                 raise InstanceError(f"query_types: probability of {tid!r} must be finite and >= 0")
@@ -62,10 +69,12 @@ class AdInstance:
             )
         for row in self.bid_matrix:
             for p in row:
-                if not 0.0 <= p < math.inf:
-                    raise InstanceError(f"bids: expected payment must be finite and >= 0, got {p}")
-        if self.slots < 1:
-            raise InstanceError(f"slots: must be >= 1, got {self.slots}")
+                if not 0.0 <= p <= MAX_AMOUNT:
+                    raise InstanceError(
+                        f"bids: expected payment must be in [0, {MAX_AMOUNT}], got {p}"
+                    )
+        if not 1 <= self.slots <= MAX_SLOTS:
+            raise InstanceError(f"slots: must be between 1 and {MAX_SLOTS}, got {self.slots}")
         if not 0.0 < self.horizon < math.inf:
             raise InstanceError(f"horizon: must be finite and > 0, got {self.horizon}")
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
@@ -281,15 +290,8 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
         raise ValueError(
             f"strategy length {total} exceeds horizon {instance.horizon}"
         )
-    remaining = list(instance.budgets)
     events: list = []
-    t = 0.0
-    for config, dur in strategy.segments:
-        if not isinstance(config, Configuration):
-            raise ValueError("strategy actions must be Configuration values")
-        _advance(instance, _config_indices(instance, config), remaining, dur, t, events)
-        t += dur
-        events.append(t)
+    remaining = _remaining_after(instance, strategy, events)
     spent = tuple(b - r for b, r in zip(instance.budgets, remaining))
     interior = sorted(x for x in events if x < total - 1e-12)
     breakpoints: list = []
@@ -299,11 +301,20 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
     return SpendLedger(instance.ad_ids, spent, math.fsum(spent), tuple(breakpoints))
 
 
-def _remaining_after(instance: AdInstance, prefix: Optional[AllocationStrategy]) -> list:
+def _remaining_after(
+    instance: AdInstance, prefix: Optional[AllocationStrategy], events: Optional[list] = None
+) -> list:
+    """Budgets left after replaying `prefix`; exhaustion and segment-end times go to `events`."""
     remaining = list(instance.budgets)
     if prefix is not None:
+        t = 0.0
         for config, dur in prefix.segments:
-            _advance(instance, _config_indices(instance, config), remaining, dur)
+            if not isinstance(config, Configuration):
+                raise ValueError("strategy actions must be Configuration values")
+            _advance(instance, _config_indices(instance, config), remaining, dur, t, events)
+            t += dur
+            if events is not None:
+                events.append(t)
     return remaining
 
 
@@ -405,9 +416,7 @@ def incremental_oracle(instance: AdInstance):
     return oracle
 
 
-def enumerate_configurations(
-    instance: AdInstance, max_count: int = 100_000
-) -> Tuple[Configuration, ...]:
+def enumerate_configurations(instance: AdInstance) -> Tuple[Configuration, ...]:
     """All configurations over positive-bid ads, ordered for deterministic ties.
 
     Per-type options are subsets of size at most `slots`, smaller subsets
@@ -425,8 +434,8 @@ def enumerate_configurations(
     count = 1
     for _, options in per_type:
         count *= len(options)
-    if count > max_count:
-        raise ValueError(f"{count} configurations exceed the cap of {max_count}")
+    if count > 10**5:
+        raise ValueError(f"{count} configurations exceed the cap of 10^5")
     configs = []
     for combo in product(*(options for _, options in per_type)):
         assignment = {}
@@ -449,18 +458,12 @@ def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Conf
     return Configuration.of(assignment)
 
 
-def random_strategy(
-    instance: AdInstance,
-    rng: np.random.Generator,
-    max_segments: int = 3,
-    max_length: Optional[float] = None,
-) -> AllocationStrategy:
-    """Random strategy with up to `max_segments` segments, total <= max_length."""
-    cap = instance.horizon if max_length is None else max_length
-    k = int(rng.integers(0, max_segments + 1))
+def random_strategy(instance: AdInstance, rng: np.random.Generator) -> AllocationStrategy:
+    """Random strategy of zero to three segments, total length within the horizon."""
+    k = int(rng.integers(0, 4))
     if k == 0:
         return TimedSequence(())
-    total = float(rng.uniform(0.0, cap))
+    total = float(rng.uniform(0.0, instance.horizon))
     cuts = sorted(float(x) for x in rng.uniform(0.0, total, size=k - 1))
     bounds = [0.0, *cuts, total]
     segs = []
@@ -478,9 +481,8 @@ class FluidRateModel:
     optimization problem.  Random prefixes stay within the horizon.
     """
 
-    def __init__(self, instance: AdInstance, max_prefix_segments: int = 3):
+    def __init__(self, instance: AdInstance):
         self.instance = instance
-        self.max_prefix_segments = max_prefix_segments
 
     def utility(self, strategy: AllocationStrategy) -> float:
         remaining = _remaining_after(self.instance, strategy)
@@ -504,7 +506,7 @@ class FluidRateModel:
         return revenue_rate(self.instance, best_configuration(self.instance, remaining), remaining)
 
     def random_prefix(self, rng: np.random.Generator) -> AllocationStrategy:
-        return random_strategy(self.instance, rng, self.max_prefix_segments)
+        return random_strategy(self.instance, rng)
 
     def random_action(self, rng: np.random.Generator) -> Configuration:
         return random_configuration(self.instance, rng)

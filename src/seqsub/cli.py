@@ -17,6 +17,7 @@ and seeds; wall-clock timing goes to stderr only.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -100,10 +101,11 @@ def cmd_allocate(args) -> int:
 def cmd_rewrite(args) -> int:
     instance = qrewrite.parse_rewrite_instance(_load_json(Path(args.instance)))
     plan, utility = qrewrite.greedy_rewrite(instance)
+    types = [pa.query_type for pa in plan.items]
     outputs: Dict[str, object] = {
         "utility": utility,
         "plan": qrewrite.plan_to_json(instance, plan),
-        "duplicate_types": plan.has_duplicate_types,
+        "duplicate_types": len(set(types)) != len(types),
     }
     if args.oracle:
         opt = oracle.brute_force_rewrite_opt(instance)
@@ -170,34 +172,18 @@ def _run_checks(
     if planted:
         # Negative control: a deliberately decreasing utility the checkers must catch.
         utility = seqcore.SequenceFunction("continuous", lambda seq: -seq.length)
-    sample_strategy = lambda rng: adalloc.random_strategy(instance, rng)
+    # (utility, sampler) pairs; each check and pair keeps its own seed in seed..seed+5.
+    pairs = [(utility, model.random_prefix)]
+    if rewrite_instance is not None:
+        plans = functools.partial(qrewrite.random_plan, rewrite_instance)
+        pairs.append((qrewrite.plan_function(rewrite_instance), plans))
     reports: List[seqcore.CheckReport] = []
     if "mono" in checks:
-        reports.append(
-            seqcore.check_nondecreasing(utility, sample_strategy, samples, seed=seed)
-        )
-        if rewrite_instance is not None:
-            reports.append(
-                seqcore.check_nondecreasing(
-                    qrewrite.plan_function(rewrite_instance),
-                    lambda rng: qrewrite.random_plan(rewrite_instance, rng),
-                    samples,
-                    seed=seed + 1,
-                )
-            )
+        for k, (u, sample) in enumerate(pairs):
+            reports.append(seqcore.check_nondecreasing(u, sample, samples, seed=seed + k))
     if "submod" in checks:
-        reports.append(
-            seqcore.check_submodular(
-                utility, sample_strategy, sample_strategy, samples, seed=seed + 2
-            )
-        )
-        if rewrite_instance is not None:
-            gen = lambda rng: qrewrite.random_plan(rewrite_instance, rng)
-            reports.append(
-                seqcore.check_submodular(
-                    qrewrite.plan_function(rewrite_instance), gen, gen, samples, seed=seed + 3
-                )
-            )
+        for k, (u, sample) in enumerate(pairs):
+            reports.append(seqcore.check_submodular(u, sample, sample, samples, seed=seed + 2 + k))
     if "deriv" in checks:
         reports.append(seqcore.check_derivative_props(model, samples, seed=seed + 4))
     if "lemma1" in checks:

@@ -1,12 +1,14 @@
 """Query rewriting: pick up to k rewrites per query type to maximize ad revenue.
 
 Each rewrite unlocks a small set of ads; a query type can only be served by
-ads reachable through its chosen rewrites.  A plan is an ordered list of
-partial allocations (query type, rewrite set, per-ad spend caps); evaluating
-a plan runs the single-type fluid allocator tuple by tuple against the
-global budgets.  `greedy_rewrite` nests two greedy loops: an inner one that
-grows the rewrite set of each candidate type one best rewrite at a time, and
-an outer one that appends the type with the largest marginal utility.
+ads reachable through its chosen rewrites.  A plan is a
+`seqcore.DiscreteSequence` of partial allocations (query type, rewrite set,
+per-ad spend caps), the same type `plan_function` hands to the generic
+property checkers; evaluating a plan runs the single-type fluid allocator
+tuple by tuple against the global budgets.  `greedy_rewrite` nests two
+greedy loops: an inner one that grows the rewrite set of each candidate type
+one best rewrite at a time, and an outer one that appends the type with the
+largest marginal utility.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ class PartialAllocation:
                 raise ValueError(f"caps must be >= 0, got {c}")
 
 
-@dataclass(frozen=True)
-class RewritePlan:
-    allocations: Tuple[PartialAllocation, ...]
-
-    @property
-    def has_duplicate_types(self) -> bool:
-        types = [pa.query_type for pa in self.allocations]
-        return len(set(types)) != len(types)
-
-
 def single_type_allocate(
     instance: AdInstance, type_id: str, allowed: AbstractSet[int], caps: Sequence[float]
 ) -> SpendLedger:
@@ -133,16 +125,11 @@ def evaluate_plan(
 ) -> Tuple[float, Tuple[float, ...]]:
     """Utility of a plan and the remaining global budgets after running it.
 
-    Accepts a RewritePlan, a DiscreteSequence of PartialAllocation items, or
-    any iterable of them.  Repeated query types are legal here (the utility
-    is defined on arbitrary sequences); the optimizer never emits them.
+    Accepts a DiscreteSequence of PartialAllocation items or any iterable of
+    them.  Repeated query types are legal here (the utility is defined on
+    arbitrary sequences); the optimizer never emits them.
     """
-    if isinstance(plan, RewritePlan):
-        items: Sequence[PartialAllocation] = plan.allocations
-    elif isinstance(plan, DiscreteSequence):
-        items = plan.items
-    else:
-        items = tuple(plan)
+    items = plan.items if isinstance(plan, DiscreteSequence) else tuple(plan)
     remaining = list(instance.base.budgets)
     total = 0.0
     for pa in items:
@@ -189,7 +176,7 @@ def best_rewrite_set(
     return tuple(chosen), value(chosen) if chosen else 0.0
 
 
-def greedy_rewrite(instance: RewriteInstance) -> Tuple[RewritePlan, float]:
+def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
     """Assign rewrite sets type by type, always appending the best candidate.
 
     Each outer round runs the inner greedy of `best_rewrite_set` for every
@@ -217,7 +204,7 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[RewritePlan, float]:
         _charge(remaining, ledger.spent)
         total += ledger.utility
         pending.remove(best_type)
-    return RewritePlan(tuple(allocations)), total
+    return DiscreteSequence(tuple(allocations)), total
 
 
 def plan_function(instance: RewriteInstance) -> SequenceFunction:
@@ -225,12 +212,10 @@ def plan_function(instance: RewriteInstance) -> SequenceFunction:
     return SequenceFunction("discrete", lambda seq: evaluate_plan(instance, seq)[0])
 
 
-def random_plan(
-    instance: RewriteInstance, rng: np.random.Generator, max_len: int = 4
-) -> DiscreteSequence:
-    """Random plan sequence: random types, rewrite subsets and caps."""
+def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> DiscreteSequence:
+    """Random plan of zero to four steps: random types, rewrite subsets and caps."""
     base = instance.base
-    k = int(rng.integers(0, max_len + 1))
+    k = int(rng.integers(0, 5))
     items = []
     for _ in range(k):
         tid = base.type_ids[int(rng.integers(0, base.num_types))]
@@ -268,10 +253,10 @@ def parse_rewrite_instance(data: Mapping) -> RewriteInstance:
     return RewriteInstance(base=base, rewrites=tuple(rewrites), max_rewrites=k)
 
 
-def plan_to_json(instance: RewriteInstance, plan: RewritePlan) -> list:
+def plan_to_json(instance: RewriteInstance, plan: DiscreteSequence) -> list:
     base = instance.base
     out = []
-    for pa in plan.allocations:
+    for pa in plan.items:
         out.append(
             {
                 "type": pa.query_type,

@@ -19,8 +19,15 @@ from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
-# Absolute tolerance for inequality checks on utilities.
+# Tolerance for inequality checks on utilities, relative to their magnitude
+# once that exceeds 1 (see `_exceeds`); also the duration slack of
+# `dominates` and `equivalent`.
 DEFAULT_TOL = 1e-9
+# Relative tolerance of the finite-difference check on marginal rates.
+FD_REL_TOL = 1e-6
+# Blocks shorter than this (for discrete ones: empty) are skipped by the
+# single-step gain bounds.
+MIN_LENGTH = 1e-6
 # Tolerance for duration bookkeeping on timed sequences.
 LENGTH_TOL = 1e-12
 
@@ -78,10 +85,6 @@ class DiscreteSequence:
                     raise ValueError(f"item {it!r} not in action set")
 
     @property
-    def kind(self) -> str:
-        return "discrete"
-
-    @property
     def length(self) -> int:
         return len(self.items)
 
@@ -96,9 +99,6 @@ class DiscreteSequence:
         if lo > hi:
             return DiscreteSequence((), self.actions)
         return DiscreteSequence(self.items[lo - 1 : hi], self.actions)
-
-    def concat(self, other: "DiscreteSequence") -> "DiscreteSequence":
-        return concat(self, other)
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,6 @@ class TimedSequence:
                 raise ValueError(f"segment duration must be positive, got {d}")
             if self.actions is not None and a not in self.actions:
                 raise ValueError(f"action {a!r} not in action set")
-
-    @property
-    def kind(self) -> str:
-        return "continuous"
 
     @property
     def length(self) -> float:
@@ -171,9 +167,6 @@ class TimedSequence:
                 merged.append([a, d])
         return TimedSequence(tuple((a, d) for a, d in merged), self.actions)
 
-    def concat(self, other: "TimedSequence") -> "TimedSequence":
-        return concat(self, other)
-
 
 SequenceLike = DiscreteSequence | TimedSequence
 
@@ -196,14 +189,14 @@ def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
     return TimedSequence(a.segments + b.segments, acts)
 
 
-def equivalent(a: SequenceLike, b: SequenceLike, tol: float = DEFAULT_TOL) -> bool:
+def equivalent(a: SequenceLike, b: SequenceLike) -> bool:
     """Pointwise equality of the functions the two sequences represent."""
     if type(a) is not type(b):
         return False
     if isinstance(a, DiscreteSequence):
         return a.items == b.items
     ca, cb = a.canonical().segments, b.canonical().segments
-    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > tol:
+    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > DEFAULT_TOL:
         return False
     i = j = 0
     ra = ca[0][1] if ca else 0.0
@@ -214,16 +207,16 @@ def equivalent(a: SequenceLike, b: SequenceLike, tol: float = DEFAULT_TOL) -> bo
         take = min(ra, rb)
         ra -= take
         rb -= take
-        if ra <= tol:
+        if ra <= DEFAULT_TOL:
             i += 1
             ra = ca[i][1] if i < len(ca) else 0.0
-        if rb <= tol:
+        if rb <= DEFAULT_TOL:
             j += 1
             rb = cb[j][1] if j < len(cb) else 0.0
     return i >= len(ca) and j >= len(cb)
 
 
-def dominates(a: SequenceLike, b: SequenceLike, tol: float = DEFAULT_TOL) -> bool:
+def dominates(a: SequenceLike, b: SequenceLike) -> bool:
     """True when `a` can be obtained by cutting parts out of `b`."""
     if type(a) is not type(b):
         raise TypeError("cannot compare sequences of different kinds")
@@ -236,13 +229,13 @@ def dominates(a: SequenceLike, b: SequenceLike, tol: float = DEFAULT_TOL) -> boo
     ra = need[0][1] if need else 0.0
     rb = have[0][1] if have else 0.0
     while i < len(need):
-        if ra <= tol:
+        if ra <= DEFAULT_TOL:
             i += 1
             ra = need[i][1] if i < len(need) else 0.0
             continue
         if j >= len(have):
             return False
-        if need[i][0] == have[j][0] and rb > tol:
+        if need[i][0] == have[j][0] and rb > DEFAULT_TOL:
             take = min(ra, rb)
             ra -= take
             rb -= take
@@ -262,12 +255,12 @@ def sample_dominated(b: SequenceLike, rng_seed: int) -> SequenceLike:
     return _sample_dominated(b, rng)
 
 
-def _sample_dominated(b: SequenceLike, rng: np.random.Generator, max_windows: int = 3) -> SequenceLike:
+def _sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
     if isinstance(b, DiscreteSequence):
         keep = rng.random(len(b.items)) < 0.5
         return DiscreteSequence(tuple(x for x, k in zip(b.items, keep) if k), b.actions)
     total = b.length
-    m = int(rng.integers(0, max_windows + 1))
+    m = int(rng.integers(0, 4))  # zero to three windows
     if m == 0 or total <= 0.0:
         return TimedSequence((), b.actions)
     cuts = sorted(float(x) for x in rng.uniform(0.0, total, size=2 * m))
@@ -397,9 +390,41 @@ class CheckReport:
         return not self.violations
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # Per-sample substream so samples are order-independent and reproducible.
-    return np.random.default_rng([seed, index])
+def _exceeds(lhs: float, rhs: float) -> bool:
+    """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(1, |lhs|, |rhs|)."""
+    return lhs - rhs > DEFAULT_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
+def _violations(check: str, lhs: float, rhs: float, witness: dict) -> list:
+    """`[Violation]` when `lhs` exceeds `rhs`, else `[]`."""
+    return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs) else []
+
+
+def _run_samples(
+    check: str,
+    samples: int,
+    seed: int,
+    body: Callable[[np.random.Generator], Optional[list]],
+    violations: Tuple[Violation, ...] = (),
+    details: Optional[dict] = None,
+) -> CheckReport:
+    """Run `body` on the per-sample substreams (seed, 0), (seed, 1), ...
+
+    Substreams make samples order-independent and reproducible.  `body`
+    returns the sample's violations, or None when it skipped the sample,
+    which then does not count as tested.  `violations` found before the
+    loop come first in the report.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    found = list(violations)
+    tested = 0
+    for i in range(samples):
+        result = body(np.random.default_rng([seed, i]))
+        if result is not None:
+            tested += 1
+            found.extend(result)
+    return CheckReport(check, tested, tuple(found), details or {})
 
 
 def check_nondecreasing(
@@ -407,27 +432,23 @@ def check_nondecreasing(
     sample_b: Callable[[np.random.Generator], SequenceLike],
     samples: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
-    """Sample B, cut a dominated A out of it, and require u(A) <= u(B) + tol.
+    """Sample B, cut a dominated A out of it, and require u(A) <= u(B).
 
     Also anchors u at zero on the empty sequence.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    violations = []
     empty = DiscreteSequence(()) if u.kind == "discrete" else TimedSequence(())
     v0 = u(empty)
-    if abs(v0) > tol:
-        violations.append(Violation("empty_value", v0, 0.0, abs(v0), {"sequence": empty}))
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
+    first = ()
+    if _exceeds(abs(v0), 0.0):
+        first = (Violation("empty_value", v0, 0.0, abs(v0), {"sequence": empty}),)
+
+    def body(rng):
         b = sample_b(rng)
         a = _sample_dominated(b, rng)
-        ua, ub = u(a), u(b)
-        if ua > ub + tol:
-            violations.append(Violation("nondecreasing", ua, ub, ua - ub, {"a": a, "b": b}))
-    return CheckReport("nondecreasing", samples, tuple(violations))
+        return _violations("nondecreasing", u(a), u(b), {"a": a, "b": b})
+
+    return _run_samples("nondecreasing", samples, seed, body, first)
 
 
 def check_submodular(
@@ -436,24 +457,18 @@ def check_submodular(
     sample_c: Callable[[np.random.Generator], SequenceLike],
     samples: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
-    """Sample (B, C) and A dominated by B; require u(C|A) >= u(C|B) - tol."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    violations = []
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
+    """Sample (B, C) and A dominated by B; require u(C|A) >= u(C|B)."""
+
+    def body(rng):
         b = sample_b(rng)
         c = sample_c(rng)
         a = _sample_dominated(b, rng)
         gain_a = marginal_value(u, c, a)
         gain_b = marginal_value(u, c, b)
-        if gain_a < gain_b - tol:
-            violations.append(
-                Violation("submodular", gain_b, gain_a, gain_b - gain_a, {"a": a, "b": b, "c": c})
-            )
-    return CheckReport("submodular", samples, tuple(violations))
+        return _violations("submodular", gain_b, gain_a, {"a": a, "b": b, "c": c})
+
+    return _run_samples("submodular", samples, seed, body)
 
 
 def _draw_smooth(rng: np.random.Generator, lo: float, hi: float, breakpoints, margin: float):
@@ -465,13 +480,7 @@ def _draw_smooth(rng: np.random.Generator, lo: float, hi: float, breakpoints, ma
     return None
 
 
-def check_derivative_props(
-    model,
-    samples: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    fd_rel_tol: float = 1e-6,
-) -> CheckReport:
+def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     """Check the marginal-rate contract of a continuous model at smooth offsets.
 
     `model` must expose:
@@ -485,20 +494,17 @@ def check_derivative_props(
     Per sample, with B a random prefix, A cut out of B and s a random action,
     the checker asserts (away from the reported breakpoints):
 
-      * rate(s, d | A) >= rate(s, d | B) - tol,
+      * rate(s, d | A) >= rate(s, d | B),
       * rate is non-increasing in the offset d, and
-      * rate matches the centered finite difference of utility(A + (s, d)).
+      * rate matches the centered finite difference of utility(A + (s, d))
+        within FD_REL_TOL.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    getter = getattr(model, "breakpoints", None)
-    if getter is None:
+    if getattr(model, "breakpoints", None) is None:
         raise TypeError("model must report breakpoints for each queried prefix")
-    violations = []
-    fd_points = 0
-    pair_points = 0
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
+    counts = {"fd_points": 0, "monotonicity_pairs": 0}
+
+    def body(rng):
+        found = []
         b = model.random_prefix(rng)
         a = _sample_dominated(b, rng)
         s = model.random_action(rng)
@@ -506,107 +512,76 @@ def check_derivative_props(
         bps_b = tuple(model.breakpoints(s, b))
         hi = 1.25 * max((*bps_a, *bps_b, 0.0)) + 0.5
         margin = 1e-3
-        both = bps_a + bps_b
-        d = _draw_smooth(rng, margin, hi, both, margin)
+        d = _draw_smooth(rng, margin, hi, bps_a + bps_b, margin)
         if d is not None:
             ra = model.rate(s, d, a)
             rb = model.rate(s, d, b)
-            if ra < rb - tol:
-                violations.append(
-                    Violation("rate_domination", rb, ra, rb - ra, {"a": a, "b": b, "s": s, "delta": d})
-                )
+            found += _violations("rate_domination", rb, ra, {"a": a, "b": b, "s": s, "delta": d})
         d1 = _draw_smooth(rng, margin, hi, bps_a, margin)
         d2 = _draw_smooth(rng, margin, hi, bps_a, margin)
         if d1 is not None and d2 is not None:
-            pair_points += 1
+            counts["monotonicity_pairs"] += 1
             d1, d2 = min(d1, d2), max(d1, d2)
             r1 = model.rate(s, d1, a)
             r2 = model.rate(s, d2, a)
-            if r1 < r2 - tol:
-                violations.append(
-                    Violation("rate_nonincreasing", r2, r1, r2 - r1, {"a": a, "s": s, "d1": d1, "d2": d2})
-                )
+            found += _violations("rate_nonincreasing", r2, r1, {"a": a, "s": s, "d1": d1, "d2": d2})
         d0 = _draw_smooth(rng, margin, hi, bps_a, margin)
         if d0 is not None:
-            fd_points += 1
+            counts["fd_points"] += 1
             gap = min((abs(d0 - x) for x in bps_a), default=d0)
             h = min(1e-4, min(gap, d0) / 4.0)
             hold = lambda delta: model.utility(concat(a, TimedSequence(((s, delta),))))
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
             err = abs(fd - r0)
-            if err > fd_rel_tol * max(1.0, abs(r0)):
-                violations.append(
-                    Violation("rate_finite_difference", fd, r0, err, {"a": a, "s": s, "delta": d0})
-                )
-    return CheckReport(
-        "derivative",
-        samples,
-        tuple(violations),
-        details={"fd_points": fd_points, "monotonicity_pairs": pair_points},
-    )
+            if err > FD_REL_TOL * max(1.0, abs(r0)):
+                witness = {"a": a, "s": s, "delta": d0}
+                found.append(Violation("rate_finite_difference", fd, r0, err, witness))
+        return found
+
+    return _run_samples("derivative", samples, seed, body, details=counts)
+
+
+def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int) -> CheckReport:
+    """Lemma 1: the best single step after A must reach the gain per unit length of any block B.
+
+    A and B are both drawn with `sample`; B shorter than MIN_LENGTH is skipped.
+    """
+
+    def body(rng):
+        a = sample(rng)
+        b = sample(rng)
+        if b.length < MIN_LENGTH:
+            return None
+        per_unit = (utility(concat(a, b)) - utility(a)) / b.length
+        return _violations(check, per_unit, best_step(a), {"a": a, "b": b})
+
+    return _run_samples(check, samples, seed, body)
 
 
 def check_step_gain_bound(
     u: SequenceFunction,
     actions: ActionSet,
-    sample_a: Callable[[np.random.Generator], DiscreteSequence],
-    sample_b: Callable[[np.random.Generator], DiscreteSequence],
+    sample: Callable[[np.random.Generator], DiscreteSequence],
     samples: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Best single-step gain after A must reach the per-item average gain of any block B."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    violations = []
-    tested = 0
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
-        a = sample_a(rng)
-        b = sample_b(rng)
-        if b.length == 0:
-            continue
-        tested += 1
-        per_item = marginal_value(u, b, a) / b.length
-        best = max(marginal_value(u, DiscreteSequence((s,), actions), a) for s in actions)
-        if best < per_item - tol:
-            violations.append(
-                Violation("step_gain_bound", per_item, best, per_item - best, {"a": a, "b": b})
-            )
-    return CheckReport("step_gain_bound", tested, tuple(violations))
+    def best_step(a):
+        return max(marginal_value(u, DiscreteSequence((s,), actions), a) for s in actions)
+
+    return _gain_bound("step_gain_bound", u, best_step, sample, samples, seed)
 
 
-def check_rate_gain_bound(
-    model,
-    samples: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    min_length: float = 1e-6,
-) -> CheckReport:
+def check_rate_gain_bound(model, samples: int, seed: int = 0) -> CheckReport:
     """Best instantaneous rate after A must reach the per-time average gain of any block B.
 
     `model` provides random_prefix, utility and best_rate (the maximum of
     rate(s, 0, prefix) over all actions).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    violations = []
-    tested = 0
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
-        a = model.random_prefix(rng)
-        b = model.random_prefix(rng)
-        if b.length < min_length:
-            continue
-        tested += 1
-        per_time = (model.utility(concat(a, b)) - model.utility(a)) / b.length
-        best = model.best_rate(a)
-        if best < per_time - tol:
-            violations.append(
-                Violation("rate_gain_bound", per_time, best, per_time - best, {"a": a, "b": b})
-            )
-    return CheckReport("rate_gain_bound", tested, tuple(violations))
+    return _gain_bound(
+        "rate_gain_bound", model.utility, model.best_rate, model.random_prefix, samples, seed
+    )
 
 
 def random_discrete_sequence(

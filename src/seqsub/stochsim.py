@@ -43,7 +43,6 @@ class SimResult:
     mean: float
     std: float
     fluid_utility: float
-    rng: str = RNG_NAME
 
     def to_json(self, include_per_trial: bool = False) -> dict:
         out = {
@@ -51,7 +50,7 @@ class SimResult:
             "std": self.std,
             "fluid": self.fluid_utility,
             "trials": len(self.revenues),
-            "rng": self.rng,
+            "rng": RNG_NAME,
         }
         if include_per_trial:
             out["per_trial"] = list(self.revenues)

@@ -194,7 +194,7 @@ def test_criterion_06_single_step_gain_bounds():
         u, actions = random_coverage(rng)
         gen = lambda r, actions=actions: seqcore.random_discrete_sequence(actions, r)
         report = seqcore.check_step_gain_bound(
-            u, actions, gen, gen, samples=50, seed=int(rng.integers(0, 2**31))
+            u, actions, gen, samples=50, seed=int(rng.integers(0, 2**31))
         )
         assert report.ok, report.violations[:2]
         tested_discrete += report.samples_tested

@@ -1,5 +1,6 @@
 """Fluid allocator: evaluation semantics, greedy behavior, structural checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -213,6 +214,25 @@ def test_greedy_allocate_matches_paper_reference():
         assert len(ref.canonical().segments) == len(strat.canonical().segments)
 
 
+def test_greedy_allocate_scales_with_budgets_and_bids():
+    # Money is in arbitrary units: scaling every budget and bid by 10^k scales
+    # the utility by 10^k and leaves the schedule's shape alone.
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        inst = random_ad_instance(rng)
+        strat, led = greedy_allocate(inst)
+        for k in (3, 6, 9):
+            f = 10.0**k
+            scaled = dataclasses.replace(
+                inst,
+                budgets=tuple(b * f for b in inst.budgets),
+                bid_matrix=tuple(tuple(p * f for p in row) for row in inst.bid_matrix),
+            )
+            s_strat, s_led = greedy_allocate(scaled)
+            assert s_led.utility == pytest.approx(led.utility * f, rel=1e-9)
+            assert len(s_strat.segments) == len(strat.segments)
+
+
 def test_ranked_ads_precomputed_outside_fields():
     inst = adalloc.AdInstance.build(
         ads=[("a", 1.0), ("b", 1.0), ("c", 1.0)],
@@ -348,6 +368,7 @@ def test_instance_validation():
         ([("a", 1.0)], [("t", 1.0)], math.inf, 1.0, "bids"),
         ([("a", 1.0)], [("t", 1.0)], math.nan, 1.0, "bids"),
         ([("a", 1.0)], [("t", 1.0)], 1.0, math.inf, "horizon"),
+        ([("a", 1.0)], [("t", 1.0)], 1e301, 1.0, "bids"),
     ],
 )
 def test_instance_requires_finite_values(ads, probs, bid, horizon, field):

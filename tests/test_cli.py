@@ -1,15 +1,23 @@
 """CLI commands: reports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from seqsub import adalloc, stochsim
 from seqsub.cli import main
 
 from conftest import make_i1, make_i3
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture
@@ -218,6 +226,23 @@ def test_verify_rewrite_instance_includes_plan_checks(i3_file, tmp_path):
     assert len(report["outputs"]["reports"]) == 4  # ad + plan for both checks
 
 
+def test_verify_tolerance_scales_with_the_instance(tmp_path):
+    # Budgets and bids x 1e9: an absolute 1e-9 tolerance reads float rounding
+    # in utilities of order 1e9 as violations.
+    data = json.loads((INSTANCES / "two_ads_two_types.json").read_text())
+    for ad in data["ads"]:
+        ad["budget"] *= 1e9
+    for row in data["bids"].values():
+        for tid in row:
+            row[tid] *= 1e9
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    args = ["verify", "--instance", str(path), "--samples", "500", "--seed", "7"]
+    code, report = run(args, tmp_path)
+    assert report["outputs"]["violations"] == 0
+    assert code == 0
+
+
 def test_verify_planted_violation_exits_1(i1_file, tmp_path):
     code, report = run(
         [
@@ -261,9 +286,13 @@ def test_verify_unknown_check_exits_2(i1_file, capsys):
         (lambda d: d.update(slots=float("inf")), "slots"),
         (lambda d: d.update(slots=1.5), "slots"),
         (lambda d: d.update(slots=True), "slots"),
+        (lambda d: d.update(slots=10**30), "slots"),
+        (lambda d: [ad.update(budget=1e308) for ad in d["ads"]], "budget"),
+        (lambda d: d["bids"]["a1"].update(t1=1.7e308), "bids"),
     ],
     ids=["bid-infinity", "horizon-infinity", "budget-string", "ads-number", "prob-null",
-         "bids-row-list", "slots-infinity", "slots-fraction", "slots-boolean"],
+         "bids-row-list", "slots-infinity", "slots-fraction", "slots-boolean", "slots-huge",
+         "budgets-near-float-max", "bid-near-float-max"],
 )
 def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
     data = adalloc.instance_to_json(make_i1())
@@ -325,11 +354,104 @@ def test_simulate_oversized_query_count_exits_2(tmp_path, capsys, monkeypatch):
     assert "horizon" in capsys.readouterr().err
 
 
+# Two budgets and all bids near the float maximum, over a horizon long enough
+# to spend them: sums of spend used to overflow in math.fsum.
+HUGE_BUDGETS = [
+    (("ads", 0, "budget"), 1e308),
+    (("ads", 1, "budget"), 1e308),
+    (("bids", "a1", "t1"), 1e308),
+    (("bids", "a1", "t2"), 1e308),
+    (("bids", "a2", "t1"), 1e308),
+    (("horizon",), 4.0),
+]
+HUGE_SLOTS = [(("slots",), 10**30)]
+
+
+def _fuzz_base() -> dict:
+    """The two-ad instance with two rewrites, so every command can parse it."""
+    data = adalloc.instance_to_json(make_i1())
+    data["rewrites"] = [{"id": "r1", "ads": ["a1"]}, {"id": "r2", "ads": ["a2"]}]
+    data["k"] = 2
+    return data
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the root's empty path first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+FUZZ_PATHS = [path for path in _paths(_fuzz_base()) if path]
+DELETE = object()
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([DELETE, None, True, "x", [], {}, [1], {"a1": 1}, 0, -1, 2**63, 10**30,
+                     1e308, -1e308, 5e-324, 1e-300, 1.5]),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=3),
+)
+FUZZ_COMMANDS = (
+    ["allocate"],
+    ["allocate", "--oracle"],
+    ["rewrite"],
+    ["rewrite", "--oracle"],
+    ["simulate", "--trials", "2", "--seed", "0", "--queries", "20"],
+)
+
+
+def _mutate(data: dict, edits) -> dict:
+    """Apply (path, value) edits; an edit whose parent no longer exists is skipped."""
+    for path, value in edits:
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    return data
+
+
+@pytest.mark.parametrize("edits, field", [(HUGE_SLOTS, "slots"), (HUGE_BUDGETS, "budget")])
+def test_size_limits_exit_2_on_every_command(edits, field, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_mutate(_fuzz_base(), edits)))
+    for command in (*FUZZ_COMMANDS, ["verify", "--samples", "5"]):
+        assert main([*command, "--instance", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:k=.*exceeds")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3))
+@example(HUGE_SLOTS)
+@example(HUGE_BUDGETS)
+def test_cli_fuzz_exits_0_2_or_3(edits):
+    # verify is left out: exit 1 (a property violation) is a legal outcome there.
+    data = _mutate(_fuzz_base(), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(data))
+        for command in FUZZ_COMMANDS:
+            argv = [*command, "--instance", str(path), "--out", os.devnull]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, data)
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the README commands on instances/*.json, pinned by digest
 # ---------------------------------------------------------------------------
-
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 GOLDEN = [
     (

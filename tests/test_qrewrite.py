@@ -96,7 +96,6 @@ def test_plan_duplicate_types_allowed(i3k2):
     plan = [PartialAllocation("t1", ("r1",), caps), PartialAllocation("t1", ("r2",), caps)]
     total, _ = evaluate_plan(i3k2, plan)
     assert total == pytest.approx(0.9, abs=1e-9)  # 0.4 then 0.5 from the untouched a2
-    assert qrewrite.RewritePlan(tuple(plan)).has_duplicate_types
 
 
 def test_plan_unknown_rewrite_id(i3k2):
@@ -123,14 +122,14 @@ def test_plan_respects_global_budgets():
 def test_greedy_k1_prefers_slow_big_ad(i3k1):
     plan, utility = greedy_rewrite(i3k1)
     assert utility == pytest.approx(0.5, abs=1e-9)
-    assert [pa.query_type for pa in plan.allocations] == ["t1"]
-    assert plan.allocations[0].rewrites == ("r2",)
+    assert [pa.query_type for pa in plan.items] == ["t1"]
+    assert plan.items[0].rewrites == ("r2",)
 
 
 def test_greedy_k2_reaches_optimum(i3k2):
     plan, utility = greedy_rewrite(i3k2)
     assert utility == pytest.approx(0.7, abs=1e-9)
-    assert set(plan.allocations[0].rewrites) == {"r1", "r2"}
+    assert set(plan.items[0].rewrites) == {"r1", "r2"}
 
 
 def test_greedy_records_consumption(i3k2):
@@ -138,7 +137,7 @@ def test_greedy_records_consumption(i3k2):
     # Replaying the plan through the evaluator reproduces the same utility.
     total, _ = evaluate_plan(i3k2, plan)
     assert total == pytest.approx(utility, abs=1e-9)
-    assert math.fsum(plan.allocations[0].caps) == pytest.approx(utility, abs=1e-9)
+    assert math.fsum(plan.items[0].caps) == pytest.approx(utility, abs=1e-9)
 
 
 def test_greedy_covers_all_types_even_when_worthless():
@@ -152,7 +151,7 @@ def test_greedy_covers_all_types_even_when_worthless():
     inst = RewriteInstance(base, (Rewrite("r1", ("a1",)),), 1)
     plan, utility = greedy_rewrite(inst)
     assert utility == 0.0
-    assert sorted(pa.query_type for pa in plan.allocations) == ["t1", "t2"]
+    assert sorted(pa.query_type for pa in plan.items) == ["t1", "t2"]
 
 
 def test_greedy_warns_on_oversized_k(i3k1):
@@ -169,7 +168,7 @@ def test_inner_greedy_marginal_premise():
         inst = random_rewrite_instance(rng)
         plan, _ = greedy_rewrite(inst)
         remaining = list(inst.base.budgets)
-        for pa in plan.allocations:
+        for pa in plan.items:
             chosen: list = []
             for rid in pa.rewrites:
                 val = qrewrite._tuple_value(inst, pa.query_type, [*chosen, rid], remaining).utility
@@ -192,7 +191,7 @@ def test_outer_greedy_picks_best_type():
         plan, _ = greedy_rewrite(inst)
         remaining = list(inst.base.budgets)
         pending = list(inst.base.type_ids)
-        for pa in plan.allocations:
+        for pa in plan.items:
             _, picked_val = best_rewrite_set(inst, pa.query_type, remaining)
             for tid in pending:
                 _, val = best_rewrite_set(inst, tid, remaining)

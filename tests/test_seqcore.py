@@ -215,7 +215,7 @@ def test_greedy_rewrite_tie_break(order):
         horizon=1.0,
     )
     plan, _ = qrewrite.greedy_rewrite(qrewrite.RewriteInstance(base, (qrewrite.Rewrite("r1", ("a1",)),), 1))
-    assert [pa.query_type for pa in plan.allocations] == list(order)
+    assert [pa.query_type for pa in plan.items] == list(order)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_check_step_gain_bound_coverage():
     for _ in range(5):
         u, actions = random_coverage(rng)
         gen = lambda r: random_discrete_sequence(actions, r)
-        report = check_step_gain_bound(u, actions, gen, gen, samples=200, seed=13)
+        report = check_step_gain_bound(u, actions, gen, samples=200, seed=13)
         assert report.ok
 
 
