@@ -25,7 +25,8 @@ import numpy as np
 
 from .seqcore import SequenceFunction, TimedSequence
 
-# Remaining budget at or below this is treated as exhausted (float residue guard).
+# Remaining budget at or below this fraction of the ad's budget is treated as
+# exhausted (a float residue guard, relative so that it holds at every scale).
 EXHAUSTED = 1e-12
 # Input limits: more slots than this overflow islice and numpy's int64 draws,
 # and a larger total budget or payment lets sums of spend or of spend rates
@@ -222,7 +223,7 @@ def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> l
     for j, ads in cfg_idx:
         qj = instance.probs[j]
         for i in ads:
-            if remaining[i] > EXHAUSTED:
+            if remaining[i] > EXHAUSTED * instance.budgets[i]:
                 rates[i] += qj * instance.bid_matrix[i][j]
     return rates
 
@@ -231,7 +232,9 @@ def _step(instance: AdInstance, cfg_idx, remaining: list, limit: float) -> Tuple
     """Run a configuration until its next budget exhaustion or for `limit`, whichever is first.
 
     Mutates `remaining`, clamping spent-out budgets to zero.  Returns the time
-    run and whether the step stopped on an exhaustion.
+    run and whether the step stopped on an exhaustion.  The ads that set the
+    step's length always run out, even where `rem / rate` underflowed to 0.0,
+    so every exhaustion step retires at least one ad.
     """
     rates = _spend_rates(instance, cfg_idx, remaining)
     tau = min((rem / rate for rem, rate in zip(remaining, rates) if rate > 0.0), default=math.inf)
@@ -239,9 +242,10 @@ def _step(instance: AdInstance, cfg_idx, remaining: list, limit: float) -> Tuple
     dt = tau if hit else limit
     for i, rate in enumerate(rates):
         if rate > 0.0:
-            remaining[i] -= rate * dt
-            if remaining[i] <= EXHAUSTED:
-                remaining[i] = 0.0
+            left = remaining[i] - rate * dt
+            if left <= EXHAUSTED * instance.budgets[i] or (hit and remaining[i] / rate == tau):
+                left = 0.0
+            remaining[i] = left
     return dt, hit
 
 
@@ -283,10 +287,19 @@ def revenue_rate(instance: AdInstance, config: Configuration, remaining) -> floa
     return math.fsum(_spend_rates(instance, _config_indices(instance, config), rem))
 
 
+def _past_horizon(instance: AdInstance, length: float) -> bool:
+    """Whether a strategy of this length overruns the horizon by more than rounding.
+
+    The slack is relative above a unit horizon: summed segment durations of a
+    long horizon can land an ulp past it.
+    """
+    return length > instance.horizon + 1e-9 * max(1.0, instance.horizon)
+
+
 def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> SpendLedger:
     """Fluid evaluation of a strategy: per-ad spend, total utility, breakpoints."""
     total = strategy.length
-    if total > instance.horizon + 1e-9:
+    if _past_horizon(instance, total):
         raise ValueError(
             f"strategy length {total} exceeds horizon {instance.horizon}"
         )
@@ -342,7 +355,7 @@ def best_configuration(instance: AdInstance, remaining) -> Configuration:
     rem = _budget_vector(instance, remaining)
     assignment = {}
     for j, tid in enumerate(instance.type_ids):
-        live = (i for i in instance.ranked_ads(j) if rem[i] > EXHAUSTED)
+        live = (i for i in instance.ranked_ads(j) if rem[i] > EXHAUSTED * instance.budgets[i])
         chosen = tuple(islice(live, instance.slots))
         if chosen:
             assignment[tid] = tuple(instance.ad_ids[i] for i in chosen)
@@ -353,8 +366,9 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     """Play the best configuration, switching only when a strictly better one appears.
 
     Switches can only happen when an assigned ad exhausts, so the strategy
-    has at most one configuration change per ad.  If everything exhausts
-    early the last configuration simply idles out the horizon.
+    has at most one configuration change per ad.  Every step but the last
+    retires an ad, so there are at most `num_ads + 1` steps.  If everything
+    exhausts early the last configuration simply idles out the horizon.
     """
     remaining = list(instance.budgets)
     segs: list = []
@@ -367,12 +381,14 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
             instance, current, remaining
         ):
             current = best
-        dt, _ = _step(instance, _config_indices(instance, current), remaining, horizon - elapsed)
+        dt, hit = _step(instance, _config_indices(instance, current), remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
             segs[-1][1] += dt
-        else:
+        elif dt > 0.0:
             segs.append([current, dt])
         elapsed = math.fsum(d for _, d in segs)
+        if not hit:
+            break
     strategy = TimedSequence(tuple((c, d) for c, d in segs))
     return strategy, evaluate_strategy(instance, strategy)
 

@@ -111,7 +111,7 @@ def single_type_allocate(
             continue
         rate = qj * instance.bid_matrix[i][j]
         cap = caps[i]
-        if rate == 0.0 or cap <= EXHAUSTED:
+        if rate == 0.0 or cap <= EXHAUSTED * instance.budgets[i]:
             continue
         need = cap / rate
         run = min(horizon, need, time_left)
@@ -135,7 +135,7 @@ def evaluate_plan(
     for pa in items:
         caps_eff = [min(r, c) for r, c in zip(remaining, pa.caps)]
         ledger = _tuple_value(instance, pa.query_type, pa.rewrites, caps_eff)
-        _charge(remaining, ledger.spent)
+        _charge(remaining, ledger.spent, instance.base.budgets)
         total += ledger.utility
     return total, tuple(remaining)
 
@@ -147,11 +147,11 @@ def _tuple_value(
     return single_type_allocate(instance.base, type_id, allowed, remaining)
 
 
-def _charge(remaining: list, spent: Sequence[float]) -> None:
-    """Deduct one step's spend from the global budgets, clamping at EXHAUSTED."""
+def _charge(remaining: list, spent: Sequence[float], budgets: Sequence[float]) -> None:
+    """Deduct one step's spend from the global budgets, clamping exhausted ones to zero."""
     for i, s in enumerate(spent):
         remaining[i] -= s
-        if remaining[i] <= EXHAUSTED:
+        if remaining[i] <= EXHAUSTED * budgets[i]:
             remaining[i] = 0.0
 
 
@@ -201,7 +201,7 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
         )
         ledger = _tuple_value(instance, best_type, best_set, remaining)
         allocations.append(PartialAllocation(best_type, best_set, ledger.spent))
-        _charge(remaining, ledger.spent)
+        _charge(remaining, ledger.spent, instance.base.budgets)
         total += ledger.utility
         pending.remove(best_type)
     return DiscreteSequence(tuple(allocations)), total

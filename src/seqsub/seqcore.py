@@ -14,6 +14,7 @@ structural properties and report any violation they find.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Tuple
 
@@ -510,7 +511,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
         s = model.random_action(rng)
         bps_a = tuple(model.breakpoints(s, a))
         bps_b = tuple(model.breakpoints(s, b))
-        hi = 1.25 * max((*bps_a, *bps_b, 0.0)) + 0.5
+        hi = min(1.25 * max((*bps_a, *bps_b, 0.0)) + 0.5, sys.float_info.max)
         margin = 1e-3
         d = _draw_smooth(rng, margin, hi, bps_a + bps_b, margin)
         if d is not None:

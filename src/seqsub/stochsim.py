@@ -4,6 +4,17 @@ Queries arrive one per unit of virtual time: a run of Q queries spans the
 horizon, query n landing at time n * T / Q.  Types are drawn i.i.d. from the
 instance distribution, each shown ad pays min(payment, its remaining
 budget), and every trial is reproducible from (seed, trial index).
+
+No Python code runs per query.  For each trial the shown (ad, payment)
+pairs of all queries are gathered from per-(segment, type) slot tables and
+stably sorted by ad, so each ad's payments p1, p2, ... stay in query order;
+the ad's remaining budget is then the left fold ((b - p1) - p2) - ...,
+clamped once at zero.  That is exact, not an approximation of the
+query-by-query rule "skip if rem <= 0, else rem - min(pay, rem)": while
+every payment is below the remaining budget both compute the same
+differences, the first payment p >= rem leaves the rule at 0.0 for good
+and the fold at rem - p <= 0.0, and subtracting more payments p >= 0.0
+never makes a float larger, so the clamp gives 0.0 there too.
 """
 
 from __future__ import annotations
@@ -15,12 +26,21 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adalloc import AdInstance, AllocationStrategy, _config_indices, evaluate_strategy, greedy_allocate
+from .adalloc import (
+    AdInstance,
+    AllocationStrategy,
+    _config_indices,
+    _past_horizon,
+    evaluate_strategy,
+    greedy_allocate,
+)
 
 RNG_NAME = "numpy-pcg64"
-# Largest per-trial query count the CLI accepts.  A run holds several arrays
-# of this length (arrival times, segment of each time, drawn types), so the
-# cap keeps one run to a few hundred MB instead of a MemoryError.
+# Largest per-trial query count the CLI accepts.  A trial holds O(queries x
+# slots) memory: the drawn types, and for each shown (ad, payment) pair its
+# ad, payment and sort position, about 50 bytes a pair at peak (1e6 queries
+# at 2 slots take about 100 MB).  At 2 slots the cap keeps a run near 1 GB
+# instead of a MemoryError; wider slots cost proportionally more.
 MAX_QUERIES = 10**7
 
 
@@ -57,17 +77,31 @@ class SimResult:
         return out
 
 
-def _segment_tables(instance: AdInstance, strategy: AllocationStrategy):
-    """Per-segment lookup: type index -> ((ad index, payment), ...)."""
+def _slot_tables(instance: AdInstance, strategy: AllocationStrategy):
+    """Segment end times, and the ads each (segment, type) cell shows.
+
+    Row `s * num_types + j` of the tables holds, slot by slot, the index
+    and the payment of each ad segment s shows to type j; the rows of the
+    extra segment `len(strategy.segments)` serve queries past the strategy's
+    end.  An empty slot holds ad index `num_ads`, which names no ad.
+    """
     ends = []
-    tables = []
+    shown = []
     t = 0.0
     for config, dur in strategy.segments:
         t += dur
         ends.append(t)
-        cfg_idx = _config_indices(instance, config)
-        tables.append({j: tuple((i, instance.bid_matrix[i][j]) for i in ads) for j, ads in cfg_idx})
-    return np.asarray(ends, dtype=float), tables
+        shown.append(dict(_config_indices(instance, config)))
+    width = max((len(ads) for row in shown for ads in row.values()), default=0)
+    n_ads, n_types = instance.num_ads, instance.num_types
+    # The narrowest index type: numpy's stable sort is a radix sort on 8- and 16-bit keys.
+    ad_tab = np.full(((len(shown) + 1) * n_types, width), n_ads, dtype=np.min_scalar_type(n_ads))
+    pay_tab = np.zeros(ad_tab.shape)
+    for s, row in enumerate(shown):
+        for j, ads in row.items():
+            ad_tab[s * n_types + j, : len(ads)] = ads
+            pay_tab[s * n_types + j, : len(ads)] = [instance.bid_matrix[i][j] for i in ads]
+    return np.asarray(ends, dtype=float), ad_tab, pay_tab
 
 
 def simulate_stream(
@@ -78,34 +112,31 @@ def simulate_stream(
     Deterministic in the seed: trial t uses the substream (seed, t), and
     trials are reduced in index order.
     """
-    if strategy.length > instance.horizon + 1e-9:
+    if _past_horizon(instance, strategy.length):
         raise ValueError("strategy length exceeds horizon")
     queries = config.query_count if config.query_count is not None else round(instance.horizon)
     if queries < 1:
         raise ValueError("query_count must be >= 1")
     probs = np.asarray(instance.probs, dtype=float)
     probs = probs / probs.sum()
-    ends, tables = _segment_tables(instance, strategy)
+    ends, ad_tab, pay_tab = _slot_tables(instance, strategy)
     times = np.arange(queries, dtype=float) * (instance.horizon / queries)
-    seg_of = np.searchsorted(ends, times, side="right")
-    n_segs = len(tables)
+    first_cell = np.searchsorted(ends, times, side="right") * instance.num_types
+    budgets = np.asarray(instance.budgets, dtype=float)
+    ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
     revenues = []
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
-        types = rng.choice(len(probs), size=queries, p=probs)
-        remaining = list(instance.budgets)
-        for n in range(queries):
-            si = seg_of[n]
-            if si >= n_segs:
-                continue
-            shown = tables[si].get(int(types[n]))
-            if not shown:
-                continue
-            for i, pay in shown:
-                rem = remaining[i]
-                if rem > 0.0:
-                    remaining[i] = rem - (pay if pay < rem else rem)
-        revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining)))
+        cells = first_cell + rng.choice(len(probs), size=queries, p=probs)
+        ads = np.take(ad_tab, cells, axis=0).ravel()
+        filled = ads < instance.num_ads
+        # Every ad's budget first, then its payments in query order.
+        keys = np.concatenate((ad_keys, ads[filled]))
+        order = np.argsort(keys, kind="stable")
+        folds = np.concatenate((budgets, np.take(pay_tab, cells, axis=0).ravel()[filled]))[order]
+        starts = np.searchsorted(keys[order], ad_keys)
+        remaining = np.maximum(np.subtract.reduceat(folds, starts), 0.0)
+        revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining.tolist())))
     mean = math.fsum(revenues) / len(revenues)
     std = statistics.stdev(revenues) if len(revenues) > 1 else 0.0
     fluid = evaluate_strategy(instance, strategy).utility

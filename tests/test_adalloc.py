@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsub import adalloc
 from seqsub.adalloc import (
@@ -200,6 +203,47 @@ def test_greedy_segment_bound_random():
         strat, led = greedy_allocate(inst)
         assert len(strat.segments) <= inst.num_ads + 1
         assert strat.length == pytest.approx(inst.horizon, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e12))
+def test_greedy_ends_within_one_event_per_ad_plus_one(seed, horizon_scale):
+    # Every event but the last exhausts an ad, and an exhausted ad stays so.
+    inst = random_ad_instance(np.random.default_rng(seed), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
+    inst = dataclasses.replace(inst, horizon=inst.horizon * horizon_scale)
+    with mock.patch.object(adalloc, "best_configuration", wraps=adalloc.best_configuration) as picks:
+        strat, led = greedy_allocate(inst)
+    assert picks.call_count <= inst.num_ads + 1
+    assert len(led.breakpoints) <= inst.num_ads
+
+
+def test_tiny_budget_is_spent():
+    # Exhaustion is relative to the ad's budget, so a budget below the
+    # threshold's scale still counts.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1e-13)], query_types=[("t1", 1.0)], bids={"a1": {"t1": 1e-13}}, slots=1, horizon=2.0
+    )
+    strat, led = greedy_allocate(inst)
+    assert led.utility == 1e-13
+    assert led.breakpoints == (1.0,)
+
+
+def test_underflowed_exhaustion_time_still_exhausts():
+    # budget / rate underflows to 0.0: the step must still retire the ad
+    # instead of stepping by zero forever.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1e-300), ("a2", 1.0)],
+        query_types=[("t1", 0.5), ("t2", 0.5)],
+        bids={"a1": {"t1": 1e300}, "a2": {"t1": 0.5, "t2": 1.0}},
+        slots=1,
+        horizon=4.0,
+    )
+    strat, led = greedy_allocate(inst)
+    assert led.utility == pytest.approx(1.0, rel=1e-12)
+    # a1 ran out in zero time, which leaves no zero-length segment behind.
+    assert all(d > 0.0 for _, d in strat.segments)
+    alone = dataclasses.replace(inst, budgets=(1e-300, 0.0))
+    assert greedy_allocate(alone)[1].spend_of("a1") == 1e-300
 
 
 def test_greedy_allocate_matches_paper_reference():

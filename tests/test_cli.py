@@ -1,6 +1,7 @@
 """CLI commands: reports, exit codes, determinism."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -416,7 +417,8 @@ def _mutate(data: dict, edits) -> dict:
             if value is DELETE:
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = value
+                # A copy: the drawn values are shared between examples.
+                parent[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             continue
     return data
@@ -437,7 +439,7 @@ def test_size_limits_exit_2_on_every_command(edits, field, tmp_path, capsys):
 @example(HUGE_SLOTS)
 @example(HUGE_BUDGETS)
 def test_cli_fuzz_exits_0_2_or_3(edits):
-    # verify is left out: exit 1 (a property violation) is a legal outcome there.
+    # verify has its own fuzz below: exit 1 (a property violation) is legal there.
     data = _mutate(_fuzz_base(), edits)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
@@ -447,6 +449,38 @@ def test_cli_fuzz_exits_0_2_or_3(edits):
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 2, 3), (argv, data)
+
+
+# One ad whose budget lasts to near the float maximum: the derivative check's
+# sampling range used to overflow in `rng.uniform`.
+NEAR_MAX_EXHAUSTION = [
+    (("ads", 1), DELETE),
+    (("bids", "a2"), DELETE),
+    (("rewrites", 1), DELETE),
+    (("ads", 0, "budget"), 1e300),
+    (("bids", "a1", "t1"), 6e-9),
+    (("bids", "a1", "t2"), 6e-9),
+    (("horizon",), 1.7e308),
+]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3))
+@example(HUGE_SLOTS)
+@example(HUGE_BUDGETS)
+@example(NEAR_MAX_EXHAUSTION)
+def test_cli_fuzz_verify_exits_0_to_3(edits):
+    # Exit 1 reports a property violation, a legal outcome of verify.
+    data = _mutate(_fuzz_base(), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--samples", "20", "--instance", str(path), "--out", os.devnull]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, data)
+        assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,16 @@ def test_single_type_parallel_slots():
     assert led.spend_of("a3") == pytest.approx(0.25 * 0.8, abs=1e-9)
 
 
+def test_single_type_spends_tiny_budget():
+    # Exhaustion is relative to the ad's budget, as in the fluid event loop.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1e-13)], query_types=[("t1", 1.0)], bids={"a1": {"t1": 1e-13}}, slots=1, horizon=2.0
+    )
+    assert single_type_allocate(inst, "t1", {0}, inst.budgets).utility == 1e-13
+    rw = RewriteInstance(inst, (Rewrite("r1", ("a1",)),), 1)
+    assert greedy_rewrite(rw)[1] == 1e-13
+
+
 # ---------------------------------------------------------------------------
 # plan evaluation
 # ---------------------------------------------------------------------------

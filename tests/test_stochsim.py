@@ -1,11 +1,15 @@
 """Monte Carlo stream simulator vs the fluid evaluator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsub import adalloc
+from seqsub.adalloc import _config_indices
 from seqsub.stochsim import (
     StreamConfig,
     convergence_report,
@@ -98,6 +102,18 @@ def test_query_count_validation(i1):
         simulate_stream(short, strategy, StreamConfig(seed=1, trials=1))
 
 
+def test_long_horizon_greedy_strategy_simulates():
+    # Its segment durations sum to an ulp past the horizon of 6.3e11.
+    from conftest import random_ad_instance
+
+    inst = random_ad_instance(np.random.default_rng(298), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
+    inst = dataclasses.replace(inst, horizon=inst.horizon * 1e12)
+    strategy, ledger = adalloc.greedy_allocate(inst)
+    assert strategy.length > inst.horizon
+    result = simulate_stream(inst, strategy, StreamConfig(seed=3, trials=2, query_count=500))
+    assert result.fluid_utility == ledger.utility
+
+
 def test_convergence_report_rows():
     rows = convergence_report(make_i1(), scales=(1, 10, 100), trials=80, seed=13)
     assert [r.scale for r in rows] == [1.0, 10.0, 100.0]
@@ -107,6 +123,18 @@ def test_convergence_report_rows():
     assert rows[-1].rel_gap < 0.05
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e6))
+def test_scale_instance_keeps_greedy_utility(seed, factor):
+    from conftest import random_ad_instance
+
+    inst = random_ad_instance(np.random.default_rng(seed), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
+    scaled = scale_instance(inst, factor)
+    utility = adalloc.evaluate_strategy(inst, adalloc.greedy_allocate(inst)[0]).utility
+    scaled_utility = adalloc.evaluate_strategy(scaled, adalloc.greedy_allocate(scaled)[0]).utility
+    assert scaled_utility == pytest.approx(utility, rel=1e-9)
+
+
 def test_sim_result_json_shape():
     inst = deterministic_instance()
     strategy, _ = adalloc.greedy_allocate(inst)
@@ -114,3 +142,124 @@ def test_sim_result_json_shape():
     out = res.to_json()
     assert set(out) == {"mean", "std", "fluid", "trials", "rng"}
     assert res.to_json(include_per_trial=True)["per_trial"] == [1.0, 1.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the per-ad fold against the query-by-query loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _segment_tables(instance, strategy):
+    """Per-segment lookup: type index -> ((ad index, payment), ...)."""
+    ends = []
+    tables = []
+    t = 0.0
+    for config, dur in strategy.segments:
+        t += dur
+        ends.append(t)
+        cfg_idx = _config_indices(instance, config)
+        tables.append({j: tuple((i, instance.bid_matrix[i][j]) for i in ads) for j, ads in cfg_idx})
+    return np.asarray(ends, dtype=float), tables
+
+
+def reference_revenues(instance, strategy, config):
+    """Per-trial revenues, one query at a time: the reference for `simulate_stream`."""
+    queries = config.query_count if config.query_count is not None else round(instance.horizon)
+    probs = np.asarray(instance.probs, dtype=float)
+    probs = probs / probs.sum()
+    ends, tables = _segment_tables(instance, strategy)
+    times = np.arange(queries, dtype=float) * (instance.horizon / queries)
+    seg_of = np.searchsorted(ends, times, side="right")
+    n_segs = len(tables)
+    revenues = []
+    for trial in range(config.trials):
+        rng = np.random.default_rng([config.seed, trial])
+        types = rng.choice(len(probs), size=queries, p=probs)
+        remaining = list(instance.budgets)
+        for n in range(queries):
+            si = seg_of[n]
+            if si >= n_segs:
+                continue
+            shown = tables[si].get(int(types[n]))
+            if not shown:
+                continue
+            for i, pay in shown:
+                rem = remaining[i]
+                if rem > 0.0:
+                    remaining[i] = rem - (pay if pay < rem else rem)
+        revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining)))
+    return tuple(revenues)
+
+
+def _stream_case(rng):
+    """A random instance, strategy and stream config, small enough for the reference loop.
+
+    Payments and budgets are often multiples of 1/8, so a payment meets the
+    remaining budget exactly; budgets may be zero, types may have no bids,
+    `slots` may reach the number of ads, and the probabilities are off from
+    summing to 1 by up to the 1e-9 the instance accepts.
+    """
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 5))
+    slots = int(rng.integers(1, m + 2))
+    dyadic = rng.random() < 0.5
+    budgets = rng.integers(0, 17, m) / 8.0 if dyadic else rng.uniform(0.0, 3.0, m)
+    q = rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-4e-10, 4e-10, n))
+    bids = {}
+    for i in range(m):
+        row = {}
+        for j in range(n):
+            if rng.random() < 0.6:
+                row[f"t{j}"] = float(rng.integers(1, 9) / 8.0 if dyadic else rng.uniform(0.01, 1.0))
+        bids[f"a{i}"] = row
+    horizon = float(rng.uniform(5.0, 120.0))
+    inst = adalloc.AdInstance.build(
+        [(f"a{i}", float(b)) for i, b in enumerate(budgets)],
+        [(f"t{j}", float(q[j])) for j in range(n)],
+        bids,
+        slots,
+        horizon,
+    )
+    if rng.random() < 0.4:
+        strategy, _ = adalloc.greedy_allocate(inst)
+    else:
+        # Random configurations (zero bids included) over part of the horizon.
+        segments = []
+        for _ in range(int(rng.integers(0, 5))):
+            assignment = {}
+            for j in range(n):
+                size = int(rng.integers(0, min(slots, m) + 1))
+                picks = rng.choice(m, size=size, replace=False)
+                assignment[f"t{j}"] = tuple(f"a{int(i)}" for i in picks)
+            segments.append((adalloc.Configuration.of(assignment), float(rng.uniform(0.5, horizon / 4))))
+        strategy = TimedSequence(tuple(segments))
+    queries = None if rng.random() < 0.3 else int(rng.integers(1, 150))
+    config = StreamConfig(seed=int(rng.integers(0, 2**31)), trials=int(rng.integers(1, 41)), query_count=queries)
+    return inst, strategy, config
+
+
+def test_fold_matches_query_loop_on_random_streams():
+    rng = np.random.default_rng(2024)
+    for _ in range(320):
+        inst, strategy, config = _stream_case(rng)
+        result = simulate_stream(inst, strategy, config)
+        assert result.revenues == reference_revenues(inst, strategy, config)
+
+
+def test_fold_matches_query_loop_when_payment_meets_budget():
+    # 0.25 and 0.5 reach the budget exactly.  0.1 leaves 0.09999999999999998
+    # of 0.3 after two queries, so the third payment exceeds what is left
+    # and takes only that.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1.0), ("a2", 1.0), ("a3", 0.3)],
+        query_types=[("t1", 1.0)],
+        bids={"a1": {"t1": 0.25}, "a2": {"t1": 0.5}, "a3": {"t1": 0.1}},
+        slots=3,
+        horizon=10.0,
+    )
+    strategy = TimedSequence(((adalloc.Configuration.of({"t1": ("a1", "a2", "a3")}), 10.0),))
+    for queries in (2, 3, 4, 5, 10):
+        config = StreamConfig(seed=0, trials=1, query_count=queries)
+        result = simulate_stream(inst, strategy, config)
+        assert result.revenues == reference_revenues(inst, strategy, config)
+    assert simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1)).revenues == (2.3,)
