@@ -9,21 +9,26 @@ rate until its budget runs out, at which point its rate drops to zero while
 the configuration itself stays fixed.  `greedy_allocate` plays the
 highest-rate configuration and reconsiders only when an exhaustion makes a
 strictly better one available, so it changes configuration at most once per
-ad.  The generic `seqcore.greedy_continuous` driven by `incremental_oracle`
-over `enumerate_configurations` is the paper-faithful form of the same
-greedy; it is kept as the test reference for `greedy_allocate`.
+ad.  It is index-native and incremental: it keeps each type's top-`slots`
+live ads and, after an exhaustion, re-picks only the types whose pick held
+the spent-out ad.  Public functions take id-keyed `Configuration` values and
+resolve each once; the kernel works on (type index, ad indices) pairs.  The
+generic `seqcore.greedy_continuous` driven by `incremental_oracle` over
+`enumerate_configurations` is the paper-faithful form of the same greedy; it
+is kept as the test reference for `greedy_allocate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import combinations, compress, islice, product
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .seqcore import SequenceFunction, TimedSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Remaining budget at or below this fraction of the ad's budget is treated as
 # exhausted (a float residue guard, relative so that it holds at every scale).
@@ -68,23 +73,25 @@ class AdInstance:
             raise InstanceError(
                 f"query_types: probabilities sum to {math.fsum(self.probs)!r}, expected 1 within 1e-9"
             )
-        for row in self.bid_matrix:
-            for p in row:
+        columns = range(len(self.type_ids))
+        by_bid: list = [[] for _ in columns]
+        for i, row in enumerate(self.bid_matrix):
+            # Zero payments are valid and unranked; compress skips them at C speed.
+            for j in compress(columns, row):
+                p = row[j]
                 if not 0.0 <= p <= MAX_AMOUNT:
                     raise InstanceError(
                         f"bids: expected payment must be in [0, {MAX_AMOUNT}], got {p}"
                     )
+                if p > 0.0:
+                    by_bid[j].append((-p, i))
         if not 1 <= self.slots <= MAX_SLOTS:
             raise InstanceError(f"slots: must be between 1 and {MAX_SLOTS}, got {self.slots}")
         if not 0.0 < self.horizon < math.inf:
             raise InstanceError(f"horizon: must be finite and > 0, got {self.horizon}")
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
         object.__setattr__(self, "_type_index", {t: j for j, t in enumerate(self.type_ids)})
-        ranking = []
-        for j in range(len(self.type_ids)):
-            by_bid = sorted((-row[j], i) for i, row in enumerate(self.bid_matrix) if row[j] > 0.0)
-            ranking.append(tuple(i for _, i in by_bid))
-        object.__setattr__(self, "_ranking", tuple(ranking))
+        object.__setattr__(self, "_ranking", tuple(tuple(i for _, i in sorted(c)) for c in by_bid))
 
     @classmethod
     def build(
@@ -98,21 +105,24 @@ class AdInstance:
         """Assemble an instance from id-keyed data; missing bids mean zero."""
         ad_ids = tuple(a for a, _ in ads)
         type_ids = tuple(t for t, _ in query_types)
+        ad_index = {a: i for i, a in enumerate(ad_ids)}
+        type_index = {t: j for j, t in enumerate(type_ids)}
         for ad in bids:
-            if ad not in ad_ids:
+            if ad not in ad_index:
                 raise InstanceError(f"bids: unknown ad id {ad!r}")
             for tid in bids[ad]:
-                if tid not in type_ids:
+                if tid not in type_index:
                     raise InstanceError(f"bids: unknown type id {tid!r} under ad {ad!r}")
-        matrix = tuple(
-            tuple(float(bids.get(ad, {}).get(tid, 0.0)) for tid in type_ids) for ad in ad_ids
-        )
+        rows = [[0.0] * len(type_ids) for _ in ad_ids]
+        for ad, row in bids.items():
+            for tid, p in row.items():
+                rows[ad_index[ad]][type_index[tid]] = float(p)
         return cls(
             ad_ids=ad_ids,
             budgets=tuple(float(b) for _, b in ads),
             type_ids=type_ids,
             probs=tuple(float(q) for _, q in query_types),
-            bid_matrix=matrix,
+            bid_matrix=tuple(map(tuple, rows)),
             slots=int(slots),
             horizon=float(horizon),
         )
@@ -166,15 +176,6 @@ class Configuration:
     def of(cls, mapping: Mapping[str, Iterable[str]]) -> "Configuration":
         return cls(tuple((t, tuple(a)) for t, a in mapping.items()))
 
-    def ads_for(self, type_id: str) -> Tuple[str, ...]:
-        for tid, ads in self.assignment:
-            if tid == type_id:
-                return ads
-        return ()
-
-    def as_dict(self) -> Dict[str, Tuple[str, ...]]:
-        return {t: ads for t, ads in self.assignment}
-
     def is_empty(self) -> bool:
         return not self.assignment
 
@@ -199,12 +200,9 @@ class SpendLedger:
     utility: float
     breakpoints: Tuple[float, ...]
 
-    def spend_of(self, ad_id: str) -> float:
-        return self.spent[self.ad_ids.index(ad_id)]
-
 
 def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """Index form of a configuration, validated against the instance."""
+    """Index form of a configuration, validated; types keep their canonical (id-sorted) order."""
     out = []
     for tid, ads in config.assignment:
         j = instance.type_index(tid)
@@ -217,35 +215,56 @@ def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[
     return tuple(out)
 
 
-def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> list:
-    """Per-ad spend rates under a configuration; exhausted ads spend nothing."""
-    rates = [0.0] * instance.num_ads
+def _indexed(instance: AdInstance, strategy: Optional[AllocationStrategy]) -> list:
+    """A strategy's segments as (index-form configuration, duration) pairs, resolved once."""
+    segments = strategy.segments if strategy is not None else ()
+    if not all(isinstance(config, Configuration) for config, _ in segments):
+        raise ValueError("strategy actions must be Configuration values")
+    return [(_config_indices(instance, config), dur) for config, dur in segments]
+
+
+def _configuration(instance: AdInstance, cfg_idx) -> Configuration:
+    """The id form of an index-form configuration."""
+    return Configuration(
+        tuple((instance.type_ids[j], tuple(instance.ad_ids[i] for i in ads)) for j, ads in cfg_idx)
+    )
+
+
+def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> Dict[int, float]:
+    """Spend rate of each assigned, unexhausted ad, summed over types in `cfg_idx` order."""
+    probs, bids, budgets = instance.probs, instance.bid_matrix, instance.budgets
+    rates: Dict[int, float] = {}
     for j, ads in cfg_idx:
-        qj = instance.probs[j]
+        qj = probs[j]
         for i in ads:
-            if remaining[i] > EXHAUSTED * instance.budgets[i]:
-                rates[i] += qj * instance.bid_matrix[i][j]
+            if remaining[i] > EXHAUSTED * budgets[i]:
+                rates[i] = rates.get(i, 0.0) + qj * bids[i][j]
     return rates
 
 
-def _step(instance: AdInstance, cfg_idx, remaining: list, limit: float) -> Tuple[float, bool]:
+def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit: float) -> Tuple[float, bool]:
     """Run a configuration until its next budget exhaustion or for `limit`, whichever is first.
 
-    Mutates `remaining`, clamping spent-out budgets to zero.  Returns the time
-    run and whether the step stopped on an exhaustion.  The ads that set the
-    step's length always run out, even where `rem / rate` underflowed to 0.0,
-    so every exhaustion step retires at least one ad.
+    `rates` is the configuration's `_spend_rates`.  Mutates `remaining`,
+    clamping spent-out budgets to zero, and drops those ads from `rates`.
+    Returns the time run and whether the step stopped on an exhaustion.  The
+    ads that set the step's length always run out, even where `rem / rate`
+    underflowed to 0.0, so every exhaustion step retires at least one ad.
     """
-    rates = _spend_rates(instance, cfg_idx, remaining)
-    tau = min((rem / rate for rem, rate in zip(remaining, rates) if rate > 0.0), default=math.inf)
+    budgets = instance.budgets
+    tau = min((remaining[i] / rate for i, rate in rates.items() if rate > 0.0), default=math.inf)
     hit = tau < limit
     dt = tau if hit else limit
-    for i, rate in enumerate(rates):
+    gone = []
+    for i, rate in rates.items():
         if rate > 0.0:
             left = remaining[i] - rate * dt
-            if left <= EXHAUSTED * instance.budgets[i] or (hit and remaining[i] / rate == tau):
+            if left <= EXHAUSTED * budgets[i] or (hit and remaining[i] / rate == tau):
                 left = 0.0
+                gone.append(i)
             remaining[i] = left
+    for i in gone:
+        del rates[i]
     return dt, hit
 
 
@@ -261,9 +280,10 @@ def _advance(
 
     Mutates `remaining`; appends absolute event times to `events`.
     """
+    rates = _spend_rates(instance, cfg_idx, remaining)
     done = 0.0
     while duration - done > 0.0:
-        dt, hit = _step(instance, cfg_idx, remaining, duration - done)
+        dt, hit = _step(instance, rates, remaining, duration - done)
         if not hit:
             return
         done += dt
@@ -284,7 +304,7 @@ def revenue_rate(instance: AdInstance, config: Configuration, remaining) -> floa
     for v in rem:
         if v < 0.0:
             raise ValueError("remaining budgets must be >= 0")
-    return math.fsum(_spend_rates(instance, _config_indices(instance, config), rem))
+    return math.fsum(_spend_rates(instance, _config_indices(instance, config), rem).values())
 
 
 def _past_horizon(instance: AdInstance, length: float) -> bool:
@@ -303,8 +323,13 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
         raise ValueError(
             f"strategy length {total} exceeds horizon {instance.horizon}"
         )
+    return _ledger(instance, _indexed(instance, strategy), total)
+
+
+def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedger:
+    """Replay index-form segments of total length `total` into a ledger."""
     events: list = []
-    remaining = _remaining_after(instance, strategy, events)
+    remaining = _remaining_after(instance, segments, events)
     spent = tuple(b - r for b, r in zip(instance.budgets, remaining))
     interior = sorted(x for x in events if x < total - 1e-12)
     breakpoints: list = []
@@ -314,20 +339,15 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
     return SpendLedger(instance.ad_ids, spent, math.fsum(spent), tuple(breakpoints))
 
 
-def _remaining_after(
-    instance: AdInstance, prefix: Optional[AllocationStrategy], events: Optional[list] = None
-) -> list:
-    """Budgets left after replaying `prefix`; exhaustion and segment-end times go to `events`."""
+def _remaining_after(instance: AdInstance, segments: Sequence, events: Optional[list] = None) -> list:
+    """Budgets left after replaying index-form `segments`; exhaustion and segment-end times go to `events`."""
     remaining = list(instance.budgets)
-    if prefix is not None:
-        t = 0.0
-        for config, dur in prefix.segments:
-            if not isinstance(config, Configuration):
-                raise ValueError("strategy actions must be Configuration values")
-            _advance(instance, _config_indices(instance, config), remaining, dur, t, events)
-            t += dur
-            if events is not None:
-                events.append(t)
+    t = 0.0
+    for cfg_idx, dur in segments:
+        _advance(instance, cfg_idx, remaining, dur, t, events)
+        t += dur
+        if events is not None:
+            events.append(t)
     return remaining
 
 
@@ -344,22 +364,22 @@ def marginal_rate(
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
-    remaining = _remaining_after(instance, prefix)
+    remaining = _remaining_after(instance, _indexed(instance, prefix))
     cfg_idx = _config_indices(instance, config)
     _advance(instance, cfg_idx, remaining, delta)
-    return math.fsum(_spend_rates(instance, cfg_idx, remaining))
+    return math.fsum(_spend_rates(instance, cfg_idx, remaining).values())
+
+
+def _top_ads(instance: AdInstance, j: int, remaining: Sequence[float]) -> Tuple[int, ...]:
+    """Top-`slots` unexhausted positive-bid ads of type `j`, in ranking order."""
+    live = (i for i in instance.ranked_ads(j) if remaining[i] > EXHAUSTED * instance.budgets[i])
+    return tuple(islice(live, instance.slots))
 
 
 def best_configuration(instance: AdInstance, remaining) -> Configuration:
     """Top-`slots` unexhausted positive-bid ads per type; ties to lower ad index."""
     rem = _budget_vector(instance, remaining)
-    assignment = {}
-    for j, tid in enumerate(instance.type_ids):
-        live = (i for i in instance.ranked_ads(j) if rem[i] > EXHAUSTED * instance.budgets[i])
-        chosen = tuple(islice(live, instance.slots))
-        if chosen:
-            assignment[tid] = tuple(instance.ad_ids[i] for i in chosen)
-    return Configuration.of(assignment)
+    return _configuration(instance, [(j, _top_ads(instance, j, rem)) for j in range(instance.num_types)])
 
 
 def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedger]:
@@ -369,19 +389,23 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     has at most one configuration change per ad.  Every step but the last
     retires an ad, so there are at most `num_ads + 1` steps.  If everything
     exhausts early the last configuration simply idles out the horizon.
+    Types run in canonical (id-sorted) order, so every per-ad rate and every
+    `fsum` comparison is the one the id form gives.
     """
+    horizon = instance.horizon
     remaining = list(instance.budgets)
+    order = sorted(range(instance.num_types), key=instance.type_ids.__getitem__)
+    picks = [_top_ads(instance, j, remaining) for j in range(instance.num_types)]
     segs: list = []
     elapsed = 0.0
-    current: Optional[Configuration] = None
-    horizon = instance.horizon
-    while horizon - elapsed > 1e-15:
-        best = best_configuration(instance, remaining)
-        if current is None or revenue_rate(instance, best, remaining) > revenue_rate(
-            instance, current, remaining
-        ):
-            current = best
-        dt, hit = _step(instance, _config_indices(instance, current), remaining, horizon - elapsed)
+    current, rates = None, {}
+    while horizon - elapsed > 1e-15 * horizon:
+        best = tuple((j, picks[j]) for j in order if picks[j])
+        best_rates = _spend_rates(instance, best, remaining)
+        if current is None or math.fsum(best_rates.values()) > math.fsum(rates.values()):
+            current, rates = best, best_rates
+        live = set(rates)
+        dt, hit = _step(instance, rates, remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
             segs[-1][1] += dt
         elif dt > 0.0:
@@ -389,8 +413,12 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
         elapsed = math.fsum(d for _, d in segs)
         if not hit:
             break
-    strategy = TimedSequence(tuple((c, d) for c, d in segs))
-    return strategy, evaluate_strategy(instance, strategy)
+        gone = live.difference(rates)
+        for j, ads in enumerate(picks):
+            if not gone.isdisjoint(ads):
+                picks[j] = _top_ads(instance, j, remaining)
+    strategy = TimedSequence(tuple((_configuration(instance, c), d) for c, d in segs))
+    return strategy, _ledger(instance, segs, strategy.length)
 
 
 def configuration_hold(instance: AdInstance, config: Configuration, remaining) -> float:
@@ -402,16 +430,15 @@ def configuration_hold(instance: AdInstance, config: Configuration, remaining) -
     test reference for `greedy_allocate` (see `incremental_oracle`).
     """
     rem = _budget_vector(instance, remaining)
-    cfg_idx = _config_indices(instance, config)
+    rates = _spend_rates(instance, _config_indices(instance, config), rem)
     elapsed = 0.0
     while True:
-        dt, hit = _step(instance, cfg_idx, rem, math.inf)
+        dt, hit = _step(instance, rates, rem, math.inf)
         if not hit:
             return math.inf
         elapsed += dt
-        r_here = math.fsum(_spend_rates(instance, cfg_idx, rem))
         alt = best_configuration(instance, rem)
-        if revenue_rate(instance, alt, rem) > r_here:
+        if revenue_rate(instance, alt, rem) > math.fsum(rates.values()):
             return elapsed
 
 
@@ -425,8 +452,8 @@ def incremental_oracle(instance: AdInstance):
     """
 
     def oracle(prefix: AllocationStrategy, config: Configuration) -> Tuple[float, float]:
-        remaining = _remaining_after(instance, prefix)
-        rate = math.fsum(_spend_rates(instance, _config_indices(instance, config), remaining))
+        remaining = _remaining_after(instance, _indexed(instance, prefix))
+        rate = math.fsum(_spend_rates(instance, _config_indices(instance, config), remaining).values())
         return rate, configuration_hold(instance, config, remaining)
 
     return oracle
@@ -501,7 +528,7 @@ class FluidRateModel:
         self.instance = instance
 
     def utility(self, strategy: AllocationStrategy) -> float:
-        remaining = _remaining_after(self.instance, strategy)
+        remaining = _remaining_after(self.instance, _indexed(self.instance, strategy))
         return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
 
     def sequence_function(self) -> SequenceFunction:
@@ -512,13 +539,13 @@ class FluidRateModel:
 
     def breakpoints(self, config: Configuration, prefix: AllocationStrategy) -> Tuple[float, ...]:
         """Offsets at which the rate of `config` after `prefix` jumps."""
-        remaining = _remaining_after(self.instance, prefix)
+        remaining = _remaining_after(self.instance, _indexed(self.instance, prefix))
         out: list = []
         _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
-        remaining = _remaining_after(self.instance, prefix)
+        remaining = _remaining_after(self.instance, _indexed(self.instance, prefix))
         return revenue_rate(self.instance, best_configuration(self.instance, remaining), remaining)
 
     def random_prefix(self, rng: np.random.Generator) -> AllocationStrategy:

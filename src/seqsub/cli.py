@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import adalloc, oracle, qrewrite, seqcore, stochsim
+from . import adalloc, oracle, qrewrite, seqcore
 from .adalloc import InstanceError
 from .oracle import SizeGuardError
 
@@ -117,6 +117,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import stochsim  # loads numpy, which allocate and rewrite never need
     instance = adalloc.parse_instance(_load_json(Path(args.instance)))
     if args.trials < 1:
         raise InstanceError(f"trials: must be >= 1, got {args.trials}")

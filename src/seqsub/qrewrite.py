@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
 from .adalloc import _integer
 from .seqcore import DiscreteSequence, SequenceFunction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

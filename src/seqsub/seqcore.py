@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance for inequality checks on utilities, relative to their magnitude
 # once that exceeds 1 (see `_exceeds`); also the duration slack of
@@ -252,8 +253,8 @@ def sample_dominated(b: SequenceLike, rng_seed: int) -> SequenceLike:
     Discrete sequences get a uniformly random subsequence; timed sequences
     get a concatenation of up to three disjoint, ordered windows of `b`.
     """
-    rng = np.random.default_rng(rng_seed)
-    return _sample_dominated(b, rng)
+    import numpy as np
+    return _sample_dominated(b, np.random.default_rng(rng_seed))
 
 
 def _sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
@@ -416,6 +417,7 @@ def _run_samples(
     which then does not count as tested.  `violations` found before the
     loop come first in the report.
     """
+    import numpy as np
     if samples < 1:
         raise ValueError("samples must be >= 1")
     found = list(violations)

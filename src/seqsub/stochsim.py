@@ -14,7 +14,9 @@ query-by-query rule "skip if rem <= 0, else rem - min(pay, rem)": while
 every payment is below the remaining budget both compute the same
 differences, the first payment p >= rem leaves the rule at 0.0 for good
 and the fold at rem - p <= 0.0, and subtracting more payments p >= 0.0
-never makes a float larger, so the clamp gives 0.0 there too.
+never makes a float larger, so the clamp gives 0.0 there too.  The fold
+runs over blocks of `FOLD_BLOCK` queries, each ad's unclamped value
+carried from block to block, which is the same left fold in fixed memory.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from .adalloc import (
 )
 
 RNG_NAME = "numpy-pcg64"
-# Largest per-trial query count the CLI accepts.  A trial holds O(queries x
-# slots) memory: the drawn types, and for each shown (ad, payment) pair its
-# ad, payment and sort position, about 50 bytes a pair at peak (1e6 queries
-# at 2 slots take about 100 MB).  At 2 slots the cap keeps a run near 1 GB
-# instead of a MemoryError; wider slots cost proportionally more.
+# Largest per-trial query count the CLI accepts; a trial holds about 24 bytes
+# a query for its drawn types and table rows (240 MB at the cap).
 MAX_QUERIES = 10**7
+# Queries per block of the fold, which holds about 50 bytes per shown (ad,
+# payment) pair at peak: 3.3 MB x slots at most, whatever the query count.
+FOLD_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -122,20 +124,24 @@ def simulate_stream(
     ends, ad_tab, pay_tab = _slot_tables(instance, strategy)
     times = np.arange(queries, dtype=float) * (instance.horizon / queries)
     first_cell = np.searchsorted(ends, times, side="right") * instance.num_types
+    del times  # a trial's draw needs the room
     budgets = np.asarray(instance.budgets, dtype=float)
     ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
     revenues = []
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
         cells = first_cell + rng.choice(len(probs), size=queries, p=probs)
-        ads = np.take(ad_tab, cells, axis=0).ravel()
-        filled = ads < instance.num_ads
-        # Every ad's budget first, then its payments in query order.
-        keys = np.concatenate((ad_keys, ads[filled]))
-        order = np.argsort(keys, kind="stable")
-        folds = np.concatenate((budgets, np.take(pay_tab, cells, axis=0).ravel()[filled]))[order]
-        starts = np.searchsorted(keys[order], ad_keys)
-        remaining = np.maximum(np.subtract.reduceat(folds, starts), 0.0)
+        folds = budgets
+        for lo in range(0, queries, FOLD_BLOCK):
+            block = cells[lo : lo + FOLD_BLOCK]
+            ads = np.take(ad_tab, block, axis=0).ravel()
+            filled = ads < instance.num_ads
+            # Every ad's fold so far first, then its payments in query order.
+            keys = np.concatenate((ad_keys, ads[filled]))
+            order = np.argsort(keys, kind="stable")
+            pays = np.concatenate((folds, np.take(pay_tab, block, axis=0).ravel()[filled]))[order]
+            folds = np.subtract.reduceat(pays, np.searchsorted(keys[order], ad_keys))
+        remaining = np.maximum(folds, 0.0)
         revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining.tolist())))
     mean = math.fsum(revenues) / len(revenues)
     std = statistics.stdev(revenues) if len(revenues) > 1 else 0.0

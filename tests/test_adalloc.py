@@ -93,8 +93,7 @@ def test_evaluate_two_segments(i1):
     )
     led = evaluate_strategy(i1, strat)
     assert led.utility == pytest.approx(0.75, abs=1e-9)
-    assert led.spend_of("a1") == pytest.approx(0.5, abs=1e-9)
-    assert led.spend_of("a2") == pytest.approx(0.25, abs=1e-9)
+    assert led.spent == pytest.approx((0.5, 0.25), abs=1e-9)
 
 
 def test_evaluate_empty(i1):
@@ -144,13 +143,12 @@ def test_marginal_rate_rejects_negative_delta(i0):
 
 def test_best_configuration_tie_to_lower_index(i1):
     best = best_configuration(i1, i1.budgets)
-    assert best.ads_for("t1") == ("a1",)
-    assert best.ads_for("t2") == ("a1",)
+    assert best.assignment == (("t1", ("a1",)), ("t2", ("a1",)))
 
 
 def test_best_configuration_skips_exhausted_and_zero_bids(i1):
     best = best_configuration(i1, (0.0, 0.5))
-    assert best.as_dict() == {"t1": ("a2",)}
+    assert best.assignment == (("t1", ("a2",)),)
 
 
 def test_best_configuration_all_exhausted(i1):
@@ -172,7 +170,7 @@ def test_greedy_single_ad_runs_full_horizon(i0):
     strat, led = greedy_allocate(i0)
     assert len(strat.segments) == 1
     config, dur = strat.segments[0]
-    assert config.ads_for("t1") == ("a1",)
+    assert config.assignment == (("t1", ("a1",)),)
     assert dur == pytest.approx(1.0, abs=1e-12)
     assert led.utility == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +179,7 @@ def test_greedy_switches_once(i1):
     strat, led = greedy_allocate(i1)
     assert len(strat.segments) == 2
     assert strat.segments[0][1] == pytest.approx(0.5, abs=1e-9)
-    assert strat.segments[1][0].as_dict() == {"t1": ("a2",)}
+    assert strat.segments[1][0].assignment == (("t1", ("a2",)),)
     assert led.utility == pytest.approx(0.75, abs=1e-9)
 
 
@@ -211,9 +209,11 @@ def test_greedy_ends_within_one_event_per_ad_plus_one(seed, horizon_scale):
     # Every event but the last exhausts an ad, and an exhausted ad stays so.
     inst = random_ad_instance(np.random.default_rng(seed), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
     inst = dataclasses.replace(inst, horizon=inst.horizon * horizon_scale)
-    with mock.patch.object(adalloc, "best_configuration", wraps=adalloc.best_configuration) as picks:
-        strat, led = greedy_allocate(inst)
-    assert picks.call_count <= inst.num_ads + 1
+    with mock.patch.object(adalloc, "_step", wraps=adalloc._step) as steps, mock.patch.object(adalloc, "_ledger"):
+        greedy_allocate(inst)
+    # The ledger's replay is patched out, so these are the greedy's own steps.
+    assert steps.call_count <= inst.num_ads + 1
+    strat, led = greedy_allocate(inst)
     assert len(led.breakpoints) <= inst.num_ads
 
 
@@ -243,7 +243,7 @@ def test_underflowed_exhaustion_time_still_exhausts():
     # a1 ran out in zero time, which leaves no zero-length segment behind.
     assert all(d > 0.0 for _, d in strat.segments)
     alone = dataclasses.replace(inst, budgets=(1e-300, 0.0))
-    assert greedy_allocate(alone)[1].spend_of("a1") == 1e-300
+    assert greedy_allocate(alone)[1].spent == (1e-300, 0.0)
 
 
 def test_greedy_allocate_matches_paper_reference():
@@ -277,6 +277,93 @@ def test_greedy_allocate_scales_with_budgets_and_bids():
             assert len(s_strat.segments) == len(strat.segments)
 
 
+def reference_greedy_allocate(instance):
+    """The id-based greedy that `greedy_allocate` replaced, the reference of its differential test.
+
+    Every step picks the best configuration over all types and resolves the
+    playing configuration's ids again.
+    """
+    remaining = list(instance.budgets)
+    segs = []
+    elapsed = 0.0
+    current = None
+    horizon = instance.horizon
+    while horizon - elapsed > 1e-15 * horizon:
+        best = adalloc.best_configuration(instance, remaining)
+        if current is None or revenue_rate(instance, best, remaining) > revenue_rate(
+            instance, current, remaining
+        ):
+            current = best
+        rates = adalloc._spend_rates(instance, adalloc._config_indices(instance, current), remaining)
+        dt, hit = adalloc._step(instance, rates, remaining, horizon - elapsed)
+        if segs and segs[-1][0] == current:
+            segs[-1][1] += dt
+        elif dt > 0.0:
+            segs.append([current, dt])
+        elapsed = math.fsum(d for _, d in segs)
+        if not hit:
+            break
+    strategy = TimedSequence(tuple((c, d) for c, d in segs))
+    return strategy, evaluate_strategy(instance, strategy)
+
+
+def _differential_instance(rng):
+    """A random instance for the incremental greedy's differential test.
+
+    Ids are shuffled names such as t10 and t2, so string order differs from
+    index order; payments are often tied, budgets sometimes zero, some types
+    have no bids, `slots` may reach the number of ads, money is scaled by
+    1e-3 to 1e9 and time by 1e-3 to 1e9, and some horizons outlast every
+    budget.
+    """
+    m = int(rng.integers(1, 13))
+    n = int(rng.integers(1, 15))
+    ad_ids = [f"a{int(k)}" for k in rng.permutation(m)]
+    type_ids = [f"t{int(k)}" for k in rng.permutation(n)]
+    money = 10.0 ** rng.uniform(-3, 9)
+    time = 10.0 ** rng.uniform(-3, 9)
+    tied = rng.random() < 0.5
+    budgets = [0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 1.0)) * money for _ in ad_ids]
+    q = rng.dirichlet(np.ones(n))
+    bids = {}
+    for a in ad_ids:
+        row = {}
+        for t in type_ids:
+            if rng.random() < 0.6:
+                p = int(rng.integers(1, 4)) / 4.0 if tied else float(rng.uniform(0.1, 2.0))
+                row[t] = p * money / time
+        bids[a] = row
+    if rng.random() < 0.2:
+        bids = {a: {t: p for t, p in row.items() if t != type_ids[0]} for a, row in bids.items()}
+    horizon = float(rng.uniform(0.05, 3.0)) * (1e3 if rng.random() < 0.2 else 1.0) * time
+    slots = int(rng.integers(1, m + 2))
+    return adalloc.AdInstance.build(
+        list(zip(ad_ids, budgets)), [(t, float(x)) for t, x in zip(type_ids, q)], bids, slots, horizon
+    )
+
+
+def test_greedy_allocate_matches_id_based_reference():
+    rng = np.random.default_rng(1009)
+    for _ in range(400):
+        inst = _differential_instance(rng)
+        assert greedy_allocate(inst) == reference_greedy_allocate(inst)
+
+
+def test_greedy_allocate_tiny_horizon_is_played():
+    # The loop's time tolerance is relative to the horizon, so a horizon of
+    # 1e-16 is played rather than skipped.
+    inst = adalloc.AdInstance.build([("a1", 1e-16)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 1e-16)
+    strat, led = greedy_allocate(inst)
+    assert strat.length == 1e-16
+    assert led.utility == pytest.approx(1e-16, rel=1e-9)
+    # With a budget of 1 the spend, budget minus what is left, resolves only
+    # to an ulp of the budget; it must still be spent for the whole horizon.
+    inst = adalloc.AdInstance.build([("a1", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 1e-16)
+    strat, led = greedy_allocate(inst)
+    assert strat.length == 1e-16
+    assert abs(led.utility - 1e-16) <= math.ulp(1.0)
+
+
 def test_ranked_ads_precomputed_outside_fields():
     inst = adalloc.AdInstance.build(
         ads=[("a", 1.0), ("b", 1.0), ("c", 1.0)],
@@ -289,6 +376,13 @@ def test_ranked_ads_precomputed_outside_fields():
     assert inst.ranked_ads(1) == (1,)
     again = parse_instance(instance_to_json(inst))
     assert again == inst and hash(again) == hash(inst)
+    # The sparse build agrees with a dense sort of every column.
+    rng = np.random.default_rng(1013)
+    for _ in range(100):
+        inst = _differential_instance(rng)
+        for j in range(inst.num_types):
+            dense = sorted((-row[j], i) for i, row in enumerate(inst.bid_matrix) if row[j] > 0.0)
+            assert inst.ranked_ads(j) == tuple(i for _, i in dense)
 
 
 def test_configuration_hold_extends_past_pointless_switch(i0):

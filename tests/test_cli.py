@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -481,6 +483,40 @@ def test_cli_fuzz_verify_exits_0_to_3(edits):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, data)
         assert "Traceback" not in err.getvalue()
+
+
+NUMPY_PROBE = """
+import sys
+from seqsub import cli
+
+ad, rewrite, out = sys.argv[1:]
+loaded = ["numpy" in sys.modules]
+for args in (
+    ["allocate", "--instance", ad],
+    ["allocate", "--instance", ad, "--oracle"],
+    ["rewrite", "--instance", rewrite],
+    ["rewrite", "--instance", rewrite, "--oracle"],
+):
+    assert cli.main([*args, "--out", out]) == 0, args
+    loaded.append("numpy" in sys.modules)
+assert cli.main(["verify", "--instance", ad, "--samples", "20", "--out", out]) == 0
+assert cli.main(["simulate", "--instance", ad, "--trials", "3", "--seed", "1", "--out", out]) == 0
+print(loaded, "numpy" in sys.modules)
+"""
+
+
+def test_only_simulate_and_verify_load_numpy(tmp_path):
+    # numpy's import is most of a process start; commands that draw no random
+    # numbers must not pay it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ad, rewrite = INSTANCES / "two_ads_two_types.json", INSTANCES / "rewrite_two_paths.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(ad), str(rewrite), str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, False, False] True"
 
 
 # ---------------------------------------------------------------------------

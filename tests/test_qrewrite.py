@@ -31,15 +31,14 @@ from conftest import random_rewrite_instance
 def test_single_type_cap_binds(i3k1):
     base = i3k1.base
     led = single_type_allocate(base, "t1", {base.ad_index("a1")}, (0.4, 0.0))
-    assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
+    assert led.spent == pytest.approx((0.4, 0.0), abs=1e-9)
 
 
 def test_single_type_replacement(i3k1):
     base = i3k1.base
     allowed = {base.ad_index("a1"), base.ad_index("a2")}
     led = single_type_allocate(base, "t1", allowed, base.budgets)
-    assert led.spend_of("a1") == pytest.approx(0.4, abs=1e-9)
-    assert led.spend_of("a2") == pytest.approx(0.3, abs=1e-9)
+    assert led.spent == pytest.approx((0.4, 0.3), abs=1e-9)
     assert led.utility == pytest.approx(0.7, abs=1e-9)
 
 
@@ -63,9 +62,7 @@ def test_single_type_parallel_slots():
     )
     led = single_type_allocate(inst, "t1", set(range(inst.num_ads)), inst.budgets)
     # a1 and a2 run together; a3 takes over a1's slot when it caps out at t=0.2.
-    assert led.spend_of("a1") == pytest.approx(0.2, abs=1e-9)
-    assert led.spend_of("a2") == pytest.approx(0.5, abs=1e-9)
-    assert led.spend_of("a3") == pytest.approx(0.25 * 0.8, abs=1e-9)
+    assert led.spent == pytest.approx((0.2, 0.5, 0.25 * 0.8), abs=1e-9)
 
 
 def test_single_type_spends_tiny_budget():

@@ -227,7 +227,7 @@ def test_greedy_continuous_single_config(i0):
     h = greedy_continuous(adalloc.incremental_oracle(i0), ActionSet(configs), 1.0)
     assert len(h.segments) == 1
     config, dur = h.segments[0]
-    assert config.ads_for("t1") == ("a1",)
+    assert config.assignment == (("t1", ("a1",)),)
     assert dur == pytest.approx(1.0, abs=1e-12)
 
 
@@ -236,8 +236,8 @@ def test_greedy_continuous_switches_at_exhaustion(i1):
     h = greedy_continuous(adalloc.incremental_oracle(i1), ActionSet(configs), 1.0)
     assert len(h.segments) == 2
     assert h.segments[0][1] == pytest.approx(0.5, abs=1e-9)
-    assert h.segments[0][0].ads_for("t1") == ("a1",)
-    assert h.segments[1][0].ads_for("t1") == ("a2",)
+    assert dict(h.segments[0][0].assignment)["t1"] == ("a1",)
+    assert dict(h.segments[1][0].assignment)["t1"] == ("a2",)
     assert h.length == pytest.approx(1.0, abs=1e-12)
 
 

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc
+from seqsub import adalloc, stochsim
 from seqsub.adalloc import _config_indices
 from seqsub.stochsim import (
     StreamConfig,
@@ -240,10 +242,37 @@ def _stream_case(rng):
 
 def test_fold_matches_query_loop_on_random_streams():
     rng = np.random.default_rng(2024)
-    for _ in range(320):
+    for k in range(320):
         inst, strategy, config = _stream_case(rng)
-        result = simulate_stream(inst, strategy, config)
-        assert result.revenues == reference_revenues(inst, strategy, config)
+        expected = reference_revenues(inst, strategy, config)
+        assert simulate_stream(inst, strategy, config).revenues == expected
+        # Small blocks carry each ad's fold across block boundaries.
+        with mock.patch.object(stochsim, "FOLD_BLOCK", (2, 7, 40)[k % 3]):
+            assert simulate_stream(inst, strategy, config).revenues == expected
+
+
+def test_fold_memory_does_not_grow_with_slots():
+    # One trial of 1e6 queries showing 8 ads each.  Folding all 8e6 shown
+    # pairs at once peaked near 240 MB; blocks keep it near the 24 MB of
+    # the trial's drawn types.
+    n = 8
+    inst = adalloc.AdInstance.build(
+        [(f"a{i}", 1e9) for i in range(n)],
+        [("t1", 0.5), ("t2", 0.5)],
+        {f"a{i}": {"t1": 1.0, "t2": 0.5} for i in range(n)},
+        n,
+        1e6,
+    )
+    shown = [f"a{i}" for i in range(n)]
+    strategy = TimedSequence(((adalloc.Configuration.of({"t1": shown, "t2": shown}), 1e6),))
+    tracemalloc.start()
+    try:
+        result = simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.revenues[0] == pytest.approx(0.75 * n * 1e6, rel=1e-2)
+    assert peak < 64e6
 
 
 def test_fold_matches_query_loop_when_payment_meets_budget():
