@@ -92,6 +92,8 @@ class AdInstance:
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
         object.__setattr__(self, "_type_index", {t: j for j, t in enumerate(self.type_ids)})
         object.__setattr__(self, "_ranking", tuple(tuple(i for _, i in sorted(c)) for c in by_bid))
+        # Canonical type order (by id): per-ad rates are summed over types in this order.
+        object.__setattr__(self, "_order", tuple(sorted(columns, key=self.type_ids.__getitem__)))
 
     @classmethod
     def build(
@@ -298,13 +300,18 @@ def _budget_vector(instance: AdInstance, remaining) -> list:
     return vec
 
 
+def _rate(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> float:
+    """Revenue rate of an index-form configuration; `fsum` makes it independent of ad order."""
+    return math.fsum(_spend_rates(instance, cfg_idx, remaining).values())
+
+
 def revenue_rate(instance: AdInstance, config: Configuration, remaining) -> float:
     """Instantaneous expected revenue of a configuration given remaining budgets."""
     rem = _budget_vector(instance, remaining)
     for v in rem:
         if v < 0.0:
             raise ValueError("remaining budgets must be >= 0")
-    return math.fsum(_spend_rates(instance, _config_indices(instance, config), rem).values())
+    return _rate(instance, _config_indices(instance, config), rem)
 
 
 def _past_horizon(instance: AdInstance, length: float) -> bool:
@@ -367,7 +374,7 @@ def marginal_rate(
     remaining = _remaining_after(instance, _indexed(instance, prefix))
     cfg_idx = _config_indices(instance, config)
     _advance(instance, cfg_idx, remaining, delta)
-    return math.fsum(_spend_rates(instance, cfg_idx, remaining).values())
+    return _rate(instance, cfg_idx, remaining)
 
 
 def _top_ads(instance: AdInstance, j: int, remaining: Sequence[float]) -> Tuple[int, ...]:
@@ -376,10 +383,14 @@ def _top_ads(instance: AdInstance, j: int, remaining: Sequence[float]) -> Tuple[
     return tuple(islice(live, instance.slots))
 
 
+def _best(instance: AdInstance, remaining: Sequence[float]):
+    """Index form of the best configuration, types in canonical order, empty ones dropped."""
+    return tuple((j, ads) for j in instance._order if (ads := _top_ads(instance, j, remaining)))
+
+
 def best_configuration(instance: AdInstance, remaining) -> Configuration:
     """Top-`slots` unexhausted positive-bid ads per type; ties to lower ad index."""
-    rem = _budget_vector(instance, remaining)
-    return _configuration(instance, [(j, _top_ads(instance, j, rem)) for j in range(instance.num_types)])
+    return _configuration(instance, _best(instance, _budget_vector(instance, remaining)))
 
 
 def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedger]:
@@ -394,13 +405,12 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     """
     horizon = instance.horizon
     remaining = list(instance.budgets)
-    order = sorted(range(instance.num_types), key=instance.type_ids.__getitem__)
     picks = [_top_ads(instance, j, remaining) for j in range(instance.num_types)]
     segs: list = []
     elapsed = 0.0
     current, rates = None, {}
     while horizon - elapsed > 1e-15 * horizon:
-        best = tuple((j, picks[j]) for j in order if picks[j])
+        best = tuple((j, picks[j]) for j in instance._order if picks[j])
         best_rates = _spend_rates(instance, best, remaining)
         if current is None or math.fsum(best_rates.values()) > math.fsum(rates.values()):
             current, rates = best, best_rates
@@ -437,8 +447,7 @@ def configuration_hold(instance: AdInstance, config: Configuration, remaining) -
         if not hit:
             return math.inf
         elapsed += dt
-        alt = best_configuration(instance, rem)
-        if revenue_rate(instance, alt, rem) > math.fsum(rates.values()):
+        if _rate(instance, _best(instance, rem), rem) > math.fsum(rates.values()):
             return elapsed
 
 
@@ -453,7 +462,7 @@ def incremental_oracle(instance: AdInstance):
 
     def oracle(prefix: AllocationStrategy, config: Configuration) -> Tuple[float, float]:
         remaining = _remaining_after(instance, _indexed(instance, prefix))
-        rate = math.fsum(_spend_rates(instance, _config_indices(instance, config), remaining).values())
+        rate = _rate(instance, _config_indices(instance, config), remaining)
         return rate, configuration_hold(instance, config, remaining)
 
     return oracle
@@ -511,7 +520,7 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     bounds = [0.0, *cuts, total]
     segs = []
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo > 1e-9:
+        if hi - lo > 1e-9 * instance.horizon:
             segs.append((random_configuration(instance, rng), hi - lo))
     return TimedSequence(tuple(segs))
 
@@ -546,7 +555,7 @@ class FluidRateModel:
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
         remaining = _remaining_after(self.instance, _indexed(self.instance, prefix))
-        return revenue_rate(self.instance, best_configuration(self.instance, remaining), remaining)
+        return _rate(self.instance, _best(self.instance, remaining), remaining)
 
     def random_prefix(self, rng: np.random.Generator) -> AllocationStrategy:
         return random_strategy(self.instance, rng)

@@ -20,11 +20,12 @@ import argparse
 import functools
 import hashlib
 import json
+import locale
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import adalloc, oracle, qrewrite, seqcore
 from .adalloc import InstanceError
@@ -40,20 +41,18 @@ CONTINUOUS_RATIO_BOUND = 1.0 - math.exp(-1.0)
 REWRITE_RATIO_BOUND = 1.0 - math.exp(-(1.0 - 1.0 / math.e))
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path) -> Tuple[dict, str]:
+    """The instance file's JSON object and the sha256 of the bytes it was parsed from."""
     try:
-        data = json.loads(path.read_text())
+        raw = path.read_bytes()
+        data = json.loads(raw.decode(locale.getpreferredencoding(False)))
     except OSError as exc:
         raise InstanceError(f"instance: cannot read {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"instance: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError("instance: the top level must be a JSON object")
-    return data
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _strategy_json(strategy) -> list:
@@ -63,11 +62,11 @@ def _strategy_json(strategy) -> list:
     ]
 
 
-def _emit(args, params: dict, outputs: dict) -> None:
+def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     """Write the report envelope for one command run to `--out` or stdout."""
     report = {
         "command": args.command,
-        "instance_sha256": _digest(Path(args.instance)),
+        "instance_sha256": digest,
         "params": params,
         "outputs": outputs,
     }
@@ -79,7 +78,8 @@ def _emit(args, params: dict, outputs: dict) -> None:
 
 
 def cmd_allocate(args) -> int:
-    instance = adalloc.parse_instance(_load_json(Path(args.instance)))
+    data, digest = _load_json(Path(args.instance))
+    instance = adalloc.parse_instance(data)
     strategy, ledger = adalloc.greedy_allocate(instance)
     outputs: Dict[str, object] = {
         "utility": ledger.utility,
@@ -94,12 +94,13 @@ def cmd_allocate(args) -> int:
         outputs["ratio"] = ledger.utility / opt.value if opt.value > 0.0 else 1.0
         outputs["ratio_bound"] = CONTINUOUS_RATIO_BOUND
         outputs["optimum_spend"] = {f"{ad}/{tid}": z for (ad, tid), z in opt.witness.items()}
-    _emit(args, {"oracle": bool(args.oracle)}, outputs)
+    _emit(args, digest, {"oracle": bool(args.oracle)}, outputs)
     return EXIT_OK
 
 
 def cmd_rewrite(args) -> int:
-    instance = qrewrite.parse_rewrite_instance(_load_json(Path(args.instance)))
+    data, digest = _load_json(Path(args.instance))
+    instance = qrewrite.parse_rewrite_instance(data)
     plan, utility = qrewrite.greedy_rewrite(instance)
     types = [pa.query_type for pa in plan.items]
     outputs: Dict[str, object] = {
@@ -112,31 +113,17 @@ def cmd_rewrite(args) -> int:
         outputs["optimum"] = opt.value
         outputs["ratio"] = utility / opt.value if opt.value > 0.0 else 1.0
         outputs["ratio_bound"] = REWRITE_RATIO_BOUND
-    _emit(args, {"oracle": bool(args.oracle)}, outputs)
+    _emit(args, digest, {"oracle": bool(args.oracle)}, outputs)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     from . import stochsim  # loads numpy, which allocate and rewrite never need
-    instance = adalloc.parse_instance(_load_json(Path(args.instance)))
-    if args.trials < 1:
-        raise InstanceError(f"trials: must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise InstanceError(f"seed: must be >= 0, got {args.seed}")
-    if args.queries is not None and args.queries < 1:
-        raise InstanceError(f"queries: must be >= 1, got {args.queries}")
-    if args.queries is None and round(instance.horizon) < 1:
-        raise InstanceError(
-            f"horizon: {instance.horizon} rounds to 0 queries per trial; pass --queries"
-        )
-    queries = args.queries if args.queries is not None else round(instance.horizon)
-    if queries > stochsim.MAX_QUERIES:
-        source = "queries" if args.queries is not None else "horizon"
-        raise InstanceError(
-            f"{source}: {queries} queries per trial exceed the limit of {stochsim.MAX_QUERIES}"
-        )
-    strategy, _ = adalloc.greedy_allocate(instance)
+    data, digest = _load_json(Path(args.instance))
+    instance = adalloc.parse_instance(data)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)
+    cfg.queries(instance)  # rejects a bad count before any work is done
+    strategy, _ = adalloc.greedy_allocate(instance)
     result = stochsim.simulate_stream(instance, strategy, cfg)
     outputs = result.to_json(include_per_trial=args.per_trial)
     outputs["seed"] = args.seed
@@ -146,7 +133,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
     }
-    _emit(args, params, outputs)
+    _emit(args, digest, params, outputs)
     return EXIT_OK
 
 
@@ -193,7 +180,7 @@ def _run_checks(
 
 
 def cmd_verify(args) -> int:
-    data = _load_json(Path(args.instance))
+    data, digest = _load_json(Path(args.instance))
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in CHECK_NAMES:
@@ -225,7 +212,7 @@ def cmd_verify(args) -> int:
         ],
         "violations": total_violations,
     }
-    _emit(args, {"checks": checks, "samples": args.samples, "seed": args.seed}, outputs)
+    _emit(args, digest, {"checks": checks, "samples": args.samples, "seed": args.seed}, outputs)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 

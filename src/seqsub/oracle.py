@@ -30,8 +30,6 @@ class OptResult:
 
     value: float
     witness: object
-    method: str
-    size: int
     exact_value: Optional[Fraction] = None
 
 
@@ -86,7 +84,7 @@ def brute_force_discrete(u: SequenceFunction, actions: ActionSet, horizon: int) 
         raise SizeGuardError(f"brute force would enumerate {size} sequences (cap 10^6)")
     sequences = (DiscreteSequence(c, actions) for c in itertools.product(actions.actions, repeat=horizon))
     best_seq, best_val = max(((seq, u(seq)) for seq in sequences), key=lambda entry: entry[1])
-    return OptResult(best_val, best_seq, "brute_force_discrete", size)
+    return OptResult(best_val, best_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def lp_opt_fluid(
         and (allowed is None or (instance.ad_ids[i], instance.type_ids[j]) in allowed)
     ]
     if not pairs:
-        return OptResult(0.0, {}, "lp_opt_fluid", size, Fraction(0))
+        return OptResult(0.0, {}, Fraction(0))
     budgets = [Fraction(b) for b in instance.budgets]
     probs = [Fraction(q) for q in instance.probs]
     bids = [[Fraction(p) for p in row] for row in instance.bid_matrix]
@@ -203,7 +201,7 @@ def lp_opt_fluid(
         for k, (i, j) in enumerate(pairs)
         if x[k] > 0
     }
-    return OptResult(float(value), spend, "lp_opt_fluid", size, value)
+    return OptResult(float(value), spend, value)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +213,10 @@ def brute_force_rewrite_opt(instance: RewriteInstance) -> OptResult:
 
     Enumerates rewrite subsets per type and takes the LP optimum restricted
     to the reachable (ad, type) pairs.  Since the LP value is monotone in the
-    allowed set, only maximal per-type ad unions need solving; duplicate pair
-    sets share one LP solve.  Guarded at 10**5 raw assignments.
+    allowed set, only maximal per-type ad unions need solving: one LP per
+    combination of them across types.  The unions of one type are distinct
+    and every pair names its type, so no two combinations share a pair set.
+    Guarded at 10**5 raw assignments.
     """
     base = instance.base
     n_rewrites = len(instance.rewrites)
@@ -240,21 +240,13 @@ def brute_force_rewrite_opt(instance: RewriteInstance) -> OptResult:
     ]
     best_val: Optional[Fraction] = None
     best_witness = None
-    cache: Dict[FrozenSet[Tuple[str, str]], OptResult] = {}
     for combo in itertools.product(maximal, repeat=base.num_types):
-        pairs = frozenset(
-            (base.ad_ids[i], tid)
-            for (ads, _), tid in zip(combo, base.type_ids)
-            for i in ads
-        )
-        res = cache.get(pairs)
-        if res is None:
-            res = lp_opt_fluid(base, pairs)
-            cache[pairs] = res
+        pairs = [(base.ad_ids[i], tid) for (ads, _), tid in zip(combo, base.type_ids) for i in ads]
+        res = lp_opt_fluid(base, pairs)
         if best_val is None or res.exact_value > best_val:
             best_val = res.exact_value
             best_witness = {
                 "rewrites": {tid: list(ids) for (_, ids), tid in zip(combo, base.type_ids)},
                 "spend": res.witness,
             }
-    return OptResult(float(best_val), best_witness, "brute_force_rewrite_opt", raw_count, best_val)
+    return OptResult(float(best_val), best_witness, best_val)

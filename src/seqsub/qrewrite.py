@@ -134,10 +134,7 @@ def evaluate_plan(
     remaining = list(instance.base.budgets)
     total = 0.0
     for pa in items:
-        caps_eff = [min(r, c) for r, c in zip(remaining, pa.caps)]
-        ledger = _tuple_value(instance, pa.query_type, pa.rewrites, caps_eff)
-        _charge(remaining, ledger.spent, instance.base.budgets)
-        total += ledger.utility
+        total += _apply(instance, remaining, pa.query_type, pa.rewrites, pa.caps).utility
     return total, tuple(remaining)
 
 
@@ -148,12 +145,17 @@ def _tuple_value(
     return single_type_allocate(instance.base, type_id, allowed, remaining)
 
 
-def _charge(remaining: list, spent: Sequence[float], budgets: Sequence[float]) -> None:
-    """Deduct one step's spend from the global budgets, clamping exhausted ones to zero."""
-    for i, s in enumerate(spent):
-        remaining[i] -= s
+def _apply(
+    instance: RewriteInstance, remaining: list, type_id: str, rewrites: Sequence[str], caps: Sequence[float]
+) -> SpendLedger:
+    """Run one plan step, capped per ad by `caps` and by `remaining`, and charge it to `remaining`."""
+    ledger = _tuple_value(instance, type_id, rewrites, [min(r, c) for r, c in zip(remaining, caps)])
+    budgets = instance.base.budgets
+    for i, spent in enumerate(ledger.spent):
+        remaining[i] -= spent
         if remaining[i] <= EXHAUSTED * budgets[i]:
             remaining[i] = 0.0
+    return ledger
 
 
 def best_rewrite_set(
@@ -200,9 +202,8 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
             ((tid, *best_rewrite_set(instance, tid, remaining)) for tid in pending),
             key=lambda entry: entry[2],
         )
-        ledger = _tuple_value(instance, best_type, best_set, remaining)
+        ledger = _apply(instance, remaining, best_type, best_set, remaining)
         allocations.append(PartialAllocation(best_type, best_set, ledger.spent))
-        _charge(remaining, ledger.spent, instance.base.budgets)
         total += ledger.utility
         pending.remove(best_type)
     return DiscreteSequence(tuple(allocations)), total

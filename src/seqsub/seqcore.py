@@ -3,12 +3,14 @@
 Utilities here are defined on ordered sequences of actions rather than on
 sets: the value of an action may depend on what ran before it.  Sequences
 come in two flavors, index-based (`DiscreteSequence`) and duration-based
-(`TimedSequence`).  `greedy_discrete` and `greedy_continuous` build a
-sequence step by step from an incremental oracle; the guarantee they carry
-(a constant fraction of the optimum) holds whenever the utility is
-non-decreasing under domination and has diminishing marginal gains.  The
-`check_*` functions sample randomized witnesses against exactly those
-structural properties and report any violation they find.
+(`TimedSequence`).  One relation orders them: `dominates(a, b)` holds when
+`a` can be cut out of `b`, and `equivalent` is domination both ways.
+`greedy_discrete` and `greedy_continuous` build a sequence step by step
+from an incremental oracle; the guarantee they carry (a constant fraction
+of the optimum) holds whenever the utility is non-decreasing under
+domination and has diminishing marginal gains.  The `check_*` functions
+sample randomized witnesses against exactly those structural properties
+and report any violation they find.
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ if TYPE_CHECKING:
 
 # Tolerance for inequality checks on utilities, relative to their magnitude
 # once that exceeds 1 (see `_exceeds`); also the duration slack of
-# `dominates` and `equivalent`.
+# `dominates`, and so of `equivalent`.
 DEFAULT_TOL = 1e-9
 # Relative tolerance of the finite-difference check on marginal rates.
 FD_REL_TOL = 1e-6
-# Blocks shorter than this (for discrete ones: empty) are skipped by the
-# single-step gain bounds.
+# Blocks no longer than this fraction of the sample's total length (for
+# discrete ones: empty blocks) are skipped by the single-step gain bounds.
 MIN_LENGTH = 1e-6
-# Tolerance for duration bookkeeping on timed sequences.
-LENGTH_TOL = 1e-12
 
 
 class MismatchedActionSets(ValueError):
@@ -63,9 +63,6 @@ class ActionSet:
 
     def __contains__(self, action: Hashable) -> bool:
         return action in self.actions
-
-    def index(self, action: Hashable) -> int:
-        return self.actions.index(action)
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,13 @@ class TimedSequence:
     """
 
     segments: Tuple[Tuple[Hashable, float], ...] = ()
-    actions: Optional[ActionSet] = None
 
     def __post_init__(self):
         segs = tuple((a, float(d)) for a, d in self.segments)
         object.__setattr__(self, "segments", segs)
-        for a, d in segs:
+        for _, d in segs:
             if not d > 0.0:
                 raise ValueError(f"segment duration must be positive, got {d}")
-            if self.actions is not None and a not in self.actions:
-                raise ValueError(f"action {a!r} not in action set")
 
     @property
     def length(self) -> float:
@@ -145,7 +139,7 @@ class TimedSequence:
         lo = max(float(x), 0.0)
         hi = min(float(y), self.length)
         if hi <= lo:
-            return TimedSequence((), self.actions)
+            return TimedSequence(())
         out = []
         start = 0.0
         for a, d in self.segments:
@@ -157,7 +151,7 @@ class TimedSequence:
             start = end
             if start >= hi:
                 break
-        return TimedSequence(tuple(out), self.actions)
+        return TimedSequence(tuple(out))
 
     def canonical(self) -> "TimedSequence":
         """Merge adjacent segments holding the same action."""
@@ -167,66 +161,40 @@ class TimedSequence:
                 merged[-1][1] += d
             else:
                 merged.append([a, d])
-        return TimedSequence(tuple((a, d) for a, d in merged), self.actions)
+        return TimedSequence(tuple((a, d) for a, d in merged))
 
 
 SequenceLike = DiscreteSequence | TimedSequence
-
-
-def _merge_action_sets(a: Optional[ActionSet], b: Optional[ActionSet]) -> Optional[ActionSet]:
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise MismatchedActionSets("sequences were built over different action sets")
 
 
 def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
     """Concatenation: the items/segments of `a` followed by those of `b`."""
     if type(a) is not type(b):
         raise TypeError("cannot concatenate sequences of different kinds")
-    acts = _merge_action_sets(a.actions, b.actions)
-    if isinstance(a, DiscreteSequence):
-        return DiscreteSequence(a.items + b.items, acts)
-    return TimedSequence(a.segments + b.segments, acts)
+    if isinstance(a, TimedSequence):
+        return TimedSequence(a.segments + b.segments)
+    if a.actions is not None and b.actions is not None and a.actions != b.actions:
+        raise MismatchedActionSets("sequences were built over different action sets")
+    return DiscreteSequence(a.items + b.items, a.actions or b.actions)
 
 
 def equivalent(a: SequenceLike, b: SequenceLike) -> bool:
-    """Pointwise equality of the functions the two sequences represent."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, DiscreteSequence):
-        return a.items == b.items
-    ca, cb = a.canonical().segments, b.canonical().segments
-    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > DEFAULT_TOL:
-        return False
-    i = j = 0
-    ra = ca[0][1] if ca else 0.0
-    rb = cb[0][1] if cb else 0.0
-    while i < len(ca) and j < len(cb):
-        if ca[i][0] != cb[j][0]:
-            return False
-        take = min(ra, rb)
-        ra -= take
-        rb -= take
-        if ra <= DEFAULT_TOL:
-            i += 1
-            ra = ca[i][1] if i < len(ca) else 0.0
-        if rb <= DEFAULT_TOL:
-            j += 1
-            rb = cb[j][1] if j < len(cb) else 0.0
-    return i >= len(ca) and j >= len(cb)
+    """Whether each sequence dominates the other: the same function up to the duration slack."""
+    return type(a) is type(b) and dominates(a, b) and dominates(b, a)
 
 
 def dominates(a: SequenceLike, b: SequenceLike) -> bool:
-    """True when `a` can be obtained by cutting parts out of `b`."""
+    """True when `a` can be obtained by cutting parts out of `b`.
+
+    Timed sequences are walked segment by segment, with a duration slack of
+    DEFAULT_TOL per segment.
+    """
     if type(a) is not type(b):
         raise TypeError("cannot compare sequences of different kinds")
     if isinstance(a, DiscreteSequence):
         it = iter(b.items)
         return all(x in it for x in a.items)  # order-preserving subsequence
-    need = list(a.canonical().segments)
-    have = list(b.canonical().segments)
+    need, have = a.segments, b.segments
     i = j = 0
     ra = need[0][1] if need else 0.0
     rb = have[0][1] if have else 0.0
@@ -264,9 +232,9 @@ def _sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike
     total = b.length
     m = int(rng.integers(0, 4))  # zero to three windows
     if m == 0 or total <= 0.0:
-        return TimedSequence((), b.actions)
+        return TimedSequence(())
     cuts = sorted(float(x) for x in rng.uniform(0.0, total, size=2 * m))
-    out = TimedSequence((), b.actions)
+    out = TimedSequence(())
     for lo, hi in zip(cuts[0::2], cuts[1::2]):
         out = concat(out, b.slice(lo, hi))
     return out
@@ -339,8 +307,9 @@ def greedy_continuous(
     marginal rate of appending `action` after `prefix`, and a duration for
     which the chosen action is guaranteed to stay the best.  Each step
     appends the highest-rate action (ties to action-set order) for
-    `min(hold, remaining horizon)`.  It is not guaranteed to terminate
-    for adversarial oracles, so it aborts once `max_segments`
+    `min(hold, remaining horizon)`, until at most `1e-15 * horizon` remains
+    (the relative stop rule of `greedy_allocate`).  It is not guaranteed to
+    terminate for adversarial oracles, so it aborts once `max_segments`
     (default 10 * len(actions)) segments have been emitted.  `adalloc` uses
     it only as the paper-faithful test reference for `greedy_allocate`.
     """
@@ -350,7 +319,7 @@ def greedy_continuous(
         max_segments = 10 * len(actions)
     segs: list = []
     elapsed = 0.0
-    while horizon - elapsed > LENGTH_TOL:
+    while horizon - elapsed > 1e-15 * horizon:
         prefix = TimedSequence(tuple(segs))
         best, _, best_hold = max(
             ((a, *rate_oracle(prefix, a)) for a in actions), key=lambda entry: entry[1]
@@ -513,8 +482,12 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
         s = model.random_action(rng)
         bps_a = tuple(model.breakpoints(s, a))
         bps_b = tuple(model.breakpoints(s, b))
-        hi = min(1.25 * max((*bps_a, *bps_b, 0.0)) + 0.5, sys.float_info.max)
-        margin = 1e-3
+        top = max((*bps_a, *bps_b, 0.0))
+        # Offsets, margin and step scale with the breakpoints (up to 1), so
+        # a model rescaled in time is probed at the same relative offsets.
+        unit = min(1.0, top) if top > 0.0 else 1.0
+        hi = min(1.25 * top + 0.5 * unit, sys.float_info.max)
+        margin = 1e-3 * unit
         d = _draw_smooth(rng, margin, hi, bps_a + bps_b, margin)
         if d is not None:
             ra = model.rate(s, d, a)
@@ -532,7 +505,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
         if d0 is not None:
             counts["fd_points"] += 1
             gap = min((abs(d0 - x) for x in bps_a), default=d0)
-            h = min(1e-4, min(gap, d0) / 4.0)
+            h = min(1e-4 * unit, min(gap, d0) / 4.0)
             hold = lambda delta: model.utility(concat(a, TimedSequence(((s, delta),))))
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
@@ -548,13 +521,14 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
 def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int) -> CheckReport:
     """Lemma 1: the best single step after A must reach the gain per unit length of any block B.
 
-    A and B are both drawn with `sample`; B shorter than MIN_LENGTH is skipped.
+    A and B are both drawn with `sample`; B is skipped when no longer than
+    MIN_LENGTH times the length of A + B (so always when empty).
     """
 
     def body(rng):
         a = sample(rng)
         b = sample(rng)
-        if b.length < MIN_LENGTH:
+        if b.length <= MIN_LENGTH * (a.length + b.length):
             return None
         per_unit = (utility(concat(a, b)) - utility(a)) / b.length
         return _violations(check, per_unit, best_step(a), {"a": a, "b": b})

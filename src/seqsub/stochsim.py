@@ -31,6 +31,7 @@ import numpy as np
 from .adalloc import (
     AdInstance,
     AllocationStrategy,
+    InstanceError,
     _config_indices,
     _past_horizon,
     evaluate_strategy,
@@ -38,8 +39,8 @@ from .adalloc import (
 )
 
 RNG_NAME = "numpy-pcg64"
-# Largest per-trial query count the CLI accepts; a trial holds about 24 bytes
-# a query for its drawn types and table rows (240 MB at the cap).
+# Largest per-trial query count; a trial holds about 24 bytes a query for its
+# drawn types and table rows (240 MB at the cap).
 MAX_QUERIES = 10**7
 # Queries per block of the fold, which holds about 50 bytes per shown (ad,
 # payment) pair at peak: 3.3 MB x slots at most, whatever the query count.
@@ -48,15 +49,29 @@ FOLD_BLOCK = 2**16
 
 @dataclass(frozen=True)
 class StreamConfig:
+    """Simulation parameters; every check on them is made here, for every caller."""
+
     seed: int
     trials: int
     query_count: Optional[int] = None  # defaults to round(horizon)
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InstanceError(f"trials: must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InstanceError(f"seed: must be >= 0, got {self.seed}")
         if self.query_count is not None and self.query_count < 1:
-            raise ValueError("query_count must be >= 1")
+            raise InstanceError(f"query_count: must be >= 1, got {self.query_count}")
+
+    def queries(self, instance: AdInstance) -> int:
+        """Queries per trial on `instance`: `query_count`, else the rounded horizon; at most MAX_QUERIES."""
+        source = "horizon" if self.query_count is None else "query_count"
+        queries = round(instance.horizon) if self.query_count is None else self.query_count
+        if queries < 1:
+            raise InstanceError(f"horizon: {instance.horizon} rounds to 0 queries per trial; set query_count")
+        if queries > MAX_QUERIES:
+            raise InstanceError(f"{source}: {queries} queries per trial exceed the limit of {MAX_QUERIES}")
+        return queries
 
 
 @dataclass(frozen=True)
@@ -116,9 +131,7 @@ def simulate_stream(
     """
     if _past_horizon(instance, strategy.length):
         raise ValueError("strategy length exceeds horizon")
-    queries = config.query_count if config.query_count is not None else round(instance.horizon)
-    if queries < 1:
-        raise ValueError("query_count must be >= 1")
+    queries = config.queries(instance)
     probs = np.asarray(instance.probs, dtype=float)
     probs = probs / probs.sum()
     ends, ad_tab, pay_tab = _slot_tables(instance, strategy)

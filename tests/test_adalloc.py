@@ -247,15 +247,23 @@ def test_underflowed_exhaustion_time_still_exhausts():
 
 
 def test_greedy_allocate_matches_paper_reference():
-    # greedy_continuous over every configuration is the paper's algorithm verbatim.
+    # greedy_continuous over every configuration is the paper's algorithm
+    # verbatim.  Both stop relative to the horizon, so they also agree on the
+    # instance rescaled in time (horizon x s, bids / s).
     rng = np.random.default_rng(53)
     for _ in range(300):
-        inst = random_ad_instance(rng, max_ads=3, max_types=3)
-        strat, led = greedy_allocate(inst)
-        actions = ActionSet(adalloc.enumerate_configurations(inst))
-        ref = greedy_continuous(adalloc.incremental_oracle(inst), actions, inst.horizon)
-        assert evaluate_strategy(inst, ref).utility == pytest.approx(led.utility, abs=1e-12)
-        assert len(ref.canonical().segments) == len(strat.canonical().segments)
+        base = random_ad_instance(rng, max_ads=3, max_types=3)
+        actions = ActionSet(adalloc.enumerate_configurations(base))
+        for s in (1.0, 1e-12, 1e-6, 1e6):
+            inst = dataclasses.replace(
+                base,
+                horizon=base.horizon * s,
+                bid_matrix=tuple(tuple(p / s for p in row) for row in base.bid_matrix),
+            )
+            strat, led = greedy_allocate(inst)
+            ref = greedy_continuous(adalloc.incremental_oracle(inst), actions, inst.horizon)
+            assert evaluate_strategy(inst, ref).utility == pytest.approx(led.utility, abs=1e-12)
+            assert len(ref.canonical().segments) == len(strat.canonical().segments)
 
 
 def test_greedy_allocate_scales_with_budgets_and_bids():
@@ -347,6 +355,36 @@ def test_greedy_allocate_matches_id_based_reference():
     for _ in range(400):
         inst = _differential_instance(rng)
         assert greedy_allocate(inst) == reference_greedy_allocate(inst)
+
+
+def reference_configuration_hold(instance, config, remaining):
+    """`configuration_hold` as it was, each alternative built and rated in id form."""
+    rem = list(remaining)
+    rates = adalloc._spend_rates(instance, adalloc._config_indices(instance, config), rem)
+    elapsed = 0.0
+    while True:
+        dt, hit = adalloc._step(instance, rates, rem, math.inf)
+        if not hit:
+            return math.inf
+        elapsed += dt
+        if revenue_rate(instance, best_configuration(instance, rem), rem) > math.fsum(rates.values()):
+            return elapsed
+
+
+def test_best_rate_and_hold_match_the_id_form():
+    # The index-form best configuration sums each ad's rate over types in id
+    # order (t10 before t2), so every rate is bit-identical to the id form.
+    rng = np.random.default_rng(1019)
+    for _ in range(300):
+        inst = _differential_instance(rng)
+        prefix = random_strategy(inst, rng)
+        remaining = adalloc._remaining_after(inst, adalloc._indexed(inst, prefix))
+        best = best_configuration(inst, remaining)
+        expected = revenue_rate(inst, best, remaining)
+        assert FluidRateModel(inst).best_rate(prefix).hex() == expected.hex()
+        for config in (best, adalloc.random_configuration(inst, rng)):
+            hold = configuration_hold(inst, config, remaining)
+            assert hold.hex() == reference_configuration_hold(inst, config, remaining).hex()
 
 
 def test_greedy_allocate_tiny_horizon_is_played():

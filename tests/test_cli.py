@@ -9,13 +9,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc, stochsim
+from seqsub import adalloc, cli, stochsim
 from seqsub.cli import main
 
 from conftest import make_i1, make_i3
@@ -187,13 +188,20 @@ def test_simulate_single_type_exact(tmp_path):
     assert report["outputs"]["mean"] == report["outputs"]["fluid"] == 1.0
 
 
-def test_simulate_bad_flags_exit_2(i1_file):
-    assert main(["simulate", "--instance", str(i1_file), "--trials", "0", "--seed", "1"]) == 2
-    assert main(["simulate", "--instance", str(i1_file), "--trials", "1", "--seed", "-1"]) == 2
-    assert (
-        main(["simulate", "--instance", str(i1_file), "--trials", "1", "--seed", "1", "--queries", "0"])
-        == 2
-    )
+def test_simulate_bad_flags_exit_2(i1_file, capsys, monkeypatch):
+    # StreamConfig rejects each bad parameter, naming it, before the greedy runs.
+    def no_greedy(*args):
+        raise AssertionError("greedy_allocate reached")
+
+    monkeypatch.setattr(adalloc, "greedy_allocate", no_greedy)
+    for flags, field in (
+        (["--trials", "0", "--seed", "1"], "trials"),
+        (["--trials", "1", "--seed", "-1"], "seed"),
+        (["--trials", "1", "--seed", "1", "--queries", "0"], "query_count"),
+        (["--trials", "1", "--seed", "1", "--queries", str(stochsim.MAX_QUERIES + 1)], "query_count"),
+    ):
+        assert main(["simulate", "--instance", str(i1_file), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +252,50 @@ def test_verify_tolerance_scales_with_the_instance(tmp_path):
     code, report = run(args, tmp_path)
     assert report["outputs"]["violations"] == 0
     assert code == 0
+
+
+def test_verify_samples_as_many_at_every_time_scale(tmp_path):
+    # Horizon x s and bids / s describe the same instance in other time
+    # units, so every check must test as many samples as at s = 1.
+    data = json.loads((INSTANCES / "two_ads_two_types.json").read_text())
+    tested = {}
+    for s in (1.0, 1e-9, 1e-3, 1e9):
+        scaled = copy.deepcopy(data)
+        scaled["horizon"] *= s
+        for row in scaled["bids"].values():
+            for tid in row:
+                row[tid] /= s
+        path = tmp_path / f"scaled_{s}.json"
+        path.write_text(json.dumps(scaled))
+        args = ["verify", "--instance", str(path), "--samples", "300", "--seed", "3"]
+        code, report = run(args, tmp_path)
+        assert code == 0
+        tested[s] = [(r["check"], r["samples_tested"]) for r in report["outputs"]["reports"]]
+    assert tested[1.0][-1] == ("rate_gain_bound", 236)  # empty blocks are still skipped
+    for s in (1e-9, 1e-3, 1e9):
+        assert tested[s] == tested[1.0], s
+
+
+def test_report_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
+    # CRLF line ends and a non-ASCII id, and the file is replaced right
+    # after it is parsed: the digest is of the raw bytes the report came from.
+    data = adalloc.instance_to_json(make_i1())
+    data["ads"][0]["id"] = "\u00e4d"
+    data["bids"] = {"\u00e4d" if ad == "a1" else ad: row for ad, row in data["bids"].items()}
+    raw = json.dumps(data, indent=1, ensure_ascii=False).replace("\n", "\r\n").encode()
+    path = tmp_path / "crlf.json"
+    path.write_bytes(raw)
+
+    def loads_then_replace(text):
+        path.write_bytes(b"{}")
+        return json.loads(text)
+
+    proxy = types.SimpleNamespace(loads=loads_then_replace, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError)
+    monkeypatch.setattr(cli, "json", proxy)
+    code, report = run(["allocate", "--instance", str(path)], tmp_path)
+    assert code == 0
+    assert report["instance_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert report["outputs"]["spend"]["\u00e4d"] > 0.0
 
 
 def test_verify_planted_violation_exits_1(i1_file, tmp_path):

@@ -1,11 +1,14 @@
 """Sequence algebra, greedy drivers, and checker behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from seqsub import adalloc, qrewrite
 from seqsub.seqcore import (
+    DEFAULT_TOL,
     ActionSet,
     DiscreteSequence,
     MismatchedActionSets,
@@ -116,6 +119,125 @@ def test_dominates_timed():
     assert dominates(TimedSequence((("x", 1.2),)), b)  # pieced from both x windows
     assert not dominates(TimedSequence((("x", 1.6),)), b)
     assert dominates(TimedSequence(()), b)
+
+
+def reference_dominates(a, b):
+    """The canonicalising walk `dominates` replaced: adjacent same-action segments merged first."""
+    need, have = a.canonical().segments, b.canonical().segments
+    i = j = 0
+    ra = need[0][1] if need else 0.0
+    rb = have[0][1] if have else 0.0
+    while i < len(need):
+        if ra <= DEFAULT_TOL:
+            i += 1
+            ra = need[i][1] if i < len(need) else 0.0
+            continue
+        if j >= len(have):
+            return False
+        if need[i][0] == have[j][0] and rb > DEFAULT_TOL:
+            take = min(ra, rb)
+            ra -= take
+            rb -= take
+        else:
+            j += 1
+            rb = have[j][1] if j < len(have) else 0.0
+    return True
+
+
+def reference_equivalent(a, b):
+    """The lockstep walk `equivalent` replaced: merged segments consumed pairwise."""
+    ca, cb = a.canonical().segments, b.canonical().segments
+    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > DEFAULT_TOL:
+        return False
+    i = j = 0
+    ra = ca[0][1] if ca else 0.0
+    rb = cb[0][1] if cb else 0.0
+    while i < len(ca) and j < len(cb):
+        if ca[i][0] != cb[j][0]:
+            return False
+        take = min(ra, rb)
+        ra -= take
+        rb -= take
+        if ra <= DEFAULT_TOL:
+            i += 1
+            ra = ca[i][1] if i < len(ca) else 0.0
+        if rb <= DEFAULT_TOL:
+            j += 1
+            rb = cb[j][1] if j < len(cb) else 0.0
+    return i >= len(ca) and j >= len(cb)
+
+
+def _timed_pair(rng):
+    """A timed sequence and a near copy: pieces split, nudged by 1e-10, dropped, shrunk or added.
+
+    About a quarter of the pieces are of the order of the 1e-9 duration slack.
+    """
+
+    def duration():
+        r = rng.random()
+        if r < 0.25:
+            return float(rng.choice([1e-10, 1e-9])) * (1.0 + rng.random())
+        return float(rng.choice([0.25, 0.5, 1.0])) if r < 0.6 else float(rng.uniform(0.1, 1.5))
+
+    def action():
+        return str(rng.choice(["x", "y", "z"]))
+
+    b = [(action(), duration()) for _ in range(int(rng.integers(0, 5)))]
+    if rng.random() < 0.2:
+        return b, [(action(), duration()) for _ in range(int(rng.integers(0, 5)))]
+    a = []
+    for act, d in b:
+        r = rng.random()
+        if r < 0.2:
+            f = float(rng.uniform(0.1, 0.9))
+            a += [(act, d * f), (act, d - d * f)]
+        elif r < 0.3:
+            a.append((act, d + float(rng.choice([-1.0, 1.0])) * 1e-10 * (1.0 + rng.random())))
+        elif r < 0.4:
+            a += [(act, d), (action(), 1e-10 * (1.0 + rng.random()))]
+        elif r < 0.5:
+            a.append((act, d * float(rng.uniform(0.5, 1.0))))
+        elif r < 0.55:
+            continue
+        else:
+            a.append((act, d))
+    if rng.random() < 0.2:
+        a.append((action(), duration()))
+    return b, [(act, d) for act, d in a if d > 0.0]
+
+
+def test_equivalent_is_mutual_domination_and_matches_the_old_walks():
+    # Mutual domination is the definition of `equivalent`.  On segments
+    # longer than twice the slack it answers as the old lockstep walk did,
+    # and `dominates` as the old canonicalising walk did; they may part only
+    # on pairs holding a piece of the order of the 1e-9 slack.
+    rng = np.random.default_rng(20)
+    differ = equal = 0
+    for _ in range(12_000):
+        b, a = _timed_pair(rng)
+        seq_a, seq_b = TimedSequence(tuple(a)), TimedSequence(tuple(b))
+        mutual = dominates(seq_a, seq_b) and dominates(seq_b, seq_a)
+        assert equivalent(seq_a, seq_b) == equivalent(seq_b, seq_a) == mutual
+        equal += mutual
+        same = (
+            dominates(seq_a, seq_b) == reference_dominates(seq_a, seq_b)
+            and dominates(seq_b, seq_a) == reference_dominates(seq_b, seq_a)
+            and mutual == reference_equivalent(seq_a, seq_b)
+        )
+        if not same:
+            differ += 1
+            assert min(d for _, d in a + b) < 2.0 * DEFAULT_TOL, (a, b)
+    assert equal > 5_000  # the near copies make equivalence common
+    assert 0 < differ < 1_500  # the slack region is reached, and it is where they differ
+
+
+def test_equivalent_discrete_and_mixed_kinds():
+    rng = np.random.default_rng(21)
+    for _ in range(2_000):
+        x = random_discrete_sequence(ABC, rng, max_len=3)
+        y = random_discrete_sequence(ABC, rng, max_len=3)
+        assert equivalent(x, y) == (x.items == y.items)
+    assert not equivalent(D("s1"), TimedSequence((("s1", 1.0),)))
 
 
 def test_sample_dominated_examples():

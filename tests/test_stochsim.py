@@ -91,17 +91,28 @@ def test_expected_per_query_payment_matches_rate():
 
 
 def test_query_count_validation(i1):
-    with pytest.raises(ValueError):
-        StreamConfig(seed=1, trials=0)
-    with pytest.raises(ValueError):
-        StreamConfig(seed=1, trials=1, query_count=0)
+    # StreamConfig checks every parameter, for library callers as for the
+    # CLI, and names the field; InstanceError is a ValueError.
+    for kwargs, field in (({"trials": 0}, "trials"), ({"seed": -1}, "seed"), ({"query_count": 0}, "query_count")):
+        with pytest.raises(adalloc.InstanceError, match=f"^{field}: "):
+            StreamConfig(**{"seed": 1, "trials": 1, **kwargs})
     short = adalloc.AdInstance.build(
         ads=[("a1", 1.0)], query_types=[("t1", 1.0)], bids={"a1": {"t1": 1.0}},
         slots=1, horizon=0.4,
     )
     strategy, _ = adalloc.greedy_allocate(short)
-    with pytest.raises(ValueError):
+    with pytest.raises(adalloc.InstanceError, match="^horizon: "):
         simulate_stream(short, strategy, StreamConfig(seed=1, trials=1))
+    # MAX_QUERIES binds library callers too, whether the count is given or is the horizon's.
+    strategy, _ = adalloc.greedy_allocate(i1)
+    too_many = StreamConfig(seed=0, trials=1, query_count=stochsim.MAX_QUERIES + 1)
+    with pytest.raises(adalloc.InstanceError, match="^query_count: "):
+        simulate_stream(i1, strategy, too_many)
+    long = dataclasses.replace(i1, horizon=stochsim.MAX_QUERIES + 1.0)
+    with pytest.raises(adalloc.InstanceError, match="^horizon: "):
+        simulate_stream(long, TimedSequence(()), StreamConfig(seed=0, trials=1))
+    assert StreamConfig(seed=0, trials=1, query_count=stochsim.MAX_QUERIES).queries(i1) == stochsim.MAX_QUERIES
+    assert StreamConfig(seed=0, trials=1).queries(dataclasses.replace(i1, horizon=2.6)) == 3
 
 
 def test_long_horizon_greedy_strategy_simulates():
