@@ -38,6 +38,8 @@ EXHAUSTED = 1e-12
 # overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
+# Prefix states, and resolved configurations, that one FluidRateModel keeps.
+MODEL_MEMO = 256
 
 
 class InstanceError(ValueError):
@@ -334,14 +336,20 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
 
 
 def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedger:
-    """Replay index-form segments of total length `total` into a ledger."""
+    """Replay index-form segments of total length `total` into a ledger.
+
+    Event times within `slack` of the end, or of the previous breakpoint,
+    are dropped; the slack is 1e-12, relative below a unit length so that a
+    short strategy keeps its breakpoints.
+    """
     events: list = []
     remaining = _remaining_after(instance, segments, events)
     spent = tuple(b - r for b, r in zip(instance.budgets, remaining))
-    interior = sorted(x for x in events if x < total - 1e-12)
+    slack = 1e-12 * min(1.0, total)
+    interior = sorted(x for x in events if x < total - slack)
     breakpoints: list = []
     for x in interior:
-        if not breakpoints or x - breakpoints[-1] > 1e-12:
+        if not breakpoints or x - breakpoints[-1] > slack:
             breakpoints.append(x)
     return SpendLedger(instance.ad_ids, spent, math.fsum(spent), tuple(breakpoints))
 
@@ -367,14 +375,9 @@ def marginal_rate(
     """Rate at which `config` adds utility after running for `delta` past `prefix`.
 
     Right-limit convention: an ad exhausting exactly at the queried offset
-    contributes nothing.
+    contributes nothing.  A one-query `FluidRateModel`.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
-    remaining = _remaining_after(instance, _indexed(instance, prefix))
-    cfg_idx = _config_indices(instance, config)
-    _advance(instance, cfg_idx, remaining, delta)
-    return _rate(instance, cfg_idx, remaining)
+    return FluidRateModel(instance).rate(config, delta, prefix if prefix is not None else TimedSequence(()))
 
 
 def _top_ads(instance: AdInstance, j: int, remaining: Sequence[float]) -> Tuple[int, ...]:
@@ -498,15 +501,27 @@ def enumerate_configurations(instance: AdInstance) -> Tuple[Configuration, ...]:
     return tuple(configs)
 
 
+def _draw_distinct(rng: np.random.Generator, n: int, size: int) -> Tuple[int, ...]:
+    """`size` distinct values of range(n), as `rng.choice(n, size, replace=False)` draws them.
+
+    One pick is drawn with `rng.integers(0, n)`, which takes the same value
+    from the stream as `choice` does for a single pick (pinned against
+    `choice` by a test) at a fraction of its per-call cost.
+    """
+    if size == 1:
+        return (int(rng.integers(0, n)),)
+    return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+
+
 def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Configuration:
     assignment = {}
+    slots, n = instance.slots, instance.num_ads
     for tid in instance.type_ids:
         if rng.random() < 0.25:
             continue
-        size = int(rng.integers(1, instance.slots + 1))
-        size = min(size, instance.num_ads)
-        picks = rng.choice(instance.num_ads, size=size, replace=False)
-        assignment[tid] = tuple(instance.ad_ids[int(i)] for i in picks)
+        # integers(1, 2) draws nothing from the stream, so one slot skips it.
+        size = min(int(rng.integers(1, slots + 1)) if slots > 1 else 1, n)
+        assignment[tid] = tuple(instance.ad_ids[i] for i in _draw_distinct(rng, n, size))
     return Configuration.of(assignment)
 
 
@@ -525,36 +540,83 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     return TimedSequence(tuple(segs))
 
 
+def _memo_put(memo: dict, key, value):
+    """Store `value` under `key`, first dropping the oldest entry once MODEL_MEMO are held."""
+    if len(memo) >= MODEL_MEMO:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 class FluidRateModel:
     """Rate/breakpoint view of the fluid dynamics, for derivative checks.
 
     `utility` replays any strategy with no horizon cap: utilities of
     arbitrary prefixes are well defined, the horizon only constrains the
     optimization problem.  Random prefixes stay within the horizon.
+
+    The model holds bounded prefix state: the budgets left after each of the
+    last MODEL_MEMO prefixes it replayed, keyed by their segments, and the
+    index form of the last MODEL_MEMO configurations it resolved (each first
+    resolved, and so validated, by `_config_indices`).  A query resumes from
+    the longest remembered prefix of its strategy, so u(A + C) continues from
+    A, and `rate`, `breakpoints` and `best_rate` after A reuse A's budgets.
+    The budgets left after a prefix do not depend on the time it starts at,
+    so every answer is bit-identical to a replay from zero.
     """
 
     def __init__(self, instance: AdInstance):
         self.instance = instance
+        self._states: Dict[tuple, Tuple[float, ...]] = {}
+        self._indices: Dict[Configuration, tuple] = {}
+
+    def _resolve(self, config: Configuration):
+        cfg_idx = self._indices.get(config)
+        if cfg_idx is None:
+            cfg_idx = _memo_put(self._indices, config, _config_indices(self.instance, config))
+        return cfg_idx
+
+    def _remaining(self, strategy: AllocationStrategy) -> list:
+        """Budgets left after `strategy`, resumed from its longest remembered prefix."""
+        segments = strategy.segments
+        if not all(isinstance(config, Configuration) for config, _ in segments):
+            raise ValueError("strategy actions must be Configuration values")
+        done, state = len(segments), None
+        while done and (state := self._states.get(segments[:done])) is None:
+            done -= 1
+        remaining = list(state if done else self.instance.budgets)
+        while done < len(segments):
+            config, dur = segments[done]
+            _advance(self.instance, self._resolve(config), remaining, dur)
+            done += 1
+            _memo_put(self._states, segments[:done], tuple(remaining))
+        return remaining
 
     def utility(self, strategy: AllocationStrategy) -> float:
-        remaining = _remaining_after(self.instance, _indexed(self.instance, strategy))
+        remaining = self._remaining(strategy)
         return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
 
     def sequence_function(self) -> SequenceFunction:
         return SequenceFunction("continuous", self.utility)
 
     def rate(self, config: Configuration, delta: float, prefix: AllocationStrategy) -> float:
-        return marginal_rate(self.instance, config, delta, prefix)
+        """Rate of `config` after running for `delta` past `prefix` (see `marginal_rate`)."""
+        if delta < 0.0:
+            raise ValueError("delta must be >= 0")
+        remaining = self._remaining(prefix)
+        cfg_idx = self._resolve(config)
+        _advance(self.instance, cfg_idx, remaining, delta)
+        return _rate(self.instance, cfg_idx, remaining)
 
     def breakpoints(self, config: Configuration, prefix: AllocationStrategy) -> Tuple[float, ...]:
         """Offsets at which the rate of `config` after `prefix` jumps."""
-        remaining = _remaining_after(self.instance, _indexed(self.instance, prefix))
+        remaining = self._remaining(prefix)
         out: list = []
-        _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
+        _advance(self.instance, self._resolve(config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
-        remaining = _remaining_after(self.instance, _indexed(self.instance, prefix))
+        remaining = self._remaining(prefix)
         return _rate(self.instance, _best(self.instance, remaining), remaining)
 
     def random_prefix(self, rng: np.random.Generator) -> AllocationStrategy:

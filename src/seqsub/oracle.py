@@ -94,10 +94,13 @@ def brute_force_discrete(u: SequenceFunction, actions: ActionSet, horizon: int) 
 def _simplex_max(
     c: List[Fraction], a_rows: List[List[Fraction]], b: List[Fraction]
 ) -> Tuple[Fraction, List[Fraction]]:
-    """Dense tableau simplex in Fractions with Bland's rule.
+    """Tableau simplex in Fractions with Bland's rule, pivoting sparsely.
 
     All right-hand sides must be non-negative so the slack basis is feasible;
     the problems solved here are always bounded, but unboundedness raises.
+    A pivot normalises the pivot row's nonzero entries and subtracts only
+    those columns from the other rows: in exact arithmetic `x - f * 0` is
+    `x`, so every entry, pivot and witness is the dense tableau's.
     """
     m = len(a_rows)
     n = len(c)
@@ -126,15 +129,16 @@ def _simplex_max(
                     leave = i
         if leave is None:
             raise RuntimeError("LP is unbounded; guards should prevent this")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        nonzero = [(j, x / pivot) for j, x in enumerate(pivot_row) if x]
+        for j, x in nonzero:
+            pivot_row[j] = x
+        for row in (*tableau, cost):
+            f = row[enter]
+            if f and row is not pivot_row:
+                for j, x in nonzero:
+                    row[j] -= f * x
         basis[leave] = enter
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):

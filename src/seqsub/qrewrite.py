@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
-from .adalloc import _integer
+from .adalloc import _draw_distinct, _integer
 from .seqcore import DiscreteSequence, SequenceFunction
 
 if TYPE_CHECKING:
@@ -102,23 +102,23 @@ def single_type_allocate(
         raise ValueError(f"budget vector has {len(caps)} entries for {instance.num_ads} ads")
     j = instance.type_index(type_id)
     qj = instance.probs[j]
-    horizon = instance.horizon
+    bids, budgets, horizon = instance.bid_matrix, instance.budgets, instance.horizon
     spent = [0.0] * instance.num_ads
+    paid = []  # the nonzero entries of `spent`; fsum is exact, so zeros add nothing
     time_left = instance.slots * horizon
-    for i in instance.ranked_ads(j):
+    for i in filter(allowed.__contains__, instance.ranked_ads(j)):
         if time_left <= 0.0:
             break
-        if i not in allowed:
-            continue
-        rate = qj * instance.bid_matrix[i][j]
+        rate = qj * bids[i][j]
         cap = caps[i]
-        if rate == 0.0 or cap <= EXHAUSTED * instance.budgets[i]:
+        if rate == 0.0 or cap <= EXHAUSTED * budgets[i]:
             continue
         need = cap / rate
         run = min(horizon, need, time_left)
-        spent[i] = cap if run == need else rate * run
+        spent[i] = pay = cap if run == need else rate * run
+        paid.append(pay)
         time_left -= run
-    return SpendLedger(instance.ad_ids, tuple(spent), math.fsum(spent), ())
+    return SpendLedger(instance.ad_ids, tuple(spent), math.fsum(paid), ())
 
 
 def evaluate_plan(
@@ -166,17 +166,23 @@ def best_rewrite_set(
     Marginal utilities are measured with the current remaining budgets as
     caps; ties go to input order.  Because the single-type value is monotone
     and has diminishing gains in the rewrite set, this inner greedy is within
-    1 - 1/e of the best possible rewrite set for the type.
+    1 - 1/e of the best possible rewrite set for the type.  The ads the
+    chosen rewrites reach grow with each pick, so a trial unions one more
+    rewrite's ads into them.
     """
+    base, ad_sets = instance.base, instance._ad_sets
 
-    def value(rewrite_ids) -> float:
-        return _tuple_value(instance, type_id, rewrite_ids, remaining).utility
+    def value(allowed) -> float:
+        return single_type_allocate(base, type_id, allowed, remaining).utility
 
     chosen: list = []
+    reach: FrozenSet[int] = frozenset()
     for _ in range(min(instance.max_rewrites, len(instance.rewrites))):
-        candidates = (r.id for r in instance.rewrites if r.id not in chosen)
-        chosen.append(max(candidates, key=lambda rid: value([*chosen, rid])))
-    return tuple(chosen), value(chosen) if chosen else 0.0
+        candidates = (rid for rid in ad_sets if rid not in chosen)
+        rid = max(candidates, key=lambda rid: value(reach | ad_sets[rid]))
+        chosen.append(rid)
+        reach |= ad_sets[rid]
+    return tuple(chosen), value(reach) if chosen else 0.0
 
 
 def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
@@ -224,8 +230,8 @@ def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> Discrete
         n_rw = int(rng.integers(0, min(instance.max_rewrites, len(instance.rewrites)) + 1))
         picks: Tuple[str, ...] = ()
         if n_rw and instance.rewrites:
-            idx = rng.choice(len(instance.rewrites), size=n_rw, replace=False)
-            picks = tuple(instance.rewrites[int(i)].id for i in sorted(idx))
+            idx = _draw_distinct(rng, len(instance.rewrites), n_rw)
+            picks = tuple(instance.rewrites[i].id for i in sorted(idx))
         caps = tuple(float(rng.uniform(0.0, b)) if b > 0 else 0.0 for b in base.budgets)
         items.append(PartialAllocation(tid, picks, caps))
     return DiscreteSequence(tuple(items))

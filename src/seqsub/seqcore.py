@@ -361,14 +361,17 @@ class CheckReport:
         return not self.violations
 
 
-def _exceeds(lhs: float, rhs: float) -> bool:
-    """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(1, |lhs|, |rhs|)."""
-    return lhs - rhs > DEFAULT_TOL * max(1.0, abs(lhs), abs(rhs))
+def _exceeds(lhs: float, rhs: float, floor: float = 1.0) -> bool:
+    """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(floor, |lhs|, |rhs|).
+
+    The floor of 1 suits utilities; rate checks pass the model's largest rate.
+    """
+    return lhs - rhs > DEFAULT_TOL * max(floor, abs(lhs), abs(rhs))
 
 
-def _violations(check: str, lhs: float, rhs: float, witness: dict) -> list:
+def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float = 1.0) -> list:
     """`[Violation]` when `lhs` exceeds `rhs`, else `[]`."""
-    return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs) else []
+    return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor) else []
 
 
 def _run_samples(
@@ -462,6 +465,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
       utility(seq) -> float
       rate(action, delta, prefix) -> float
       breakpoints(action, prefix) -> iterable of offsets where the rate jumps
+      best_rate(prefix) -> float, the largest rate of any action after prefix
 
     Per sample, with B a random prefix, A cut out of B and s a random action,
     the checker asserts (away from the reported breakpoints):
@@ -470,10 +474,16 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
       * rate is non-increasing in the offset d, and
       * rate matches the centered finite difference of utility(A + (s, d))
         within FD_REL_TOL.
+
+    Rates are compared relative to max(R, |rates compared|), where R is the
+    model's largest rate, `best_rate` of the empty prefix: R bounds every
+    rate, and it scales with the model, so a model rescaled in time is held
+    to the same relative tolerance.
     """
     if getattr(model, "breakpoints", None) is None:
         raise TypeError("model must report breakpoints for each queried prefix")
     counts = {"fd_points": 0, "monotonicity_pairs": 0}
+    floor = model.best_rate(TimedSequence(()))  # the rate checks' scale, R
 
     def body(rng):
         found = []
@@ -483,16 +493,17 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
         bps_a = tuple(model.breakpoints(s, a))
         bps_b = tuple(model.breakpoints(s, b))
         top = max((*bps_a, *bps_b, 0.0))
-        # Offsets, margin and step scale with the breakpoints (up to 1), so
-        # a model rescaled in time is probed at the same relative offsets.
-        unit = min(1.0, top) if top > 0.0 else 1.0
+        # Offsets, margin and step scale with the breakpoints, so a model
+        # rescaled in time is probed at the same relative offsets, and the
+        # rounding error of the finite difference stays below R's tolerance.
+        unit = top if top > 0.0 else 1.0
         hi = min(1.25 * top + 0.5 * unit, sys.float_info.max)
         margin = 1e-3 * unit
         d = _draw_smooth(rng, margin, hi, bps_a + bps_b, margin)
         if d is not None:
             ra = model.rate(s, d, a)
             rb = model.rate(s, d, b)
-            found += _violations("rate_domination", rb, ra, {"a": a, "b": b, "s": s, "delta": d})
+            found += _violations("rate_domination", rb, ra, {"a": a, "b": b, "s": s, "delta": d}, floor)
         d1 = _draw_smooth(rng, margin, hi, bps_a, margin)
         d2 = _draw_smooth(rng, margin, hi, bps_a, margin)
         if d1 is not None and d2 is not None:
@@ -500,7 +511,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
             d1, d2 = min(d1, d2), max(d1, d2)
             r1 = model.rate(s, d1, a)
             r2 = model.rate(s, d2, a)
-            found += _violations("rate_nonincreasing", r2, r1, {"a": a, "s": s, "d1": d1, "d2": d2})
+            found += _violations("rate_nonincreasing", r2, r1, {"a": a, "s": s, "d1": d1, "d2": d2}, floor)
         d0 = _draw_smooth(rng, margin, hi, bps_a, margin)
         if d0 is not None:
             counts["fd_points"] += 1
@@ -510,7 +521,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
             err = abs(fd - r0)
-            if err > FD_REL_TOL * max(1.0, abs(r0)):
+            if err > FD_REL_TOL * max(floor, abs(r0)):
                 witness = {"a": a, "s": s, "delta": d0}
                 found.append(Violation("rate_finite_difference", fd, r0, err, witness))
         return found
@@ -518,11 +529,14 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     return _run_samples("derivative", samples, seed, body, details=counts)
 
 
-def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int) -> CheckReport:
+def _gain_bound(
+    check: str, utility, best_step, sample, samples: int, seed: int, floor: float = 1.0
+) -> CheckReport:
     """Lemma 1: the best single step after A must reach the gain per unit length of any block B.
 
     A and B are both drawn with `sample`; B is skipped when no longer than
-    MIN_LENGTH times the length of A + B (so always when empty).
+    MIN_LENGTH times the length of A + B (so always when empty).  `floor`
+    is the tolerance floor of `_exceeds`.
     """
 
     def body(rng):
@@ -531,7 +545,7 @@ def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int)
         if b.length <= MIN_LENGTH * (a.length + b.length):
             return None
         per_unit = (utility(concat(a, b)) - utility(a)) / b.length
-        return _violations(check, per_unit, best_step(a), {"a": a, "b": b})
+        return _violations(check, per_unit, best_step(a), {"a": a, "b": b}, floor)
 
     return _run_samples(check, samples, seed, body)
 
@@ -554,10 +568,12 @@ def check_rate_gain_bound(model, samples: int, seed: int = 0) -> CheckReport:
     """Best instantaneous rate after A must reach the per-time average gain of any block B.
 
     `model` provides random_prefix, utility and best_rate (the maximum of
-    rate(s, 0, prefix) over all actions).
+    rate(s, 0, prefix) over all actions).  As in `check_derivative_props`,
+    rates are compared relative to at least the model's largest rate.
     """
+    floor = model.best_rate(TimedSequence(()))
     return _gain_bound(
-        "rate_gain_bound", model.utility, model.best_rate, model.random_prefix, samples, seed
+        "rate_gain_bound", model.utility, model.best_rate, model.random_prefix, samples, seed, floor
     )
 
 

@@ -30,7 +30,9 @@ from seqsub.seqcore import (
     TimedSequence,
     check_derivative_props,
     check_nondecreasing,
+    check_rate_gain_bound,
     check_submodular,
+    concat,
     dominates,
     greedy_continuous,
     sample_dominated,
@@ -387,6 +389,90 @@ def test_best_rate_and_hold_match_the_id_form():
             assert hold.hex() == reference_configuration_hold(inst, config, remaining).hex()
 
 
+def reference_rate_model(instance):
+    """The stateless `FluidRateModel`: each query replays its prefix from zero
+    and resolves every configuration again."""
+
+    def remaining(prefix):
+        return adalloc._remaining_after(instance, adalloc._indexed(instance, prefix))
+
+    def utility(strategy):
+        return math.fsum(b - r for b, r in zip(instance.budgets, remaining(strategy)))
+
+    def rate(config, delta, prefix):
+        rem = remaining(prefix)
+        cfg_idx = adalloc._config_indices(instance, config)
+        adalloc._advance(instance, cfg_idx, rem, delta)
+        return adalloc._rate(instance, cfg_idx, rem)
+
+    def breakpoints(config, prefix):
+        rem, out = remaining(prefix), []
+        adalloc._advance(instance, adalloc._config_indices(instance, config), rem, math.inf, 0.0, out)
+        return tuple(out)
+
+    def best_rate(prefix):
+        rem = remaining(prefix)
+        return adalloc._rate(instance, adalloc._best(instance, rem), rem)
+
+    return {"utility": utility, "rate": rate, "breakpoints": breakpoints, "best_rate": best_rate}
+
+
+def _hex(value):
+    return tuple(x.hex() for x in value) if isinstance(value, tuple) else value.hex()
+
+
+@pytest.mark.parametrize("memo", [3, adalloc.MODEL_MEMO])
+def test_rate_model_matches_stateless_replay(memo):
+    # Prefixes share segments (B, B + C, windows of B + C), every query kind
+    # runs on every prefix, in shuffled order, so answers come from resumed,
+    # reused and (with a memo of 3) evicted prefix states.
+    rng = np.random.default_rng(1031)
+    with mock.patch.object(adalloc, "MODEL_MEMO", memo):
+        for _ in range(40):
+            inst = _differential_instance(rng)
+            model, ref = FluidRateModel(inst), reference_rate_model(inst)
+            prefixes = [random_strategy(inst, rng) for _ in range(5)]
+            prefixes += [concat(b, c) for b, c in zip(prefixes, prefixes[1:])]
+            prefixes += [sample_dominated(p, int(rng.integers(2**31))) for p in prefixes[5:]]
+            configs = [adalloc.random_configuration(inst, rng) for _ in range(3)]
+            queries = [("utility", (p,)) for p in prefixes] + [("best_rate", (p,)) for p in prefixes]
+            for c in configs:
+                queries += [("breakpoints", (c, p)) for p in prefixes]
+                queries += [("rate", (c, float(rng.uniform(0.0, inst.horizon)), p)) for p in prefixes]
+            for k in rng.permutation(len(queries)):
+                name, args = queries[k]
+                assert _hex(getattr(model, name)(*args)) == _hex(ref[name](*args)), (name, args)
+
+
+def reference_random_configuration(instance, rng):
+    """`random_configuration` as it drew before single picks stopped going through `choice`."""
+    assignment = {}
+    for tid in instance.type_ids:
+        if rng.random() < 0.25:
+            continue
+        size = int(rng.integers(1, instance.slots + 1))
+        size = min(size, instance.num_ads)
+        picks = rng.choice(instance.num_ads, size=size, replace=False)
+        assignment[tid] = tuple(instance.ad_ids[int(i)] for i in picks)
+    return Configuration.of(assignment)
+
+
+def test_random_configuration_draws_what_the_choice_sampler_drew():
+    # Same samples and the same next draw, so every later draw is the same.
+    rng = np.random.default_rng(1033)
+    for case in range(300):
+        m = int(rng.integers(1, 5)) if case % 3 == 0 else int(rng.integers(1, 201))
+        n = int(rng.integers(1, 5))
+        inst = adalloc.AdInstance.build(
+            [(f"a{i}", 1.0) for i in range(m)], [(f"t{j}", 1.0 / n) for j in range(n)], {}, 1 + case % 3, 1.0
+        )
+        seed = int(rng.integers(2**32))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            assert adalloc.random_configuration(inst, new) == reference_random_configuration(inst, old)
+        assert new.random() == old.random()
+
+
 def test_greedy_allocate_tiny_horizon_is_played():
     # The loop's time tolerance is relative to the horizon, so a horizon of
     # 1e-16 is played rather than skipped.
@@ -470,6 +556,42 @@ def test_submodular_random_instances():
 def test_derivative_props_fixture(i1):
     report = check_derivative_props(FluidRateModel(i1), samples=500, seed=47)
     assert report.ok, report.violations[:2]
+
+
+class _TwiceTheRate(FluidRateModel):
+    def rate(self, config, delta, prefix):
+        return 2.0 * super().rate(config, delta, prefix)
+
+
+class _HalfTheBestRate(FluidRateModel):
+    def best_rate(self, prefix):
+        return 0.5 * super().best_rate(prefix)
+
+
+def _rescaled_in_time(instance, s):
+    """The same instance in other time units: horizon x s, payments / s."""
+    data = instance_to_json(instance)
+    data["horizon"] *= s
+    for row in data["bids"].values():
+        for tid in row:
+            row[tid] /= s
+    return parse_instance(data)
+
+
+def test_rate_checks_flag_a_planted_model_at_every_time_scale(i1):
+    # At time scale 1e9 every rate is about 1e-9; a tolerance floor of 1
+    # would forgive a model that reports twice its rate, or half its best.
+    flagged = {}
+    for s in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+        inst = _rescaled_in_time(i1, s)
+        assert check_derivative_props(FluidRateModel(inst), samples=200, seed=3).ok, s
+        assert check_rate_gain_bound(FluidRateModel(inst), samples=200, seed=3).ok, s
+        flagged[s] = (
+            len(check_derivative_props(_TwiceTheRate(inst), samples=200, seed=3).violations),
+            len(check_rate_gain_bound(_HalfTheBestRate(inst), samples=200, seed=3).violations),
+        )
+    assert min(flagged[1.0]) > 0
+    assert all(counts == flagged[1.0] for counts in flagged.values()), flagged
 
 
 def test_rate_model_breakpoints(i0):

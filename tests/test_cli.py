@@ -276,6 +276,27 @@ def test_verify_samples_as_many_at_every_time_scale(tmp_path):
         assert tested[s] == tested[1.0], s
 
 
+def test_allocate_breakpoints_at_every_time_scale(tmp_path):
+    # An absolute 1e-12 slack dropped every breakpoint of a horizon below
+    # about 1e-12; in units of the horizon they must not move.
+    data = json.loads((INSTANCES / "two_ads_two_types.json").read_text())
+    found = {}
+    for s in (1e-16, 1e-13, 1e-9, 1e-3, 1.0, 1e3, 1e9):
+        scaled = copy.deepcopy(data)
+        scaled["horizon"] *= s
+        for row in scaled["bids"].values():
+            for tid in row:
+                row[tid] /= s
+        path = tmp_path / f"scaled_{s}.json"
+        path.write_text(json.dumps(scaled))
+        code, report = run(["allocate", "--instance", str(path)], tmp_path)
+        assert code == 0
+        found[s] = [x / s for x in report["outputs"]["breakpoints"]]
+    assert found[1.0] == [0.5]
+    for s, breakpoints in found.items():
+        assert breakpoints == pytest.approx(found[1.0], rel=1e-12), s
+
+
 def test_report_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     # CRLF line ends and a non-ASCII id, and the file is replaced right
     # after it is parsed: the digest is of the raw bytes the report came from.
@@ -577,26 +598,36 @@ def test_only_simulate_and_verify_load_numpy(tmp_path):
 
 GOLDEN = [
     (
+        "allocate",
         ["allocate", "--instance", "two_ads_two_types.json", "--oracle"],
         "482faab05e615c433bed43e562823626b67b68fa06a32ece40cf3e3ab7727f6c",
     ),
     (
+        "rewrite",
         ["rewrite", "--instance", "rewrite_two_paths.json", "--oracle"],
         "d480681f6294368e187b33b277fcb38ad14ef47b6401443b21d81147318462b7",
     ),
     (
+        "simulate",
         ["simulate", "--instance", "two_ads_two_types.json", "--trials", "1000", "--seed", "42"],
         "cc988454be91b56b83db4eb223f5cb629b00ac9cce9e22cf408d0b53752d8dde",
     ),
     (
+        "verify",
         ["verify", "--instance", "two_ads_two_types.json", "--checks", "mono,submod,deriv,lemma1",
          "--samples", "500", "--seed", "7"],
         "228843f21c31eddcbf697575bfee9f74edcf071b1a7a2b3c0dad04b35cbde8f1",
     ),
+    (
+        "verify-plans",  # also draws plans, so it pins `random_plan`'s stream
+        ["verify", "--instance", "rewrite_two_paths.json", "--checks", "mono,submod,deriv,lemma1",
+         "--samples", "500", "--seed", "7"],
+        "9d6a036a7434991f1a207af26d4a1f0e546a78c1c32d50b18a1d2f2ecec754bb",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", GOLDEN, ids=[a[0] for a, _ in GOLDEN])
+@pytest.mark.parametrize("args, digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
 def test_readme_reports_match_golden_digests(args, digest, tmp_path):
     args = [str(INSTANCES / a) if a.endswith(".json") else a for a in args]
     out = tmp_path / "report.json"

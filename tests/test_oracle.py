@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqsub import adalloc, qrewrite
+from seqsub import adalloc, oracle, qrewrite
 from seqsub.adalloc import evaluate_strategy, random_strategy
 from seqsub.oracle import (
     SizeGuardError,
@@ -124,6 +124,72 @@ def test_lp_pair_capacity_binds():
     assert res.exact_value == Fraction(1)
     strategy, ledger = adalloc.greedy_allocate(inst)
     assert ledger.utility <= res.value + 1e-9
+
+
+def reference_simplex_max(c, a_rows, b):
+    """The dense tableau simplex that `_simplex_max` replaced: a pivot rewrites every entry."""
+    m = len(a_rows)
+    n = len(c)
+    width = n + m + 1
+    tableau = []
+    for i in range(m):
+        row = list(a_rows[i]) + [Fraction(0)] * m + [b[i]]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    cost = [-cj for cj in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(width - 1) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("LP is unbounded; guards should prevent this")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return cost[-1], x
+
+
+def _tied_lp(rng):
+    """A bounded LP with many zeros and ties: coefficients and right-hand sides from a few values."""
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    values = [Fraction(0)] * 4 + [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)]
+    a_rows = [[values[int(rng.integers(len(values)))] for _ in range(n)] for _ in range(m)]
+    a_rows.append([Fraction(1)] * n)
+    b = [Fraction(int(rng.integers(0, 4))) for _ in range(m + 1)]
+    c = [Fraction(int(rng.integers(-1, 3)), int(rng.integers(1, 3))) for _ in range(n)]
+    return c, a_rows, b
+
+
+def test_sparse_simplex_matches_the_dense_tableau():
+    # Zero right-hand sides and repeated values make ratio ties, so Bland's
+    # rule decides many pivots; the value and the witness must be exact.
+    rng = np.random.default_rng(1051)
+    for _ in range(400):
+        c, a_rows, b = _tied_lp(rng)
+        assert oracle._simplex_max(c, a_rows, b) == reference_simplex_max(c, a_rows, b)
 
 
 def test_lp_guard():

@@ -1,6 +1,7 @@
 """Query rewriting: single-type allocator, plan evaluation, nested greedy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from seqsub.qrewrite import (
     random_plan,
     single_type_allocate,
 )
-from seqsub.seqcore import check_nondecreasing, check_submodular
+from seqsub.seqcore import DiscreteSequence, check_nondecreasing, check_submodular
 
 from conftest import random_rewrite_instance
 
@@ -206,6 +207,134 @@ def test_outer_greedy_picks_best_type():
             spent = qrewrite._tuple_value(inst, pa.query_type, pa.rewrites, remaining).spent
             remaining = [r - s for r, s in zip(remaining, spent)]
             pending.remove(pa.query_type)
+
+
+def reference_single_type_allocate(instance, type_id, allowed, caps):
+    """Spend and utility of `single_type_allocate` as it was: it skipped
+    unallowed ads one by one and summed the spend of every ad."""
+    j = instance.type_index(type_id)
+    qj = instance.probs[j]
+    horizon = instance.horizon
+    spent = [0.0] * instance.num_ads
+    time_left = instance.slots * horizon
+    for i in instance.ranked_ads(j):
+        if time_left <= 0.0:
+            break
+        if i not in allowed:
+            continue
+        rate = qj * instance.bid_matrix[i][j]
+        cap = caps[i]
+        if rate == 0.0 or cap <= adalloc.EXHAUSTED * instance.budgets[i]:
+            continue
+        need = cap / rate
+        run = min(horizon, need, time_left)
+        spent[i] = cap if run == need else rate * run
+        time_left -= run
+    return tuple(spent), math.fsum(spent)
+
+
+def reference_best_rewrite_set(instance, type_id, remaining):
+    """The inner greedy as it was: every trial unions the ads of all its rewrites again."""
+
+    def value(rewrite_ids):
+        allowed = instance.reachable_ads(rewrite_ids)
+        return reference_single_type_allocate(instance.base, type_id, allowed, remaining)[1]
+
+    chosen: list = []
+    for _ in range(min(instance.max_rewrites, len(instance.rewrites))):
+        candidates = (r.id for r in instance.rewrites if r.id not in chosen)
+        chosen.append(max(candidates, key=lambda rid: value([*chosen, rid])))
+    return tuple(chosen), value(chosen) if chosen else 0.0
+
+
+def reference_greedy_rewrite(instance):
+    base = instance.base
+    remaining = list(base.budgets)
+    pending = list(base.type_ids)
+    allocations, total = [], 0.0
+    while pending:
+        best_type, best_set, _ = max(
+            ((tid, *reference_best_rewrite_set(instance, tid, remaining)) for tid in pending),
+            key=lambda entry: entry[2],
+        )
+        allowed = instance.reachable_ads(best_set)
+        spent, utility = reference_single_type_allocate(base, best_type, allowed, list(remaining))
+        for i, x in enumerate(spent):
+            remaining[i] -= x
+            if remaining[i] <= adalloc.EXHAUSTED * base.budgets[i]:
+                remaining[i] = 0.0
+        allocations.append(PartialAllocation(best_type, best_set, spent))
+        total += utility
+        pending.remove(best_type)
+    return DiscreteSequence(tuple(allocations)), total
+
+
+def _tied_rewrite_instance(rng):
+    """Small instance with tied payments and budgets, repeated rewrite ad sets, often k >= rewrites."""
+    m, n, n_rw = int(rng.integers(1, 9)), int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    budgets = [(f"a{i}", float(rng.choice([0.0, 0.5, 1.0, 2.0]))) for i in range(m)]
+    bids = {
+        f"a{i}": {f"t{j}": float(rng.choice([0.25, 0.5, 1.0])) for j in range(n) if rng.random() < 0.6}
+        for i in range(m)
+    }
+    base = adalloc.AdInstance.build(
+        budgets, [(f"t{j}", 1.0 / n) for j in range(n)], bids, int(rng.integers(1, 3)), float(rng.choice([0.5, 2.0]))
+    )
+    rewrites = []
+    for r in range(n_rw):
+        if rewrites and rng.random() < 0.3:
+            ads = rewrites[int(rng.integers(len(rewrites)))].ads
+        else:
+            ads = tuple(f"a{int(i)}" for i in sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)))
+        rewrites.append(Rewrite(f"r{r}", ads))
+    return RewriteInstance(base, tuple(rewrites), int(rng.integers(1, n_rw + 3)))
+
+
+def test_greedy_rewrite_matches_the_reunioning_inner_loop():
+    rng = np.random.default_rng(1039)
+    for _ in range(320):
+        inst = _tied_rewrite_instance(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k may exceed the rewrites
+            assert greedy_rewrite(inst) == reference_greedy_rewrite(inst)
+        caps = [float(rng.uniform(0.0, b)) for b in inst.base.budgets]
+        for tid in inst.base.type_ids:
+            assert best_rewrite_set(inst, tid, caps) == reference_best_rewrite_set(inst, tid, caps)
+
+
+def reference_random_plan(instance, rng):
+    """`random_plan` as it drew before single picks stopped going through `choice`."""
+    base = instance.base
+    k = int(rng.integers(0, 5))
+    items = []
+    for _ in range(k):
+        tid = base.type_ids[int(rng.integers(0, base.num_types))]
+        n_rw = int(rng.integers(0, min(instance.max_rewrites, len(instance.rewrites)) + 1))
+        picks = ()
+        if n_rw and instance.rewrites:
+            idx = rng.choice(len(instance.rewrites), size=n_rw, replace=False)
+            picks = tuple(instance.rewrites[int(i)].id for i in sorted(idx))
+        caps = tuple(float(rng.uniform(0.0, b)) if b > 0 else 0.0 for b in base.budgets)
+        items.append(PartialAllocation(tid, picks, caps))
+    return DiscreteSequence(tuple(items))
+
+
+def test_random_plan_draws_what_the_choice_sampler_drew():
+    # Same plans and the same next draw, so every later draw is the same.
+    rng = np.random.default_rng(1049)
+    for case in range(300):
+        m = int(rng.integers(1, 201))
+        n_rw = int(rng.integers(1, 13)) if case % 2 else int(rng.integers(1, 3))
+        base = adalloc.AdInstance.build(
+            [(f"a{i}", float(rng.choice([0.0, 1.0]))) for i in range(m)], [("t0", 1.0)], {}, 1 + case % 3, 1.0
+        )
+        rewrites = tuple(Rewrite(f"r{r}", (f"a{r % m}",)) for r in range(n_rw))
+        inst = RewriteInstance(base, rewrites, int(rng.integers(1, 4)))
+        seed = int(rng.integers(2**32))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert random_plan(inst, new) == reference_random_plan(inst, old)
+        assert new.random() == old.random()
 
 
 # ---------------------------------------------------------------------------
