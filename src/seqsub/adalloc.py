@@ -194,9 +194,9 @@ AllocationStrategy = TimedSequence
 class SpendLedger:
     """Per-ad spend of an evaluated strategy, plus rate-change times.
 
-    `breakpoints` are the interior times at which some ad's spend rate
-    changes.  Ledgers from `qrewrite.single_type_allocate` fix spend per ad
-    but no schedule, so they carry none.
+    `spent` has one entry per ad, in the instance's ad order, and `utility`
+    is their `math.fsum`.  `breakpoints` are the interior times at which
+    some ad's spend rate changes.
     """
 
     ad_ids: Tuple[str, ...]
@@ -227,11 +227,19 @@ def _indexed(instance: AdInstance, strategy: Optional[AllocationStrategy]) -> li
     return [(_config_indices(instance, config), dur) for config, dur in segments]
 
 
-def _configuration(instance: AdInstance, cfg_idx) -> Configuration:
-    """The id form of an index-form configuration."""
-    return Configuration(
-        tuple((instance.type_ids[j], tuple(instance.ad_ids[i] for i in ads)) for j, ads in cfg_idx)
-    )
+def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
+    """The id form of an index-form configuration of nonempty picks, types in canonical order.
+
+    It is `==`, and hash-equal, to `Configuration.of` of the same picks without
+    its canonicalising sort: `names` caches each pick's id form, ads sorted by id.
+    """
+    for pick in cfg_idx:
+        if pick not in names:
+            j, ads = pick
+            names[pick] = (instance.type_ids[j], tuple(sorted(instance.ad_ids[i] for i in ads)))
+    config = object.__new__(Configuration)
+    object.__setattr__(config, "assignment", tuple(names[pick] for pick in cfg_idx))
+    return config
 
 
 def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> Dict[int, float]:
@@ -393,7 +401,7 @@ def _best(instance: AdInstance, remaining: Sequence[float]):
 
 def best_configuration(instance: AdInstance, remaining) -> Configuration:
     """Top-`slots` unexhausted positive-bid ads per type; ties to lower ad index."""
-    return _configuration(instance, _best(instance, _budget_vector(instance, remaining)))
+    return _configuration(instance, _best(instance, _budget_vector(instance, remaining)), {})
 
 
 def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedger]:
@@ -430,7 +438,8 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
         for j, ads in enumerate(picks):
             if not gone.isdisjoint(ads):
                 picks[j] = _top_ads(instance, j, remaining)
-    strategy = TimedSequence(tuple((_configuration(instance, c), d) for c, d in segs))
+    names: dict = {}
+    strategy = TimedSequence(tuple((_configuration(instance, c, names), d) for c, d in segs))
     return strategy, _ledger(instance, segs, strategy.length)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
-from .adalloc import EXHAUSTED, AdInstance, InstanceError, SpendLedger, parse_instance
+from .adalloc import EXHAUSTED, AdInstance, InstanceError, parse_instance
 from .adalloc import _draw_distinct, _integer
 from .seqcore import DiscreteSequence, SequenceFunction
 
@@ -82,7 +82,7 @@ class PartialAllocation:
 
 def single_type_allocate(
     instance: AdInstance, type_id: str, allowed: AbstractSet[int], caps: Sequence[float]
-) -> SpendLedger:
+) -> Dict[int, float]:
     """Optimal fluid allocation of one query type over the instance's horizon.
 
     Allowed ads are granted running time in decreasing payment order (ties to
@@ -95,16 +95,16 @@ def single_type_allocate(
 
     `allowed` holds ad indices and `caps` per-ad spend limits, both in the
     instance's ad order.  An ad whose rate is 0.0 (probability times payment
-    underflowed) spends nothing, as in the fluid event loop.  The ledger
-    fixes spend per ad, not a schedule, so its `breakpoints` are empty.
+    underflowed) spends nothing, as in the fluid event loop.  Returns the
+    spend of each ad that pays, by ad index in payment order; the utility is
+    the `math.fsum` of its values.
     """
     if len(caps) != instance.num_ads:
         raise ValueError(f"budget vector has {len(caps)} entries for {instance.num_ads} ads")
     j = instance.type_index(type_id)
     qj = instance.probs[j]
     bids, budgets, horizon = instance.bid_matrix, instance.budgets, instance.horizon
-    spent = [0.0] * instance.num_ads
-    paid = []  # the nonzero entries of `spent`; fsum is exact, so zeros add nothing
+    paid: Dict[int, float] = {}
     time_left = instance.slots * horizon
     for i in filter(allowed.__contains__, instance.ranked_ads(j)):
         if time_left <= 0.0:
@@ -115,10 +115,9 @@ def single_type_allocate(
             continue
         need = cap / rate
         run = min(horizon, need, time_left)
-        spent[i] = pay = cap if run == need else rate * run
-        paid.append(pay)
+        paid[i] = cap if run == need else rate * run
         time_left -= run
-    return SpendLedger(instance.ad_ids, tuple(spent), math.fsum(paid), ())
+    return paid
 
 
 def evaluate_plan(
@@ -134,28 +133,21 @@ def evaluate_plan(
     remaining = list(instance.base.budgets)
     total = 0.0
     for pa in items:
-        total += _apply(instance, remaining, pa.query_type, pa.rewrites, pa.caps).utility
+        total += math.fsum(_apply(instance, remaining, pa.query_type, pa.rewrites, pa.caps).values())
     return total, tuple(remaining)
-
-
-def _tuple_value(
-    instance: RewriteInstance, type_id: str, rewrite_ids: Sequence[str], remaining: Sequence[float]
-) -> SpendLedger:
-    allowed = instance.reachable_ads(rewrite_ids)
-    return single_type_allocate(instance.base, type_id, allowed, remaining)
 
 
 def _apply(
     instance: RewriteInstance, remaining: list, type_id: str, rewrites: Sequence[str], caps: Sequence[float]
-) -> SpendLedger:
-    """Run one plan step, capped per ad by `caps` and by `remaining`, and charge it to `remaining`."""
-    ledger = _tuple_value(instance, type_id, rewrites, [min(r, c) for r, c in zip(remaining, caps)])
+) -> Dict[int, float]:
+    """Run one plan step, capped per ad by `caps` and by `remaining`; charge what it paid to `remaining`."""
+    capped = [min(r, c) for r, c in zip(remaining, caps)]
+    paid = single_type_allocate(instance.base, type_id, instance.reachable_ads(rewrites), capped)
     budgets = instance.base.budgets
-    for i, spent in enumerate(ledger.spent):
-        remaining[i] -= spent
-        if remaining[i] <= EXHAUSTED * budgets[i]:
-            remaining[i] = 0.0
-    return ledger
+    for i, spent in paid.items():
+        left = remaining[i] - spent
+        remaining[i] = 0.0 if left <= EXHAUSTED * budgets[i] else left
+    return paid
 
 
 def best_rewrite_set(
@@ -173,7 +165,7 @@ def best_rewrite_set(
     base, ad_sets = instance.base, instance._ad_sets
 
     def value(allowed) -> float:
-        return single_type_allocate(base, type_id, allowed, remaining).utility
+        return math.fsum(single_type_allocate(base, type_id, allowed, remaining).values())
 
     chosen: list = []
     reach: FrozenSet[int] = frozenset()
@@ -208,9 +200,10 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
             ((tid, *best_rewrite_set(instance, tid, remaining)) for tid in pending),
             key=lambda entry: entry[2],
         )
-        ledger = _apply(instance, remaining, best_type, best_set, remaining)
-        allocations.append(PartialAllocation(best_type, best_set, ledger.spent))
-        total += ledger.utility
+        paid = _apply(instance, remaining, best_type, best_set, remaining)
+        caps = [paid.get(i, 0.0) for i in range(base.num_ads)]
+        allocations.append(PartialAllocation(best_type, best_set, caps))
+        total += math.fsum(paid.values())
         pending.remove(best_type)
     return DiscreteSequence(tuple(allocations)), total
 

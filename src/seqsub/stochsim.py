@@ -17,6 +17,10 @@ and the fold at rem - p <= 0.0, and subtracting more payments p >= 0.0
 never makes a float larger, so the clamp gives 0.0 there too.  The fold
 runs over blocks of `FOLD_BLOCK` queries, each ad's unclamped value
 carried from block to block, which is the same left fold in fixed memory.
+
+Query types are what `Generator.choice(n, size, p=p)` draws from the same
+`Generator.random` doubles, drawn block by block; a guide table (Chen &
+Asau 1974; Devroye 1986, III.2.4) narrows each search to one bucket.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ from .adalloc import (
 )
 
 RNG_NAME = "numpy-pcg64"
-# Largest per-trial query count; a trial holds about 24 bytes a query for its
-# drawn types and table rows (240 MB at the cap).
+# Largest per-trial query count; a run holds 8 bytes a query for the first
+# table row of each query, after a set-up peak of 24 (240 MB at the cap).
 MAX_QUERIES = 10**7
 # Queries per block of the fold, which holds about 50 bytes per shown (ad,
 # payment) pair at peak: 3.3 MB x slots at most, whatever the query count.
 FOLD_BLOCK = 2**16
+# Buckets of the type draw's guide table; a power of two, so u * _BUCKETS is exact.
+_BUCKETS = 2**12
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,32 @@ def _slot_tables(instance: AdInstance, strategy: AllocationStrategy):
     return np.asarray(ends, dtype=float), ad_tab, pay_tab
 
 
+def _guide_table(probs: np.ndarray):
+    """`choice`'s cdf for `probs`, padded with infinities, each bucket's first answer, and the search rounds.
+
+    The answer for u in bucket b, [b, b + 1) / _BUCKETS, lies in first[b] + [0, 2^rounds).
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    edges = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    rounds = int(np.diff(edges).max()).bit_length()
+    return np.concatenate((cdf, np.full(2**rounds, np.inf))), edges[:-1], rounds
+
+
+def _draw_types(table, u: np.ndarray) -> np.ndarray:
+    """What `choice` draws from the uniforms `u`, `cdf.searchsorted(u, side="right")`.
+
+    A branchless binary search: every cdf entry before `drawn` is <= u, and
+    a step is taken when the entry it would pass is <= u too.
+    """
+    cdf, first, rounds = table
+    drawn = first[(u * _BUCKETS).astype(np.intp)]
+    for r in reversed(range(rounds)):
+        step = 1 << r
+        drawn += (cdf[drawn + (step - 1)] <= u) * step
+    return drawn
+
+
 def simulate_stream(
     instance: AdInstance, strategy: AllocationStrategy, config: StreamConfig
 ) -> SimResult:
@@ -133,20 +165,20 @@ def simulate_stream(
         raise ValueError("strategy length exceeds horizon")
     queries = config.queries(instance)
     probs = np.asarray(instance.probs, dtype=float)
-    probs = probs / probs.sum()
+    table = _guide_table(probs / probs.sum())
     ends, ad_tab, pay_tab = _slot_tables(instance, strategy)
     times = np.arange(queries, dtype=float) * (instance.horizon / queries)
     first_cell = np.searchsorted(ends, times, side="right") * instance.num_types
-    del times  # a trial's draw needs the room
+    del times  # only the first cells are kept across trials
     budgets = np.asarray(instance.budgets, dtype=float)
     ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
     revenues = []
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
-        cells = first_cell + rng.choice(len(probs), size=queries, p=probs)
         folds = budgets
         for lo in range(0, queries, FOLD_BLOCK):
-            block = cells[lo : lo + FOLD_BLOCK]
+            block = first_cell[lo : lo + FOLD_BLOCK]
+            block = block + _draw_types(table, rng.random(len(block)))
             ads = np.take(ad_tab, block, axis=0).ravel()
             filled = ads < instance.num_ads
             # Every ad's fold so far first, then its payments in query order.

@@ -352,11 +352,62 @@ def _differential_instance(rng):
     )
 
 
+def _full_horizon(instance):
+    """A horizon past the greedy's last exhaustion.
+
+    While an ad with a positive rate is live, some such ad spends at least
+    at its smallest positive rate, so the greedy exhausts them all by the
+    sum of their budgets over those rates.
+    """
+    total = 0.0
+    for i, row in enumerate(instance.bid_matrix):
+        rates = [q * p for q, p in zip(instance.probs, row) if q * p > 0.0]
+        if rates:
+            total += instance.budgets[i] / min(rates)
+    return 2.0 * total + instance.horizon
+
+
 def test_greedy_allocate_matches_id_based_reference():
     rng = np.random.default_rng(1009)
     for _ in range(400):
         inst = _differential_instance(rng)
         assert greedy_allocate(inst) == reference_greedy_allocate(inst)
+        full = dataclasses.replace(inst, horizon=_full_horizon(inst))
+        result = greedy_allocate(full)
+        assert result == reference_greedy_allocate(full)
+        for i, row in enumerate(full.bid_matrix):
+            if any(q * p > 0.0 for q, p in zip(full.probs, row)):
+                assert result[1].spent[i] == full.budgets[i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_configurations_equal_the_canonical_ones(seed):
+    # Ids a0..a39 and t0..t29 in index order, so string order differs
+    # (a10 < a2, t10 < t2): each configuration, built without the
+    # canonicalising sort, is the one Configuration.of makes of its picks
+    # in any order, at a horizon between two exhaustions and past the last.
+    rng = np.random.default_rng(seed)
+    m, n = 40, 30
+    bids = {f"a{i}": {f"t{j}": float(rng.uniform(0.1, 1.0)) for j in range(n) if rng.random() < 0.3} for i in range(m)}
+    inst = adalloc.AdInstance.build(
+        [(f"a{i}", float(rng.uniform(0.05, 0.5))) for i in range(m)],
+        [(f"t{j}", float(q)) for j, q in enumerate(rng.dirichlet(np.ones(n)))],
+        bids,
+        2,
+        1.0,
+    )
+    full = dataclasses.replace(inst, horizon=_full_horizon(inst))
+    events = greedy_allocate(full)[1].breakpoints
+    middle = dataclasses.replace(inst, horizon=(events[15] + events[16]) / 2.0)
+    for instance in (middle, full):
+        strategy, _ = greedy_allocate(instance)
+        assert len(strategy.segments) > 10
+        for config, _ in strategy.segments:
+            canonical = Configuration.of({t: ads[::-1] for t, ads in reversed(config.assignment)})
+            assert config == canonical
+            assert hash(config) == hash(canonical)
+            assert config.assignment == canonical.assignment
+            assert all(type(ads) is tuple for _, ads in config.assignment)
 
 
 def reference_configuration_hold(instance, config, remaining):

@@ -2,10 +2,12 @@
 
 import contextlib
 import copy
+import enum
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -633,3 +635,63 @@ def test_readme_reports_match_golden_digests(args, digest, tmp_path):
     out = tmp_path / "report.json"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps(sort_keys=True, indent=2)
+# ---------------------------------------------------------------------------
+
+FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7, 0.1, -1.5e300,
+          float("inf"), float("-inf"), float("nan"))
+CHARS = 'ab"\\/\x00\x07\n\t\x1f\x7f\xe4\u2028\ufeff\U0001f600 '
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+
+
+def _fuzz_value(rng: random.Random, depth: int):
+    kind = rng.randrange(10 if depth < 4 else 7)
+    if kind == 0:
+        return _fuzz_text(rng)
+    if kind == 1:
+        return rng.choice((None, True, False))
+    if kind == 2:
+        return rng.choice((0, 1, -1, 2**64, -(2**100), rng.randrange(-10**6, 10**6)))
+    if kind in (3, 4):
+        return rng.choice(FLOATS) if kind == 3 else rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-30, 30)
+    if kind in (5, 6):
+        return rng.choice(([], {}, (), [[]], {"": {}}))
+    items = [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 7:
+        return items
+    if kind == 8:
+        return tuple(items)
+    return {_fuzz_text(rng): item for item in items}
+
+
+def _written(value) -> str:
+    out: list = []
+    cli._write(value, out, "\n")
+    return "".join(out)
+
+
+def test_writer_matches_json_dumps_on_fuzzed_reports():
+    rng = random.Random(2)
+    for _ in range(1500):
+        report = {_fuzz_text(rng): _fuzz_value(rng, 0) for _ in range(rng.randrange(6))}
+        assert _written(report) == json.dumps(report, sort_keys=True, indent=2)
+    # Subclasses are written as their base type, whatever their repr.
+    value = [True, 1, False, 0, 1.0, -0.0, enum.IntEnum("Level", "LOW").LOW, _Float(2.5), (2**70,)]
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+class _Float(float):
+    def __repr__(self):
+        return "a float"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1,): 2}], {"a": {1, 2}}, [object()], b"x"])
+def test_writer_rejects_what_json_reports_cannot_hold(value):
+    with pytest.raises(TypeError):
+        _written(value)

@@ -1,6 +1,7 @@
 """Exact oracles: brute force, rational LP, rewrite enumeration, fixtures."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -241,10 +242,10 @@ def test_lp_matches_single_type_allocator():
             # instance with caps as budgets, over the allowed pairs only.
             allowed = {a for a in inst.ad_ids if rng.random() < 0.6}
             caps = tuple(float(rng.uniform(0.0, b)) for b in inst.budgets)
-        led = single_type_allocate(inst, tid, {inst.ad_index(a) for a in allowed}, caps)
+        spend = single_type_allocate(inst, tid, {inst.ad_index(a) for a in allowed}, caps)
         capped = dataclasses.replace(inst, budgets=caps)
         expected = lp_opt_fluid(capped, [(a, tid) for a in allowed]).value
-        assert expected == pytest.approx(led.utility, abs=1e-9)
+        assert expected == pytest.approx(math.fsum(spend.values()), abs=1e-9)
 
 
 def test_lp_witness_spend_is_feasible(i1):

@@ -31,21 +31,22 @@ from conftest import random_rewrite_instance
 
 def test_single_type_cap_binds(i3k1):
     base = i3k1.base
-    led = single_type_allocate(base, "t1", {base.ad_index("a1")}, (0.4, 0.0))
-    assert led.spent == pytest.approx((0.4, 0.0), abs=1e-9)
+    spend = single_type_allocate(base, "t1", {base.ad_index("a1")}, (0.4, 0.0))
+    assert spend == pytest.approx({base.ad_index("a1"): 0.4}, abs=1e-9)
 
 
 def test_single_type_replacement(i3k1):
     base = i3k1.base
     allowed = {base.ad_index("a1"), base.ad_index("a2")}
-    led = single_type_allocate(base, "t1", allowed, base.budgets)
-    assert led.spent == pytest.approx((0.4, 0.3), abs=1e-9)
-    assert led.utility == pytest.approx(0.7, abs=1e-9)
+    spend = single_type_allocate(base, "t1", allowed, base.budgets)
+    assert spend == pytest.approx({base.ad_index("a1"): 0.4, base.ad_index("a2"): 0.3}, abs=1e-9)
+    assert math.fsum(spend.values()) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_single_type_no_candidates(i3k1):
-    led = single_type_allocate(i3k1.base, "t1", set(), i3k1.base.budgets)
-    assert led.utility == 0.0
+    spend = single_type_allocate(i3k1.base, "t1", set(), i3k1.base.budgets)
+    assert spend == {}
+    assert math.fsum(spend.values()) == 0.0
 
 
 def test_single_type_unknown_type(i3k1):
@@ -61,9 +62,9 @@ def test_single_type_parallel_slots():
         slots=2,
         horizon=1.0,
     )
-    led = single_type_allocate(inst, "t1", set(range(inst.num_ads)), inst.budgets)
+    spend = single_type_allocate(inst, "t1", set(range(inst.num_ads)), inst.budgets)
     # a1 and a2 run together; a3 takes over a1's slot when it caps out at t=0.2.
-    assert led.spent == pytest.approx((0.2, 0.5, 0.25 * 0.8), abs=1e-9)
+    assert spend == pytest.approx({0: 0.2, 1: 0.5, 2: 0.25 * 0.8}, abs=1e-9)
 
 
 def test_single_type_spends_tiny_budget():
@@ -71,7 +72,7 @@ def test_single_type_spends_tiny_budget():
     inst = adalloc.AdInstance.build(
         ads=[("a1", 1e-13)], query_types=[("t1", 1.0)], bids={"a1": {"t1": 1e-13}}, slots=1, horizon=2.0
     )
-    assert single_type_allocate(inst, "t1", {0}, inst.budgets).utility == 1e-13
+    assert math.fsum(single_type_allocate(inst, "t1", {0}, inst.budgets).values()) == 1e-13
     rw = RewriteInstance(inst, (Rewrite("r1", ("a1",)),), 1)
     assert greedy_rewrite(rw)[1] == 1e-13
 
@@ -169,6 +170,10 @@ def test_greedy_warns_on_oversized_k(i3k1):
     assert utility == pytest.approx(0.7, abs=1e-9)
 
 
+def _step_spend(instance, type_id, rewrite_ids, remaining):
+    return single_type_allocate(instance.base, type_id, instance.reachable_ads(rewrite_ids), remaining)
+
+
 def test_inner_greedy_marginal_premise():
     # Replay each plan tuple: every chosen rewrite must beat the unchosen ones.
     rng = np.random.default_rng(59)
@@ -179,17 +184,17 @@ def test_inner_greedy_marginal_premise():
         for pa in plan.items:
             chosen: list = []
             for rid in pa.rewrites:
-                val = qrewrite._tuple_value(inst, pa.query_type, [*chosen, rid], remaining).utility
+                val = math.fsum(_step_spend(inst, pa.query_type, [*chosen, rid], remaining).values())
                 for other in inst.rewrites:
                     if other.id in chosen or other.id == rid:
                         continue
-                    alt = qrewrite._tuple_value(
-                        inst, pa.query_type, [*chosen, other.id], remaining
-                    ).utility
+                    alt = math.fsum(
+                        _step_spend(inst, pa.query_type, [*chosen, other.id], remaining).values()
+                    )
                     assert val >= alt - 1e-9
                 chosen.append(rid)
-            spent = qrewrite._tuple_value(inst, pa.query_type, chosen, remaining).spent
-            remaining = [r - s for r, s in zip(remaining, spent)]
+            spent = _step_spend(inst, pa.query_type, chosen, remaining)
+            remaining = [r - spent.get(i, 0.0) for i, r in enumerate(remaining)]
 
 
 def test_outer_greedy_picks_best_type():
@@ -204,8 +209,8 @@ def test_outer_greedy_picks_best_type():
             for tid in pending:
                 _, val = best_rewrite_set(inst, tid, remaining)
                 assert picked_val >= val - 1e-9
-            spent = qrewrite._tuple_value(inst, pa.query_type, pa.rewrites, remaining).spent
-            remaining = [r - s for r, s in zip(remaining, spent)]
+            spent = _step_spend(inst, pa.query_type, pa.rewrites, remaining)
+            remaining = [r - spent.get(i, 0.0) for i, r in enumerate(remaining)]
             pending.remove(pa.query_type)
 
 

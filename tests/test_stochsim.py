@@ -303,3 +303,60 @@ def test_fold_matches_query_loop_when_payment_meets_budget():
         result = simulate_stream(inst, strategy, config)
         assert result.revenues == reference_revenues(inst, strategy, config)
     assert simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1)).revenues == (2.3,)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the guide-table type draw against Generator.choice
+# ---------------------------------------------------------------------------
+
+
+def _draw_case(rng, k):
+    """Probabilities of one of five kinds; all but the dyadic ones sum to 1 only within 4e-10."""
+    n = int(rng.integers(1, 60))
+    kind = k % 5
+    if kind == 0:  # one type
+        p = np.ones(1)
+    elif kind == 1:  # zero-probability types among the others
+        p = rng.dirichlet(np.ones(n))
+        p[rng.random(n) < 0.4] = 0.0
+        p[int(rng.integers(0, n))] += 0.5
+    elif kind == 2:  # tiny probabilities clustered in one bucket of the guide table
+        tiny = int(rng.integers(2, 300))
+        p = np.concatenate((rng.dirichlet(np.ones(n)), rng.uniform(0.0, 2.0**-20, tiny)))
+        p = np.roll(p, int(rng.integers(0, len(p))))
+    elif kind == 3:  # dyadic, so cdf entries fall on bucket edges
+        p = rng.integers(0, 9, n) / 2.0 ** rng.integers(12, 16, n)
+        p[-1] = 1.0 - p[:-1].sum()
+        return p
+    else:
+        p = rng.dirichlet(np.ones(n) * rng.choice((0.05, 1.0)))
+    p = p / p.sum()
+    return p * (1.0 + rng.uniform(-4e-10, 4e-10, len(p)))
+
+
+def test_guide_table_draw_matches_choice():
+    rng = np.random.default_rng(1974)
+    rounds = set()
+    for k in range(400):
+        p = _draw_case(rng, k)
+        size = int(rng.integers(1, 5000))
+        seed = int(rng.integers(0, 2**31))
+        reference = np.random.default_rng(seed)
+        expected = reference.choice(len(p), size=size, p=p)
+        table = stochsim._guide_table(p)
+        rounds.add(table[2])
+        stream = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, size + 1, int(rng.integers(0, 4))))
+        drawn = [stochsim._draw_types(table, stream.random(n)) for n in np.diff([0, *cuts, size])]
+        assert np.array_equal(np.concatenate(drawn), expected)
+        assert stream.random() == reference.random()
+        # Uniforms on and next to every cdf entry and bucket edge, which a
+        # stream of random doubles almost never hits: choice's rule is
+        # searchsorted(side="right") on its cdf.
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        marks = np.concatenate((cdf, np.arange(stochsim._BUCKETS) / stochsim._BUCKETS))
+        edges = np.concatenate((marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)))
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        assert np.array_equal(stochsim._draw_types(table, edges), cdf.searchsorted(edges, side="right"))
+    assert {1, 2, 3, 4} <= rounds and max(rounds) >= 8
