@@ -11,11 +11,13 @@ highest-rate configuration and reconsiders only when an exhaustion makes a
 strictly better one available, so it changes configuration at most once per
 ad.  It is index-native and incremental: it keeps each type's top-`slots`
 live ads and, after an exhaustion, re-picks only the types whose pick held
-the spent-out ad.  Public functions take id-keyed `Configuration` values and
-resolve each once; the kernel works on (type index, ad indices) pairs.  The
-generic `seqcore.greedy_continuous` driven by `incremental_oracle` over
-`enumerate_configurations` is the paper-faithful form of the same greedy; it
-is kept as the test reference for `greedy_allocate`.
+the spent-out ad.  Public functions take id-keyed `Configuration` values; the
+kernel works on (type index, ad indices) pairs.  `FluidRateModel`, the model
+`verify` checks, memoizes only the budgets left after recent prefixes.  The
+generic `seqcore.greedy_continuous` driven by `incremental_oracle` (prefixes
+replayed through a `FluidRateModel`) over `enumerate_configurations` is the
+paper-faithful form of the same greedy, kept as the test reference for
+`greedy_allocate`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ EXHAUSTED = 1e-12
 # overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
-# Prefix states, and resolved configurations, that one FluidRateModel keeps.
+# Prefix states that one FluidRateModel keeps.
 MODEL_MEMO = 256
 
 
@@ -184,8 +186,6 @@ class Configuration:
         return not self.assignment
 
 
-EMPTY_CONFIGURATION = Configuration(())
-
 # A strategy is a TimedSequence whose actions are Configuration values.
 AllocationStrategy = TimedSequence
 
@@ -217,14 +217,6 @@ def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[
             )
         out.append((j, idx))
     return tuple(out)
-
-
-def _indexed(instance: AdInstance, strategy: Optional[AllocationStrategy]) -> list:
-    """A strategy's segments as (index-form configuration, duration) pairs, resolved once."""
-    segments = strategy.segments if strategy is not None else ()
-    if not all(isinstance(config, Configuration) for config, _ in segments):
-        raise ValueError("strategy actions must be Configuration values")
-    return [(_config_indices(instance, config), dur) for config, dur in segments]
 
 
 def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
@@ -337,10 +329,10 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
     """Fluid evaluation of a strategy: per-ad spend, total utility, breakpoints."""
     total = strategy.length
     if _past_horizon(instance, total):
-        raise ValueError(
-            f"strategy length {total} exceeds horizon {instance.horizon}"
-        )
-    return _ledger(instance, _indexed(instance, strategy), total)
+        raise ValueError(f"strategy length {total} exceeds horizon {instance.horizon}")
+    if not all(isinstance(config, Configuration) for config, _ in strategy.segments):
+        raise ValueError("strategy actions must be Configuration values")
+    return _ledger(instance, [(_config_indices(instance, c), dur) for c, dur in strategy.segments], total)
 
 
 def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedger:
@@ -350,8 +342,13 @@ def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedg
     are dropped; the slack is 1e-12, relative below a unit length so that a
     short strategy keeps its breakpoints.
     """
+    remaining = list(instance.budgets)
     events: list = []
-    remaining = _remaining_after(instance, segments, events)
+    t = 0.0
+    for cfg_idx, dur in segments:
+        _advance(instance, cfg_idx, remaining, dur, t, events)
+        t += dur
+        events.append(t)
     spent = tuple(b - r for b, r in zip(instance.budgets, remaining))
     slack = 1e-12 * min(1.0, total)
     interior = sorted(x for x in events if x < total - slack)
@@ -360,18 +357,6 @@ def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedg
         if not breakpoints or x - breakpoints[-1] > slack:
             breakpoints.append(x)
     return SpendLedger(instance.ad_ids, spent, math.fsum(spent), tuple(breakpoints))
-
-
-def _remaining_after(instance: AdInstance, segments: Sequence, events: Optional[list] = None) -> list:
-    """Budgets left after replaying index-form `segments`; exhaustion and segment-end times go to `events`."""
-    remaining = list(instance.budgets)
-    t = 0.0
-    for cfg_idx, dur in segments:
-        _advance(instance, cfg_idx, remaining, dur, t, events)
-        t += dur
-        if events is not None:
-            events.append(t)
-    return remaining
 
 
 def marginal_rate(
@@ -467,13 +452,15 @@ def incremental_oracle(instance: AdInstance):
     """Rate oracle for the generic continuous greedy driver.
 
     Returns `oracle(prefix, config) -> (rate, hold)` where `hold` is how long
-    the configuration keeps satisfying the driver's best-choice condition.
-    With `enumerate_configurations` as the action set this is the
-    paper-faithful test reference for `greedy_allocate`, not a production path.
+    the configuration keeps satisfying the driver's best-choice condition;
+    prefixes are replayed through one `FluidRateModel`.  With
+    `enumerate_configurations` as the action set this is the paper-faithful
+    test reference for `greedy_allocate`, not a production path.
     """
+    model = FluidRateModel(instance)
 
     def oracle(prefix: AllocationStrategy, config: Configuration) -> Tuple[float, float]:
-        remaining = _remaining_after(instance, _indexed(instance, prefix))
+        remaining = model._remaining(prefix)
         rate = _rate(instance, _config_indices(instance, config), remaining)
         return rate, configuration_hold(instance, config, remaining)
 
@@ -549,14 +536,6 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     return TimedSequence(tuple(segs))
 
 
-def _memo_put(memo: dict, key, value):
-    """Store `value` under `key`, first dropping the oldest entry once MODEL_MEMO are held."""
-    if len(memo) >= MODEL_MEMO:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
 class FluidRateModel:
     """Rate/breakpoint view of the fluid dynamics, for derivative checks.
 
@@ -564,12 +543,12 @@ class FluidRateModel:
     arbitrary prefixes are well defined, the horizon only constrains the
     optimization problem.  Random prefixes stay within the horizon.
 
-    The model holds bounded prefix state: the budgets left after each of the
-    last MODEL_MEMO prefixes it replayed, keyed by their segments, and the
-    index form of the last MODEL_MEMO configurations it resolved (each first
-    resolved, and so validated, by `_config_indices`).  A query resumes from
-    the longest remembered prefix of its strategy, so u(A + C) continues from
-    A, and `rate`, `breakpoints` and `best_rate` after A reuse A's budgets.
+    The model holds bounded prefix state, its only memo: the budgets left
+    after each of the last MODEL_MEMO prefixes it replayed, keyed by their
+    segments.  Configurations are resolved, and so validated, by
+    `_config_indices` on every query.  A query resumes from the longest
+    remembered prefix of its strategy, so u(A + C) continues from A, and
+    `rate`, `breakpoints` and `best_rate` after A reuse A's budgets.
     The budgets left after a prefix do not depend on the time it starts at,
     so every answer is bit-identical to a replay from zero.
     """
@@ -577,13 +556,6 @@ class FluidRateModel:
     def __init__(self, instance: AdInstance):
         self.instance = instance
         self._states: Dict[tuple, Tuple[float, ...]] = {}
-        self._indices: Dict[Configuration, tuple] = {}
-
-    def _resolve(self, config: Configuration):
-        cfg_idx = self._indices.get(config)
-        if cfg_idx is None:
-            cfg_idx = _memo_put(self._indices, config, _config_indices(self.instance, config))
-        return cfg_idx
 
     def _remaining(self, strategy: AllocationStrategy) -> list:
         """Budgets left after `strategy`, resumed from its longest remembered prefix."""
@@ -596,9 +568,11 @@ class FluidRateModel:
         remaining = list(state if done else self.instance.budgets)
         while done < len(segments):
             config, dur = segments[done]
-            _advance(self.instance, self._resolve(config), remaining, dur)
+            _advance(self.instance, _config_indices(self.instance, config), remaining, dur)
             done += 1
-            _memo_put(self._states, segments[:done], tuple(remaining))
+            if len(self._states) >= MODEL_MEMO:
+                del self._states[next(iter(self._states))]
+            self._states[segments[:done]] = tuple(remaining)
         return remaining
 
     def utility(self, strategy: AllocationStrategy) -> float:
@@ -613,7 +587,7 @@ class FluidRateModel:
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
         remaining = self._remaining(prefix)
-        cfg_idx = self._resolve(config)
+        cfg_idx = _config_indices(self.instance, config)
         _advance(self.instance, cfg_idx, remaining, delta)
         return _rate(self.instance, cfg_idx, remaining)
 
@@ -621,7 +595,7 @@ class FluidRateModel:
         """Offsets at which the rate of `config` after `prefix` jumps."""
         remaining = self._remaining(prefix)
         out: list = []
-        _advance(self.instance, self._resolve(config), remaining, math.inf, 0.0, out)
+        _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
@@ -641,6 +615,8 @@ class FluidRateModel:
 
 def _convert(field: str, kind, value):
     """`kind(value)`, reporting a failed conversion as an error in `field`."""
+    if isinstance(value, (bool, str)):  # int() and float() take both; a JSON number is neither
+        raise InstanceError(f"{field}: must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -648,8 +624,8 @@ def _convert(field: str, kind, value):
 
 
 def _integer(field: str, value) -> int:
-    """An integral JSON number; a boolean or a fractional part is an error in `field`."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integral JSON number; a fractional part is an error in `field`."""
+    if isinstance(value, float) and not value.is_integer():
         raise InstanceError(f"{field}: must be an integer, got {value!r}")
     return _convert(field, int, value)
 

@@ -20,7 +20,6 @@ import argparse
 import functools
 import hashlib
 import json
-import locale
 import math
 import sys
 import time
@@ -45,10 +44,14 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _load_json(path: Path) -> Tuple[dict, str]:
-    """The instance file's JSON object and the sha256 of the bytes it was parsed from."""
+    """The instance file's JSON object and the sha256 of the bytes it was parsed from.
+
+    `json.loads` detects UTF-8, -16 or -32 (with or without a byte-order
+    mark) from the bytes, so the parse does not depend on the host locale.
+    """
     try:
         raw = path.read_bytes()
-        data = json.loads(raw.decode(locale.getpreferredencoding(False)))
+        data = json.loads(raw)
     except OSError as exc:
         raise InstanceError(f"instance: cannot read {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -123,17 +123,6 @@ class TimedSequence:
     def is_empty(self) -> bool:
         return not self.segments
 
-    def action_at(self, t: float) -> Optional[Hashable]:
-        """Action active at time t, or None when t is outside [0, length)."""
-        if t < 0.0:
-            return None
-        start = 0.0
-        for a, d in self.segments:
-            if t < start + d:
-                return a
-            start += d
-        return None
-
     def slice(self, x: float, y: float) -> "TimedSequence":
         """Portion covering [x, y) of the timeline, empty when disjoint."""
         lo = max(float(x), 0.0)
@@ -215,17 +204,12 @@ def dominates(a: SequenceLike, b: SequenceLike) -> bool:
     return True
 
 
-def sample_dominated(b: SequenceLike, rng_seed: int) -> SequenceLike:
-    """Random sequence dominated by `b`, deterministic in the seed.
+def sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
+    """Random sequence dominated by `b`, drawn from `rng`.
 
     Discrete sequences get a uniformly random subsequence; timed sequences
     get a concatenation of up to three disjoint, ordered windows of `b`.
     """
-    import numpy as np
-    return _sample_dominated(b, np.random.default_rng(rng_seed))
-
-
-def _sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
     if isinstance(b, DiscreteSequence):
         keep = rng.random(len(b.items)) < 0.5
         return DiscreteSequence(tuple(x for x, k in zip(b.items, keep) if k), b.actions)
@@ -299,7 +283,6 @@ def greedy_continuous(
     rate_oracle: Callable[[TimedSequence, Hashable], Tuple[float, float]],
     actions: ActionSet,
     horizon: float,
-    max_segments: Optional[int] = None,
 ) -> TimedSequence:
     """Build a timed sequence of total duration `horizon` from a rate oracle.
 
@@ -309,14 +292,13 @@ def greedy_continuous(
     appends the highest-rate action (ties to action-set order) for
     `min(hold, remaining horizon)`, until at most `1e-15 * horizon` remains
     (the relative stop rule of `greedy_allocate`).  It is not guaranteed to
-    terminate for adversarial oracles, so it aborts once `max_segments`
-    (default 10 * len(actions)) segments have been emitted.  `adalloc` uses
+    terminate for adversarial oracles, so it raises `SegmentCapExceeded`
+    rather than emit more than `10 * len(actions)` segments.  `adalloc` uses
     it only as the paper-faithful test reference for `greedy_allocate`.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
-    if max_segments is None:
-        max_segments = 10 * len(actions)
+    cap = 10 * len(actions)
     segs: list = []
     elapsed = 0.0
     while horizon - elapsed > 1e-15 * horizon:
@@ -326,8 +308,8 @@ def greedy_continuous(
         )
         if not best_hold > 0.0:
             raise ValueError(f"oracle returned non-positive hold {best_hold} for {best!r}")
-        if len(segs) >= max_segments:
-            raise SegmentCapExceeded(f"driver exceeded {max_segments} segments before the horizon")
+        if len(segs) >= cap:
+            raise SegmentCapExceeded(f"driver exceeded {cap} segments before the horizon")
         remaining = horizon - elapsed
         segs.append((best, remaining if best_hold >= remaining else best_hold))
         elapsed = math.fsum(d for _, d in segs)
@@ -420,7 +402,7 @@ def check_nondecreasing(
 
     def body(rng):
         b = sample_b(rng)
-        a = _sample_dominated(b, rng)
+        a = sample_dominated(b, rng)
         return _violations("nondecreasing", u(a), u(b), {"a": a, "b": b})
 
     return _run_samples("nondecreasing", samples, seed, body, first)
@@ -438,7 +420,7 @@ def check_submodular(
     def body(rng):
         b = sample_b(rng)
         c = sample_c(rng)
-        a = _sample_dominated(b, rng)
+        a = sample_dominated(b, rng)
         gain_a = marginal_value(u, c, a)
         gain_b = marginal_value(u, c, b)
         return _violations("submodular", gain_b, gain_a, {"a": a, "b": b, "c": c})
@@ -488,7 +470,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     def body(rng):
         found = []
         b = model.random_prefix(rng)
-        a = _sample_dominated(b, rng)
+        a = sample_dominated(b, rng)
         s = model.random_action(rng)
         bps_a = tuple(model.breakpoints(s, a))
         bps_b = tuple(model.breakpoints(s, b))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .adalloc import (
     _config_indices,
     _past_horizon,
     evaluate_strategy,
-    greedy_allocate,
 )
 
 RNG_NAME = "numpy-pcg64"
@@ -212,32 +211,3 @@ def scale_instance(instance: AdInstance, factor: float) -> AdInstance:
         slots=instance.slots,
         horizon=instance.horizon * factor,
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    scale: float
-    mean: float
-    std: float
-    fluid: float
-    rel_gap: float
-
-
-def convergence_report(
-    instance: AdInstance,
-    scales: Sequence[float] = (1, 10, 100, 1000),
-    trials: int = 200,
-    seed: int = 0,
-) -> Tuple[ConvergenceRow, ...]:
-    """Monte Carlo vs fluid gap of the greedy strategy across payment scales."""
-    rows = []
-    for scale in scales:
-        scaled = scale_instance(instance, float(scale))
-        strategy, _ = greedy_allocate(scaled)
-        result = simulate_stream(scaled, strategy, StreamConfig(seed=seed, trials=trials))
-        if result.fluid_utility > 0.0:
-            gap = abs(result.mean - result.fluid_utility) / result.fluid_utility
-        else:
-            gap = 0.0 if result.mean == 0.0 else math.inf
-        rows.append(ConvergenceRow(float(scale), result.mean, result.std, result.fluid_utility, gap))
-    return tuple(rows)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from seqsub import adalloc
 from seqsub.adalloc import (
     Configuration,
-    EMPTY_CONFIGURATION,
     FluidRateModel,
     InstanceError,
     best_configuration,
@@ -192,7 +191,7 @@ def test_greedy_zero_bids():
     strat, led = greedy_allocate(inst)
     assert led.utility == 0.0
     assert len(strat.segments) == 1
-    assert strat.segments[0][0] == EMPTY_CONFIGURATION
+    assert strat.segments[0][0] == Configuration(())
     assert strat.length == pytest.approx(1.0, abs=1e-12)
 
 
@@ -410,6 +409,14 @@ def test_greedy_configurations_equal_the_canonical_ones(seed):
             assert all(type(ads) is tuple for _, ads in config.assignment)
 
 
+def replay(instance, strategy):
+    """Budgets left after `strategy`, replayed from zero one segment at a time."""
+    remaining = list(instance.budgets)
+    for config, dur in strategy.segments:
+        adalloc._advance(instance, adalloc._config_indices(instance, config), remaining, dur)
+    return remaining
+
+
 def reference_configuration_hold(instance, config, remaining):
     """`configuration_hold` as it was, each alternative built and rated in id form."""
     rem = list(remaining)
@@ -431,7 +438,7 @@ def test_best_rate_and_hold_match_the_id_form():
     for _ in range(300):
         inst = _differential_instance(rng)
         prefix = random_strategy(inst, rng)
-        remaining = adalloc._remaining_after(inst, adalloc._indexed(inst, prefix))
+        remaining = replay(inst, prefix)
         best = best_configuration(inst, remaining)
         expected = revenue_rate(inst, best, remaining)
         assert FluidRateModel(inst).best_rate(prefix).hex() == expected.hex()
@@ -445,7 +452,7 @@ def reference_rate_model(instance):
     and resolves every configuration again."""
 
     def remaining(prefix):
-        return adalloc._remaining_after(instance, adalloc._indexed(instance, prefix))
+        return replay(instance, prefix)
 
     def utility(strategy):
         return math.fsum(b - r for b, r in zip(instance.budgets, remaining(strategy)))
@@ -484,7 +491,7 @@ def test_rate_model_matches_stateless_replay(memo):
             model, ref = FluidRateModel(inst), reference_rate_model(inst)
             prefixes = [random_strategy(inst, rng) for _ in range(5)]
             prefixes += [concat(b, c) for b, c in zip(prefixes, prefixes[1:])]
-            prefixes += [sample_dominated(p, int(rng.integers(2**31))) for p in prefixes[5:]]
+            prefixes += [sample_dominated(p, np.random.default_rng(int(rng.integers(2**31)))) for p in prefixes[5:]]
             configs = [adalloc.random_configuration(inst, rng) for _ in range(3)]
             queries = [("utility", (p,)) for p in prefixes] + [("best_rate", (p,)) for p in prefixes]
             for c in configs:
@@ -586,7 +593,7 @@ def test_per_ad_spend_monotone_under_domination(i1):
     rng = np.random.default_rng(37)
     for k in range(200):
         b = random_strategy(i1, rng)
-        a = sample_dominated(b, int(rng.integers(0, 2**31)))
+        a = sample_dominated(b, np.random.default_rng(int(rng.integers(0, 2**31))))
         assert dominates(a, b)
         led_a = evaluate_strategy(i1, a)
         led_b = evaluate_strategy(i1, b)
@@ -663,7 +670,7 @@ def test_derivative_matches_active_rate(i1):
         fd = (model.utility(strat.slice(0.0, t + h)) - model.utility(strat.slice(0.0, t - h))) / (
             2 * h
         )
-        config = strat.action_at(t)
+        config = strat.slice(t, t + h).segments[0][0]
         remaining = [b - s for b, s in zip(i1.budgets, evaluate_strategy(i1, strat.slice(0, t)).spent)]
         assert fd == pytest.approx(revenue_rate(i1, config, remaining), rel=1e-6)
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import enum
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -321,6 +322,18 @@ def test_report_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     assert report["outputs"]["spend"]["\u00e4d"] > 0.0
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    # json.loads reads the encoding from the bytes, BOM or not, whatever the host locale.
+    raw = (INSTANCES / "two_ads_two_types.json").read_bytes()
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + raw)
+    code, report = run(["allocate", "--instance", str(path), "--oracle"], tmp_path, "bom.out")
+    _, plain = run(["allocate", "--instance", str(INSTANCES / "two_ads_two_types.json"), "--oracle"], tmp_path)
+    assert code == 0
+    assert report["outputs"] == plain["outputs"]
+    assert report["instance_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_verify_planted_violation_exits_1(i1_file, tmp_path):
     code, report = run(
         [
@@ -367,10 +380,17 @@ def test_verify_unknown_check_exits_2(i1_file, capsys):
         (lambda d: d.update(slots=10**30), "slots"),
         (lambda d: [ad.update(budget=1e308) for ad in d["ads"]], "budget"),
         (lambda d: d["bids"]["a1"].update(t1=1.7e308), "bids"),
+        # int() and float() take booleans and numeric strings; a number field takes neither.
+        (lambda d: d.update(slots="1"), "slots"),
+        (lambda d: d["ads"][0].update(budget="0.5"), "budget"),
+        (lambda d: d["query_types"][0].update(prob="0.5"), "prob"),
+        (lambda d: d["bids"]["a1"].update(t1=True), "bids"),
+        (lambda d: d.update(horizon=True), "horizon"),
     ],
     ids=["bid-infinity", "horizon-infinity", "budget-string", "ads-number", "prob-null",
          "bids-row-list", "slots-infinity", "slots-fraction", "slots-boolean", "slots-huge",
-         "budgets-near-float-max", "bid-near-float-max"],
+         "budgets-near-float-max", "bid-near-float-max", "slots-numeric-string", "budget-numeric-string",
+         "prob-numeric-string", "bid-boolean", "horizon-boolean"],
 )
 def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
     data = adalloc.instance_to_json(make_i1())
@@ -394,7 +414,7 @@ def test_rewrite_malformed_rewrites_exit_2(i3_file, capsys):
     path = i3_file(1)
     original = path.read_text()
     malformed = (("rewrites", 5), ("rewrites", [{"id": "r1", "ads": 3}]), ("k", "x"),
-                 ("k", 1.9), ("k", True))
+                 ("k", 1.9), ("k", True), ("k", "1"))
     for key, value in malformed:
         data = json.loads(original)
         data[key] = value
@@ -592,6 +612,32 @@ def test_only_simulate_and_verify_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False, False, False] True"
+
+
+# ---------------------------------------------------------------------------
+# bench/tracer.py wraps public names of the package; a rename must not break it
+# ---------------------------------------------------------------------------
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def test_tracer_targets_resolve_and_a_traced_run_exits_0(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.TARGETS if not hasattr(owner, attr)]
+    assert missing == []
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), "--spans", str(spans), "--", "verify",
+         "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--samples", "20",
+         "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
 
 
 # ---------------------------------------------------------------------------

@@ -243,21 +243,21 @@ def test_equivalent_discrete_and_mixed_kinds():
 def test_sample_dominated_examples():
     b = D("s1", "s2", "s3")
     # Some seed keeps a strict subsequence, some keeps everything, some keeps nothing.
-    results = {sample_dominated(b, seed).items for seed in range(200)}
+    results = {sample_dominated(b, np.random.default_rng(seed)).items for seed in range(200)}
     assert ("s1", "s2", "s3") in results
     assert () in results
     assert any(0 < len(r) < 3 for r in results)
     for seed in range(50):
-        assert dominates(sample_dominated(b, seed), b)
+        assert dominates(sample_dominated(b, np.random.default_rng(seed)), b)
 
 
 def test_sample_dominated_timed():
     b = TimedSequence((("x", 1.0), ("y", 2.0)))
     for seed in range(50):
-        a = sample_dominated(b, seed)
+        a = sample_dominated(b, np.random.default_rng(seed))
         assert dominates(a, b)
         assert a.length <= b.length + 1e-9
-    assert any(sample_dominated(b, seed).is_empty() for seed in range(40))
+    assert any(sample_dominated(b, np.random.default_rng(seed)).is_empty() for seed in range(40))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +370,13 @@ def test_greedy_continuous_zero_horizon(i0):
 
 
 def test_greedy_continuous_segment_cap():
+    # The cap is 10 * len(actions) = 20 segments: a unit hold over a horizon
+    # of 20 fills exactly 20 of them, and any longer horizon needs a 21st.
     actions = ActionSet(("a", "b"))
-    oracle = lambda prefix, action: (1.0, 0.01)  # never makes real progress
-    with pytest.raises(SegmentCapExceeded):
-        greedy_continuous(oracle, actions, 10.0, max_segments=5)
+    oracle = lambda prefix, action: (1.0, 1.0)
+    assert len(greedy_continuous(oracle, actions, 20.0).segments) == 20
+    with pytest.raises(SegmentCapExceeded, match="20 segments"):
+        greedy_continuous(oracle, actions, 20.5)
 
 
 def test_greedy_continuous_bad_hold():
@@ -499,7 +502,7 @@ def test_concat_length_additive_timed(xs, ys):
 @given(durations_st, st.integers(0, 10_000))
 def test_sampled_cut_always_dominates(xs, seed):
     b = TimedSequence(tuple(xs))
-    a = sample_dominated(b, seed)
+    a = sample_dominated(b, np.random.default_rng(seed))
     assert dominates(a, b)
 
 

@@ -14,13 +14,10 @@ from seqsub import adalloc, stochsim
 from seqsub.adalloc import _config_indices
 from seqsub.stochsim import (
     StreamConfig,
-    convergence_report,
     scale_instance,
     simulate_stream,
 )
 from seqsub.seqcore import TimedSequence
-
-from conftest import make_i1
 
 
 def deterministic_instance():
@@ -125,15 +122,6 @@ def test_long_horizon_greedy_strategy_simulates():
     assert strategy.length > inst.horizon
     result = simulate_stream(inst, strategy, StreamConfig(seed=3, trials=2, query_count=500))
     assert result.fluid_utility == ledger.utility
-
-
-def test_convergence_report_rows():
-    rows = convergence_report(make_i1(), scales=(1, 10, 100), trials=80, seed=13)
-    assert [r.scale for r in rows] == [1.0, 10.0, 100.0]
-    for row in rows:
-        assert row.fluid == pytest.approx(0.75, abs=1e-9)
-    # By the largest scale the stream should track the fluid value closely.
-    assert rows[-1].rel_gap < 0.05
 
 
 @settings(max_examples=200, deadline=None)
