@@ -13,7 +13,7 @@ ad.  It is index-native and incremental: it keeps each type's top-`slots`
 live ads and, after an exhaustion, re-picks only the types whose pick held
 the spent-out ad.  Public functions take id-keyed `Configuration` values; the
 kernel works on (type index, ad indices) pairs.  `FluidRateModel`, the model
-`verify` checks, memoizes only the budgets left after recent prefixes.  The
+`verify` checks, memoizes recent prefixes' budgets and configurations.  The
 generic `seqcore.greedy_continuous` driven by `incremental_oracle` (prefixes
 replayed through a `FluidRateModel`) over `enumerate_configurations` is the
 paper-faithful form of the same greedy, kept as the test reference for
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, compress, islice, product
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -177,6 +178,11 @@ class Configuration:
             if ads:
                 canon.append((tid, ads))
         object.__setattr__(self, "assignment", tuple(canon))
+
+    def __hash__(self) -> int:  # computed once, for the model's memos; allocate never hashes
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.assignment,)))
+        return self._hash
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[str]]) -> "Configuration":
@@ -526,8 +532,8 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     k = int(rng.integers(0, 4))
     if k == 0:
         return TimedSequence(())
-    total = float(rng.uniform(0.0, instance.horizon))
-    cuts = sorted(float(x) for x in rng.uniform(0.0, total, size=k - 1))
+    total = instance.horizon * rng.random()
+    cuts = sorted((total * rng.random(k - 1)).tolist())
     bounds = [0.0, *cuts, total]
     segs = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -543,18 +549,19 @@ class FluidRateModel:
     arbitrary prefixes are well defined, the horizon only constrains the
     optimization problem.  Random prefixes stay within the horizon.
 
-    The model holds bounded prefix state, its only memo: the budgets left
-    after each of the last MODEL_MEMO prefixes it replayed, keyed by their
-    segments.  Configurations are resolved, and so validated, by
-    `_config_indices` on every query.  A query resumes from the longest
-    remembered prefix of its strategy, so u(A + C) continues from A, and
-    `rate`, `breakpoints` and `best_rate` after A reuse A's budgets.
-    The budgets left after a prefix do not depend on the time it starts at,
-    so every answer is bit-identical to a replay from zero.
+    The model holds two memos of MODEL_MEMO entries: the validated index
+    form of recently resolved configurations (one that fails validation is
+    never stored, so it raises on every query), and the budgets left after
+    the last prefixes it replayed, keyed by their segments.  A query
+    resumes from the longest remembered prefix of its strategy, so u(A + C)
+    continues from A, and `rate`, `breakpoints` and `best_rate` after A
+    reuse A's budgets.  The budgets left after a prefix do not depend on the
+    time it starts at, so every answer is bit-identical to a replay from zero.
     """
 
     def __init__(self, instance: AdInstance):
         self.instance = instance
+        self._resolve = lru_cache(MODEL_MEMO)(partial(_config_indices, instance))
         self._states: Dict[tuple, Tuple[float, ...]] = {}
 
     def _remaining(self, strategy: AllocationStrategy) -> list:
@@ -568,7 +575,7 @@ class FluidRateModel:
         remaining = list(state if done else self.instance.budgets)
         while done < len(segments):
             config, dur = segments[done]
-            _advance(self.instance, _config_indices(self.instance, config), remaining, dur)
+            _advance(self.instance, self._resolve(config), remaining, dur)
             done += 1
             if len(self._states) >= MODEL_MEMO:
                 del self._states[next(iter(self._states))]
@@ -587,7 +594,7 @@ class FluidRateModel:
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
         remaining = self._remaining(prefix)
-        cfg_idx = _config_indices(self.instance, config)
+        cfg_idx = self._resolve(config)
         _advance(self.instance, cfg_idx, remaining, delta)
         return _rate(self.instance, cfg_idx, remaining)
 
@@ -595,7 +602,7 @@ class FluidRateModel:
         """Offsets at which the rate of `config` after `prefix` jumps."""
         remaining = self._remaining(prefix)
         out: list = []
-        _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
+        _advance(self.instance, self._resolve(config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
@@ -630,6 +637,13 @@ def _integer(field: str, value) -> int:
     return _convert(field, int, value)
 
 
+def _identifier(field: str, value) -> str:
+    """A JSON string id; any other JSON value is an error in `field`."""
+    if not isinstance(value, str):
+        raise InstanceError(f"{field}: must be a string, got {value!r}")
+    return value
+
+
 def _entries(data: Mapping, key: str, value_key: str) -> list:
     """(id, float value) pairs of a list-of-objects field such as "ads"."""
     entries = data[key]
@@ -639,7 +653,7 @@ def _entries(data: Mapping, key: str, value_key: str) -> list:
     for entry in entries:
         if not isinstance(entry, Mapping) or "id" not in entry or value_key not in entry:
             raise InstanceError(f"{key}: each entry needs 'id' and {value_key!r}")
-        ident = str(entry["id"])
+        ident = _identifier(f"{key}: id", entry["id"])
         out.append((ident, _convert(f"{key}: {value_key} of {ident!r}", float, entry[value_key])))
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .adalloc import EXHAUSTED, AdInstance, InstanceError, parse_instance
-from .adalloc import _draw_distinct, _integer
+from .adalloc import _draw_distinct, _identifier, _integer
 from .seqcore import DiscreteSequence, SequenceFunction
 
 if TYPE_CHECKING:
@@ -225,7 +225,7 @@ def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> Discrete
         if n_rw and instance.rewrites:
             idx = _draw_distinct(rng, len(instance.rewrites), n_rw)
             picks = tuple(instance.rewrites[i].id for i in sorted(idx))
-        caps = tuple(float(rng.uniform(0.0, b)) if b > 0 else 0.0 for b in base.budgets)
+        caps = tuple(b * rng.random() if b > 0 else 0.0 for b in base.budgets)
         items.append(PartialAllocation(tid, picks, caps))
     return DiscreteSequence(tuple(items))
 
@@ -247,9 +247,11 @@ def parse_rewrite_instance(data: Mapping) -> RewriteInstance:
     for entry in data["rewrites"]:
         if not isinstance(entry, Mapping) or "id" not in entry or "ads" not in entry:
             raise InstanceError("rewrites: each entry needs 'id' and 'ads'")
+        rid = _identifier("rewrites: id", entry["id"])
         if not isinstance(entry["ads"], (list, tuple)):
-            raise InstanceError(f"rewrites: ads of {entry['id']!r} must be a list of ad ids")
-        rewrites.append(Rewrite(str(entry["id"]), tuple(str(a) for a in entry["ads"])))
+            raise InstanceError(f"rewrites: ads of {rid!r} must be a list of ad ids")
+        ads = tuple(_identifier(f"rewrites: ads of {rid!r}", a) for a in entry["ads"])
+        rewrites.append(Rewrite(rid, ads))
     k = _integer("k", data["k"])
     return RewriteInstance(base=base, rewrites=tuple(rewrites), max_rewrites=k)
 

@@ -16,6 +16,7 @@ and report any violation they find.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
@@ -32,6 +33,12 @@ FD_REL_TOL = 1e-6
 # Blocks no longer than this fraction of the sample's total length (for
 # discrete ones: empty blocks) are skipped by the single-step gain bounds.
 MIN_LENGTH = 1e-6
+# Substream seeds hashed at once; a power of two, so a block's indices differ in their low word only.
+SUBSTREAM_BLOCK = 2**10
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class MismatchedActionSets(ValueError):
@@ -217,7 +224,7 @@ def sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
     m = int(rng.integers(0, 4))  # zero to three windows
     if m == 0 or total <= 0.0:
         return TimedSequence(())
-    cuts = sorted(float(x) for x in rng.uniform(0.0, total, size=2 * m))
+    cuts = sorted((total * rng.random(2 * m)).tolist())
     out = TimedSequence(())
     for lo, hi in zip(cuts[0::2], cuts[1::2]):
         out = concat(out, b.slice(lo, hi))
@@ -356,6 +363,64 @@ def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float 
     return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor) else []
 
 
+def _words(n: int) -> list:
+    """The 32-bit words of `n`, low first, as SeedSequence splits an entropy integer."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _pcg64_seeds(entropy: list) -> list:
+    """`SeedSequence(words).generate_state(4, np.uint64)` per column of `entropy`, a uint32 array a word."""
+    import numpy as np
+    u32, const = np.uint32, [_INIT_A]
+
+    def hashmix(value, mult=_MULT_A):
+        value = value ^ u32(const[0])
+        const[0] = const[0] * mult & _MASK32
+        value = value * u32(const[0])
+        return value ^ (value >> u32(16))
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0])) for k in range(4)]
+    for src in range(max(4, len(entropy))):
+        for dst in range(4):
+            if src != dst:
+                word = hashmix(pool[src] if src < 4 else entropy[src])
+                value = pool[dst] * u32(_MIX_L) - word * u32(_MIX_R)
+                pool[dst] = value ^ (value >> u32(16))
+    const[0] = _INIT_B
+    out = [hashmix(pool[k % 4], _MULT_B).astype(np.uint64) for k in range(8)]
+    return [out[k] | (out[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
+
+
+def substreams(seed: int, indices: range):
+    """For each i of the consecutive `indices`, one Generator(PCG64) reseeded as `default_rng([seed, i])`.
+
+    A yielded generator is valid until the next one.  `_pcg64_seeds` hashes
+    a block of seeds at once, as numpy's SeedSequence does in uint32
+    arithmetic: a pool of 4 words filled, each pool word and later word
+    mixed into every other, 8 words hashed out and paired.  Each seed
+    becomes a PCG64 state as PCG's `srandom` makes it (O'Neill 2014):
+    initstate from words 0-1, increment `(initseq << 1) | 1` from words 2-3,
+    then two LCG steps.  Negative seeds and indices raise ValueError.
+    """
+    import numpy as np
+    seed_words = _words(operator.index(seed))
+    rng = np.random.Generator(np.random.PCG64())
+    lo = indices.start
+    while lo < indices.stop:
+        hi = min(indices.stop, (lo // SUBSTREAM_BLOCK + 1) * SUBSTREAM_BLOCK)
+        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words + _words(lo)]
+        entropy[len(seed_words)] += np.arange(hi - lo, dtype=np.uint32)
+        for w0, w1, w2, w3 in zip(*(words.tolist() for words in _pcg64_seeds(entropy))):
+            inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+            state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
+        lo = hi
+
+
 def _run_samples(
     check: str,
     samples: int,
@@ -371,13 +436,12 @@ def _run_samples(
     which then does not count as tested.  `violations` found before the
     loop come first in the report.
     """
-    import numpy as np
     if samples < 1:
         raise ValueError("samples must be >= 1")
     found = list(violations)
     tested = 0
-    for i in range(samples):
-        result = body(np.random.default_rng([seed, i]))
+    for rng in substreams(seed, range(samples)):
+        result = body(rng)
         if result is not None:
             tested += 1
             found.extend(result)
@@ -431,7 +495,7 @@ def check_submodular(
 def _draw_smooth(rng: np.random.Generator, lo: float, hi: float, breakpoints, margin: float):
     """Uniform draw in [lo, hi] at least `margin` away from every breakpoint."""
     for _ in range(200):
-        x = float(rng.uniform(lo, hi))
+        x = lo + (hi - lo) * rng.random()
         if all(abs(x - b) > margin for b in breakpoints):
             return x
     return None

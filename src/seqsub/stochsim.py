@@ -40,6 +40,7 @@ from .adalloc import (
     _past_horizon,
     evaluate_strategy,
 )
+from .seqcore import substreams
 
 RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
@@ -172,8 +173,7 @@ def simulate_stream(
     budgets = np.asarray(instance.budgets, dtype=float)
     ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
     revenues = []
-    for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
+    for rng in substreams(config.seed, range(config.trials)):
         folds = budgets
         for lo in range(0, queries, FOLD_BLOCK):
             block = first_cell[lo : lo + FOLD_BLOCK]

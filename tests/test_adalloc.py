@@ -483,8 +483,9 @@ def _hex(value):
 def test_rate_model_matches_stateless_replay(memo):
     # Prefixes share segments (B, B + C, windows of B + C), every query kind
     # runs on every prefix, in shuffled order, so answers come from resumed,
-    # reused and (with a memo of 3) evicted prefix states.
+    # reused and (with a memo of 3) evicted prefix states and index forms.
     rng = np.random.default_rng(1031)
+    evicted = 0
     with mock.patch.object(adalloc, "MODEL_MEMO", memo):
         for _ in range(40):
             inst = _differential_instance(rng)
@@ -500,6 +501,47 @@ def test_rate_model_matches_stateless_replay(memo):
             for k in rng.permutation(len(queries)):
                 name, args = queries[k]
                 assert _hex(getattr(model, name)(*args)) == _hex(ref[name](*args)), (name, args)
+                assert len(model._states) <= memo
+            info = model._resolve.cache_info()
+            evicted += info.misses - info.currsize
+    assert evicted > 0 or memo > 3
+
+
+def test_configuration_hash_is_the_same_however_it_is_built():
+    # random_configuration, the index-form builder `_configuration` and
+    # Configuration.of with types and ads in reverse order make equal,
+    # hash-equal configurations; a cached hash is the hash of a fresh copy.
+    rng = np.random.default_rng(1037)
+    for _ in range(200):
+        inst = _differential_instance(rng)
+        config = adalloc.random_configuration(inst, rng)
+        hash(config)
+        built = adalloc._configuration(inst, adalloc._config_indices(inst, config), {})
+        canonical = Configuration.of({t: ads[::-1] for t, ads in reversed(config.assignment)})
+        assert config == built == canonical
+        assert hash(config) == hash(built) == hash(canonical) == hash(dataclasses.replace(config))
+
+
+def test_rate_model_validates_every_query():
+    # The index memo holds only validated configurations, so a bad one
+    # raises on every query, before and after good ones fill the memo.
+    inst = adalloc.AdInstance.build(
+        [("a1", 1.0), ("a2", 1.0)], [("t1", 0.5), ("t2", 0.5)], {"a1": {"t1": 1.0}, "a2": {"t2": 1.0}}, 1, 2.0
+    )
+    good = Configuration.of({"t1": ("a1",), "t2": ("a2",)})
+    bad = [Configuration.of({"t1": ("zz",)}), Configuration.of({"t1": ("a1", "a2")})]
+    model = FluidRateModel(inst)
+    for _ in range(3):
+        for config in bad:
+            for query in (
+                lambda: model.rate(config, 0.5, TimedSequence(())),
+                lambda: model.breakpoints(config, TimedSequence(((good, 0.5),))),
+                lambda: model.utility(TimedSequence(((good, 0.5), (config, 0.5)))),
+            ):
+                with pytest.raises(ValueError):
+                    query()
+        assert model.rate(good, 0.5, TimedSequence(((good, 0.5),))) == 1.0
+    assert model._resolve.cache_info().currsize == 1
 
 
 def reference_random_configuration(instance, rng):

@@ -423,6 +423,43 @@ def test_rewrite_malformed_rewrites_exit_2(i3_file, capsys):
         assert key in capsys.readouterr().err
 
 
+def _rename_ad(data, value):
+    data["ads"][0]["id"] = value
+    data["bids"][str(value)] = data["bids"].pop("a1")
+    data["rewrites"][0]["ads"] = [str(value)]
+
+
+def _rename_type(data, value):
+    data["query_types"][0]["id"] = value
+    data["bids"] = {ad: {str(value): p} for ad, row in data["bids"].items() for p in row.values()}
+
+
+def _rename_rewrite_ad(data, value):
+    _rename_ad(data, str(value))
+    data["rewrites"][0]["ads"] = [value]
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, ["a1"]], ids=["null", "true", "float", "list"])
+@pytest.mark.parametrize(
+    "rename, field",
+    [
+        (_rename_ad, "ads: id"),
+        (_rename_type, "query_types: id"),
+        (lambda data, value: data["rewrites"][0].update(id=value), "rewrites: id"),
+        (_rename_rewrite_ad, "rewrites: ads of 'r1'"),
+    ],
+    ids=["ad", "type", "rewrite", "rewrite-ad"],
+)
+def test_non_string_ids_exit_2(rename, field, value, tmp_path, capsys):
+    # Each edit renames consistently, so str(value) would make a valid instance.
+    data = json.loads((INSTANCES / "rewrite_two_paths.json").read_text())
+    rename(data, value)
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(data))
+    assert main(["rewrite", "--instance", str(path), "--out", os.devnull]) == 2
+    assert f"{field}: must be a string" in capsys.readouterr().err
+
+
 def test_simulate_short_horizon_without_queries_exits_2(tmp_path, capsys):
     data = adalloc.instance_to_json(make_i1())
     data["horizon"] = 0.3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seqsub import adalloc, qrewrite
+from seqsub import adalloc, qrewrite, seqcore
 from seqsub.seqcore import (
     DEFAULT_TOL,
     ActionSet,
@@ -475,6 +475,62 @@ def test_checkers_reject_zero_samples():
     gen = lambda rng: random_discrete_sequence(ABC, rng)
     with pytest.raises(ValueError):
         check_nondecreasing(u, gen, samples=0)
+
+
+def _draws(g):
+    # An odd number of 32-bit draws (integers below 2^32) leaves half a
+    # 64-bit word buffered, which the next substream must not inherit.
+    return (
+        int(g.integers(0, 7)),
+        int(g.integers(0, 2**40)),
+        g.random(),
+        g.uniform(0.25, 3.0),
+        g.choice(50, 4, replace=False).tolist(),
+        int(g.integers(0, 7)),
+    )
+
+
+def test_substreams_draw_what_default_rng_draws():
+    # Seeds of 1 to 7 words, so [seed, i] fills the pool of 4 words or runs
+    # past it; indices from 0, on both sides of a block boundary, and on
+    # both sides of 2^32, where an index gains a word.
+    rng = np.random.default_rng(1100)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]
+    seeds += [int.from_bytes(rng.bytes(int(rng.integers(1, 29))), "little") for _ in range(8)]
+    block = seqcore.SUBSTREAM_BLOCK
+    pairs = 0
+    for seed in seeds:
+        for indices in (range(0, 40), range(3 * block - 30, 3 * block + 30), range(2**32 - 30, 2**32 + 30)):
+            for i, g in zip(indices, seqcore.substreams(seed, indices), strict=True):
+                assert _draws(g) == _draws(np.random.default_rng([seed, i])), (seed, i)
+                pairs += 1
+    assert pairs >= 2000
+
+
+def test_substreams_reject_a_negative_seed_as_default_rng_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError):
+        next(seqcore.substreams(-1, range(1)))
+
+
+def test_scaled_doubles_are_generator_uniform():
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(): the same bits
+    # and the same stream position, from 1e-300 to 1e300, with lo = 0 and lo > 0.
+    rng = np.random.default_rng(1101)
+    draws = 0
+    for case in range(120):
+        hi = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo = 0.0 if case % 2 else hi * 10.0 ** -rng.uniform(0.0, 17.0)
+        seed = int(rng.integers(2**63))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        scaled = [seqcore._draw_smooth(new, lo, hi, (), 0.0) for _ in range(60)]
+        assert [x.hex() for x in scaled] == [old.uniform(lo, hi).hex() for _ in range(60)]
+        scaled = (hi * new.random(30)).tolist()
+        assert [x.hex() for x in scaled] == [x.hex() for x in old.uniform(0.0, hi, size=30).tolist()]
+        assert new.random() == old.random()
+        draws += 90
+    assert draws >= 10**4
 
 
 # ---------------------------------------------------------------------------
