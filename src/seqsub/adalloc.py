@@ -41,12 +41,17 @@ EXHAUSTED = 1e-12
 # overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
-# Prefix states that one FluidRateModel keeps.
+# Entries that each memo keeps: a FluidRateModel's prefix states and resolved
+# configurations, and an instance's interned random configurations.
 MODEL_MEMO = 256
 
 
 class InstanceError(ValueError):
     """Invalid instance data; the message names the offending field."""
+
+
+class SizeGuardError(RuntimeError):
+    """An oracle was asked for more work than its guard allows."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,7 @@ class AdInstance:
         object.__setattr__(self, "_ranking", tuple(tuple(i for _, i in sorted(c)) for c in by_bid))
         # Canonical type order (by id): per-ad rates are summed over types in this order.
         object.__setattr__(self, "_order", tuple(sorted(columns, key=self.type_ids.__getitem__)))
+        object.__setattr__(self, "_interned", {})  # random_configuration's, by index form
 
     @classmethod
     def build(
@@ -516,22 +522,33 @@ def _draw_distinct(rng: np.random.Generator, n: int, size: int) -> Tuple[int, ..
 
 
 def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Configuration:
-    assignment = {}
+    """Each type, in instance order, stays empty with probability 1/4, else gets 1 to `slots` distinct ads.
+
+    Equal to `Configuration.of` of the draws; built in canonical form and
+    interned per instance (MODEL_MEMO entries), so a repeat keeps its hash.
+    """
     slots, n = instance.slots, instance.num_ads
-    for tid in instance.type_ids:
+    drawn = [()] * instance.num_types
+    for j in range(len(drawn)):
         if rng.random() < 0.25:
             continue
         # integers(1, 2) draws nothing from the stream, so one slot skips it.
-        size = min(int(rng.integers(1, slots + 1)) if slots > 1 else 1, n)
-        assignment[tid] = tuple(instance.ad_ids[i] for i in _draw_distinct(rng, n, size))
-    return Configuration.of(assignment)
+        drawn[j] = _draw_distinct(rng, n, min(int(rng.integers(1, slots + 1)) if slots > 1 else 1, n))
+    cfg_idx = tuple((j, drawn[j]) for j in instance._order if drawn[j])
+    interned = instance._interned
+    config = interned.get(cfg_idx)
+    if config is None:
+        if len(interned) >= MODEL_MEMO:
+            interned.clear()
+        config = interned[cfg_idx] = _configuration(instance, cfg_idx, {})
+    return config
 
 
 def random_strategy(instance: AdInstance, rng: np.random.Generator) -> AllocationStrategy:
     """Random strategy of zero to three segments, total length within the horizon."""
     k = int(rng.integers(0, 4))
     if k == 0:
-        return TimedSequence(())
+        return TimedSequence._trusted(())
     total = instance.horizon * rng.random()
     cuts = sorted((total * rng.random(k - 1)).tolist())
     bounds = [0.0, *cuts, total]
@@ -539,7 +556,7 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     for lo, hi in zip(bounds, bounds[1:]):
         if hi - lo > 1e-9 * instance.horizon:
             segs.append((random_configuration(instance, rng), hi - lo))
-    return TimedSequence(tuple(segs))
+    return TimedSequence._trusted(tuple(segs))
 
 
 class FluidRateModel:
@@ -549,37 +566,46 @@ class FluidRateModel:
     arbitrary prefixes are well defined, the horizon only constrains the
     optimization problem.  Random prefixes stay within the horizon.
 
-    The model holds two memos of MODEL_MEMO entries: the validated index
-    form of recently resolved configurations (one that fails validation is
-    never stored, so it raises on every query), and the budgets left after
-    the last prefixes it replayed, keyed by their segments.  A query
-    resumes from the longest remembered prefix of its strategy, so u(A + C)
-    continues from A, and `rate`, `breakpoints` and `best_rate` after A
-    reuse A's budgets.  The budgets left after a prefix do not depend on the
-    time it starts at, so every answer is bit-identical to a replay from zero.
+    The model holds two memos of at most MODEL_MEMO entries: the validated
+    index form of recently resolved configurations (one that fails
+    validation is never stored, so it raises on every query), and a trie of
+    the prefixes it replayed, mapping each `(configuration, duration)`
+    segment to the budgets left after it and to the next segments' trie; a
+    full trie is dropped whole.  A query walks it a segment at a time,
+    hashing each once, and resumes from the longest remembered prefix, so
+    u(A + C) continues from A, and `rate`, `breakpoints` and `best_rate`
+    after A reuse A's budgets.  The budgets left after a prefix do not
+    depend on the time it starts at, so every answer is bit-identical to a
+    replay from zero.
     """
 
     def __init__(self, instance: AdInstance):
         self.instance = instance
         self._resolve = lru_cache(MODEL_MEMO)(partial(_config_indices, instance))
-        self._states: Dict[tuple, Tuple[float, ...]] = {}
+        self._prefixes: dict = {}  # segment -> (budgets left, trie of the next segment)
+        self._stored = 0
 
     def _remaining(self, strategy: AllocationStrategy) -> list:
         """Budgets left after `strategy`, resumed from its longest remembered prefix."""
         segments = strategy.segments
         if not all(isinstance(config, Configuration) for config, _ in segments):
             raise ValueError("strategy actions must be Configuration values")
-        done, state = len(segments), None
-        while done and (state := self._states.get(segments[:done])) is None:
-            done -= 1
-        remaining = list(state if done else self.instance.budgets)
-        while done < len(segments):
-            config, dur = segments[done]
-            _advance(self.instance, self._resolve(config), remaining, dur)
+        children, state, done = self._prefixes, self.instance.budgets, 0
+        for seg in segments:
+            node = children.get(seg)
+            if node is None:
+                break
+            state, children = node
             done += 1
-            if len(self._states) >= MODEL_MEMO:
-                del self._states[next(iter(self._states))]
-            self._states[segments[:done]] = tuple(remaining)
+        remaining = list(state)
+        for seg in segments[done:]:
+            _advance(self.instance, self._resolve(seg[0]), remaining, seg[1])
+            if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
+                self._prefixes, self._stored, children = {}, 0, None
+            if children is not None:
+                children[seg] = node = (tuple(remaining), {})
+                children = node[1]
+                self._stored += 1
         return remaining
 
     def utility(self, strategy: AllocationStrategy) -> float:

@@ -27,9 +27,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import adalloc, oracle, qrewrite, seqcore
-from .adalloc import InstanceError
-from .oracle import SizeGuardError
+from . import adalloc, qrewrite, seqcore
+from .adalloc import InstanceError, SizeGuardError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -137,6 +136,7 @@ def cmd_allocate(args) -> int:
         "segments": len(strategy.segments),
     }
     if args.oracle:
+        from . import oracle  # loads fractions and decimal, which the greedy never needs
         opt = oracle.lp_opt_fluid(instance)
         outputs["optimum"] = opt.value
         outputs["ratio"] = ledger.utility / opt.value if opt.value > 0.0 else 1.0
@@ -157,6 +157,7 @@ def cmd_rewrite(args) -> int:
         "duplicate_types": len(set(types)) != len(types),
     }
     if args.oracle:
+        from . import oracle
         opt = oracle.brute_force_rewrite_opt(instance)
         outputs["optimum"] = opt.value
         outputs["ratio"] = utility / opt.value if opt.value > 0.0 else 1.0

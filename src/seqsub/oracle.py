@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .adalloc import AdInstance
+from .adalloc import AdInstance, SizeGuardError
 from .qrewrite import RewriteInstance
 from .seqcore import ActionSet, DiscreteSequence, SequenceFunction
-
-
-class SizeGuardError(RuntimeError):
-    """An oracle was asked for more work than its guard allows."""
 
 
 @dataclass(frozen=True)

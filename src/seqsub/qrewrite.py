@@ -79,6 +79,13 @@ class PartialAllocation:
             if not c >= 0.0:
                 raise ValueError(f"caps must be >= 0, got {c}")
 
+    @classmethod
+    def _trusted(cls, query_type: str, rewrites: tuple, caps: tuple) -> "PartialAllocation":
+        """A step already in checked form (distinct rewrites, float caps >= 0), built unchecked."""
+        step = object.__new__(cls)
+        step.__dict__.update(query_type=query_type, rewrites=rewrites, caps=caps)
+        return step
+
 
 def single_type_allocate(
     instance: AdInstance, type_id: str, allowed: AbstractSet[int], caps: Sequence[float]
@@ -99,14 +106,16 @@ def single_type_allocate(
     spend of each ad that pays, by ad index in payment order; the utility is
     the `math.fsum` of its values.
     """
-    if len(caps) != instance.num_ads:
+    if len(caps) != len(instance.ad_ids):
         raise ValueError(f"budget vector has {len(caps)} entries for {instance.num_ads} ads")
-    j = instance.type_index(type_id)
+    j = instance._type_index.get(type_id)
+    if j is None:
+        j = instance.type_index(type_id)  # raises InstanceError
     qj = instance.probs[j]
     bids, budgets, horizon = instance.bid_matrix, instance.budgets, instance.horizon
     paid: Dict[int, float] = {}
     time_left = instance.slots * horizon
-    for i in filter(allowed.__contains__, instance.ranked_ads(j)):
+    for i in filter(allowed.__contains__, instance._ranking[j]):
         if time_left <= 0.0:
             break
         rate = qj * bids[i][j]
@@ -160,21 +169,24 @@ def best_rewrite_set(
     and has diminishing gains in the rewrite set, this inner greedy is within
     1 - 1/e of the best possible rewrite set for the type.  The ads the
     chosen rewrites reach grow with each pick, so a trial unions one more
-    rewrite's ads into them.
+    rewrite's ads into them.  Every trial, and the final value, is one
+    `single_type_allocate` call.
     """
-    base, ad_sets = instance.base, instance._ad_sets
-
-    def value(allowed) -> float:
-        return math.fsum(single_type_allocate(base, type_id, allowed, remaining).values())
-
+    base, ad_sets, fsum = instance.base, instance._ad_sets, math.fsum
     chosen: list = []
     reach: FrozenSet[int] = frozenset()
     for _ in range(min(instance.max_rewrites, len(instance.rewrites))):
-        candidates = (rid for rid in ad_sets if rid not in chosen)
-        rid = max(candidates, key=lambda rid: value(reach | ad_sets[rid]))
-        chosen.append(rid)
-        reach |= ad_sets[rid]
-    return tuple(chosen), value(reach) if chosen else 0.0
+        best, best_value = None, 0.0
+        for rid, ads in ad_sets.items():
+            if rid in chosen:
+                continue
+            value = fsum(single_type_allocate(base, type_id, reach | ads, remaining).values())
+            if best is None or value > best_value:  # the first of equal values wins, as with max
+                best, best_value = rid, value
+        chosen.append(best)
+        reach |= ad_sets[best]
+    value = fsum(single_type_allocate(base, type_id, reach, remaining).values()) if chosen else 0.0
+    return tuple(chosen), value
 
 
 def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
@@ -214,8 +226,13 @@ def plan_function(instance: RewriteInstance) -> SequenceFunction:
 
 
 def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> DiscreteSequence:
-    """Random plan of zero to four steps: random types, rewrite subsets and caps."""
+    """Random plan of zero to four steps: random types, rewrite subsets and caps.
+
+    Caps are budgets times uniforms, drawn for the n positive budgets by one
+    `rng.random(n)` (the doubles of n scalar calls); steps are built unchecked.
+    """
     base = instance.base
+    funded = [(i, b) for i, b in enumerate(base.budgets) if b > 0]
     k = int(rng.integers(0, 5))
     items = []
     for _ in range(k):
@@ -225,8 +242,10 @@ def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> Discrete
         if n_rw and instance.rewrites:
             idx = _draw_distinct(rng, len(instance.rewrites), n_rw)
             picks = tuple(instance.rewrites[i].id for i in sorted(idx))
-        caps = tuple(b * rng.random() if b > 0 else 0.0 for b in base.budgets)
-        items.append(PartialAllocation(tid, picks, caps))
+        caps = [0.0] * len(base.budgets)
+        for (i, b), u in zip(funded, rng.random(len(funded)).tolist()):
+            caps[i] = b * u
+        items.append(PartialAllocation._trusted(tid, picks, tuple(caps)))
     return DiscreteSequence(tuple(items))
 
 

@@ -123,6 +123,13 @@ class TimedSequence:
             if not d > 0.0:
                 raise ValueError(f"segment duration must be positive, got {d}")
 
+    @classmethod
+    def _trusted(cls, segments: tuple) -> "TimedSequence":
+        """A sequence of segments already in checked form, (action, float > 0) tuples; built unchecked."""
+        seq = object.__new__(cls)
+        seq.__dict__["segments"] = segments
+        return seq
+
     @property
     def length(self) -> float:
         return math.fsum(d for _, d in self.segments)
@@ -135,7 +142,7 @@ class TimedSequence:
         lo = max(float(x), 0.0)
         hi = min(float(y), self.length)
         if hi <= lo:
-            return TimedSequence(())
+            return TimedSequence._trusted(())
         out = []
         start = 0.0
         for a, d in self.segments:
@@ -147,7 +154,7 @@ class TimedSequence:
             start = end
             if start >= hi:
                 break
-        return TimedSequence(tuple(out))
+        return TimedSequence._trusted(tuple(out))
 
     def canonical(self) -> "TimedSequence":
         """Merge adjacent segments holding the same action."""
@@ -168,7 +175,7 @@ def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
     if type(a) is not type(b):
         raise TypeError("cannot concatenate sequences of different kinds")
     if isinstance(a, TimedSequence):
-        return TimedSequence(a.segments + b.segments)
+        return TimedSequence._trusted(a.segments + b.segments)
     if a.actions is not None and b.actions is not None and a.actions != b.actions:
         raise MismatchedActionSets("sequences were built over different action sets")
     return DiscreteSequence(a.items + b.items, a.actions or b.actions)

@@ -479,6 +479,11 @@ def _hex(value):
     return tuple(x.hex() for x in value) if isinstance(value, tuple) else value.hex()
 
 
+def _trie_size(children):
+    """Prefix states held in a `FluidRateModel` prefix trie: one per node."""
+    return sum(1 + _trie_size(grandchildren) for _, grandchildren in children.values())
+
+
 @pytest.mark.parametrize("memo", [3, adalloc.MODEL_MEMO])
 def test_rate_model_matches_stateless_replay(memo):
     # Prefixes share segments (B, B + C, windows of B + C), every query kind
@@ -501,7 +506,7 @@ def test_rate_model_matches_stateless_replay(memo):
             for k in rng.permutation(len(queries)):
                 name, args = queries[k]
                 assert _hex(getattr(model, name)(*args)) == _hex(ref[name](*args)), (name, args)
-                assert len(model._states) <= memo
+                assert _trie_size(model._prefixes) <= memo
             info = model._resolve.cache_info()
             evicted += info.misses - info.currsize
     assert evicted > 0 or memo > 3
@@ -571,6 +576,58 @@ def test_random_configuration_draws_what_the_choice_sampler_drew():
         for _ in range(4):
             assert adalloc.random_configuration(inst, new) == reference_random_configuration(inst, old)
         assert new.random() == old.random()
+
+
+def reference_random_strategy(instance, rng):
+    """`random_strategy` through the checking constructors and `reference_random_configuration`."""
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        return TimedSequence(())
+    total = instance.horizon * rng.random()
+    cuts = sorted(float(c) for c in total * rng.random(k - 1))
+    bounds = [0.0, *cuts, total]
+    segs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > 1e-9 * instance.horizon:
+            segs.append((reference_random_configuration(instance, rng), hi - lo))
+    return TimedSequence(tuple(segs))
+
+
+def _sampler_instance(rng):
+    """0 to 12 ads and 1 to 12 types with shuffled ids (a10 sorts before a9, t10
+    before t2), 1 to 3 slots, some zero budgets and types without bids."""
+    m, n = int(rng.integers(0, 13)), int(rng.integers(1, 13))
+    ad_ids = [f"a{int(k)}" for k in rng.permutation(m)]
+    type_ids = [f"t{int(k)}" for k in rng.permutation(n)]
+    budgets = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 5.0)) for _ in ad_ids]
+    bids = {a: {t: float(rng.uniform(0.1, 2.0)) for t in type_ids if rng.random() < 0.5} for a in ad_ids}
+    return adalloc.AdInstance.build(
+        list(zip(ad_ids, budgets)), [(t, 1.0 / n) for t in type_ids], bids, int(rng.integers(1, 4)), 10.0
+    )
+
+
+def _same(got, want):
+    """Equal, hash-equal and repr-equal (the form violation witnesses print)."""
+    return got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("memo", [4, adalloc.MODEL_MEMO])
+def test_trusted_samplers_build_what_the_checking_constructors_build(memo):
+    # random_configuration and random_strategy build without the checks,
+    # through the interned canonical form (a memo of 4 drops it often); the
+    # result, its hash, its repr and the next draw must be the checked
+    # reference's.
+    rng = np.random.default_rng(1051)
+    with mock.patch.object(adalloc, "MODEL_MEMO", memo):
+        for _ in range(300):
+            inst = _sampler_instance(rng)
+            seed = int(rng.integers(2**32))
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                assert _same(adalloc.random_configuration(inst, new), reference_random_configuration(inst, old))
+                assert _same(random_strategy(inst, new), reference_random_strategy(inst, old))
+                assert len(inst._interned) <= memo
+            assert new.random() == old.random()
 
 
 def test_greedy_allocate_tiny_horizon_is_played():

@@ -651,6 +651,36 @@ def test_only_simulate_and_verify_load_numpy(tmp_path):
     assert proc.stdout.strip() == "[False, False, False, False, False] True"
 
 
+ORACLE_PROBE = """
+import sys
+from seqsub import cli
+
+assert cli.main(sys.argv[1:]) == 0
+print("seqsub.oracle" in sys.modules, "fractions" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, oracle",
+    [("allocate", False), ("rewrite", False), ("verify", False), ("allocate", True), ("rewrite", True)],
+)
+def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
+    # The oracle module and the fractions and decimal modules it imports are
+    # loaded by --oracle alone.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [command, "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--out", str(tmp_path / "r.json")]
+    if command == "verify":
+        args += ["--samples", "20"]
+    if oracle:
+        args.append("--oracle")
+    proc = subprocess.run(
+        [sys.executable, "-c", ORACLE_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(oracle)] * 2
+
+
 # ---------------------------------------------------------------------------
 # bench/tracer.py wraps public names of the package; a rename must not break it
 # ---------------------------------------------------------------------------

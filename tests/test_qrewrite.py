@@ -342,6 +342,33 @@ def test_random_plan_draws_what_the_choice_sampler_drew():
         assert new.random() == old.random()
 
 
+def test_trusted_random_plan_builds_what_the_checking_constructors_build():
+    # One random(n) for the caps and unchecked steps: the plan, its hash, its
+    # repr and the next draw must be the checked reference's.  Ids sort
+    # unlike their index order (a10 before a9), there may be no ads and no
+    # rewrites, some budgets are zero, slots run 1 to 3, and k may reach or
+    # pass the number of rewrites.
+    rng = np.random.default_rng(1057)
+    for _ in range(300):
+        m, n, n_rw = int(rng.integers(0, 13)), int(rng.integers(1, 13)), int(rng.integers(0, 7))
+        ad_ids = [f"a{int(k)}" for k in rng.permutation(m)]
+        base = adalloc.AdInstance.build(
+            [(a, 0.0 if rng.random() < 0.25 else float(rng.uniform(0.1, 5.0))) for a in ad_ids],
+            [(f"t{int(k)}", 1.0 / n) for k in rng.permutation(n)], {}, int(rng.integers(1, 4)), 1.0,
+        )
+        rewrites = []
+        for r in range(n_rw if m else 0):
+            picks = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+            rewrites.append(Rewrite(f"r{r}", tuple(ad_ids[int(i)] for i in picks)))
+        inst = RewriteInstance(base, tuple(rewrites), int(rng.integers(1, n_rw + 3)))
+        seed = int(rng.integers(2**32))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = random_plan(inst, new), reference_random_plan(inst, old)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert new.random() == old.random()
+
+
 # ---------------------------------------------------------------------------
 # plan utility is a well-behaved sequence function
 # ---------------------------------------------------------------------------

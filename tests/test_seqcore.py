@@ -96,6 +96,38 @@ def test_slice_full_range_is_identity():
 def test_durations_must_be_positive():
     with pytest.raises(ValueError):
         TimedSequence((("s", 0.0),))
+    # The public constructor checks; only concat, slice and the samplers build unchecked.
+    for bad in (0, -0.0, -1e-300, -2.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            TimedSequence((("s", 1.0), ("t", bad)))
+
+
+def _checked(seq):
+    """`seq` rebuilt through the checking constructor, which must accept its segments."""
+    return TimedSequence(seq.segments)
+
+
+def test_concat_and_slice_build_what_the_checked_constructor_builds():
+    # Cuts at every segment edge, inside segments, before 0, past the end and
+    # reversed (empty); durations given as ints and floats.
+    rng = np.random.default_rng(1063)
+    for _ in range(300):
+        n = int(rng.integers(0, 5))
+        durs = [int(rng.integers(1, 4)) if rng.random() < 0.3 else float(rng.uniform(1e-3, 2.0)) for _ in range(n)]
+        seq = TimedSequence(tuple((f"s{int(rng.integers(3))}", d) for d in durs))
+        other = TimedSequence(tuple((f"s{int(rng.integers(3))}", float(rng.uniform(0.1, 1.0))) for _ in range(2)))
+        edges = [0.0]
+        for _, d in seq.segments:
+            edges.append(edges[-1] + d)
+        cuts = edges + [float(x) for x in rng.uniform(-0.5, seq.length + 0.5, size=3)]
+        parts = [seq.slice(x, y) for x in cuts for y in cuts]
+        parts += [concat(seq, other), concat(other, seq), concat(seq, TimedSequence(()))]
+        for part in parts:
+            rebuilt = _checked(part)
+            assert part == rebuilt and hash(part) == hash(rebuilt) and repr(part) == repr(rebuilt)
+            assert all(type(seg) is tuple and type(seg[1]) is float for seg in part.segments)
+        assert concat(seq, other) == TimedSequence(seq.segments + other.segments)
+        assert seq.slice(seq.length, 0.0) == seq.slice(2.0 * seq.length + 1.0, math.inf) == TimedSequence(())
 
 
 def test_action_set_rejects_empty_and_duplicates():
