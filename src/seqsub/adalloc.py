@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 from itertools import combinations, compress, islice, product
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .seqcore import SequenceFunction, TimedSequence
+from .seqcore import SequenceFunction, TimedSequence, unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,12 +93,13 @@ class AdInstance:
                     raise InstanceError(
                         f"bids: expected payment must be in [0, {MAX_AMOUNT}], got {p}"
                     )
-                if p > 0.0:
-                    by_bid[j].append((-p, i))
+                by_bid[j].append((-p, i))
         if not 1 <= self.slots <= MAX_SLOTS:
             raise InstanceError(f"slots: must be between 1 and {MAX_SLOTS}, got {self.slots}")
         if not 0.0 < self.horizon < math.inf:
             raise InstanceError(f"horizon: must be finite and > 0, got {self.horizon}")
+        # Remaining budget at or below an ad's floor counts as exhausted.
+        object.__setattr__(self, "_floors", tuple(EXHAUSTED * b for b in self.budgets))
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
         object.__setattr__(self, "_type_index", {t: j for j, t in enumerate(self.type_ids)})
         object.__setattr__(self, "_ranking", tuple(tuple(i for _, i in sorted(c)) for c in by_bid))
@@ -218,7 +219,12 @@ class SpendLedger:
 
 
 def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """Index form of a configuration, validated; types keep their canonical (id-sorted) order."""
+    """Index form of a configuration, validated; types keep their canonical (id-sorted) order.
+
+    The only check that actions are `Configuration` values: every entry point resolves them here.
+    """
+    if not isinstance(config, Configuration):
+        raise ValueError("strategy actions must be Configuration values")
     out = []
     for tid, ads in config.assignment:
         j = instance.type_index(tid)
@@ -241,19 +247,17 @@ def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
         if pick not in names:
             j, ads = pick
             names[pick] = (instance.type_ids[j], tuple(sorted(instance.ad_ids[i] for i in ads)))
-    config = object.__new__(Configuration)
-    object.__setattr__(config, "assignment", tuple(names[pick] for pick in cfg_idx))
-    return config
+    return unchecked(Configuration, assignment=tuple(names[pick] for pick in cfg_idx))
 
 
 def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> Dict[int, float]:
     """Spend rate of each assigned, unexhausted ad, summed over types in `cfg_idx` order."""
-    probs, bids, budgets = instance.probs, instance.bid_matrix, instance.budgets
+    probs, bids, floors = instance.probs, instance.bid_matrix, instance._floors
     rates: Dict[int, float] = {}
     for j, ads in cfg_idx:
         qj = probs[j]
         for i in ads:
-            if remaining[i] > EXHAUSTED * budgets[i]:
+            if remaining[i] > floors[i]:
                 rates[i] = rates.get(i, 0.0) + qj * bids[i][j]
     return rates
 
@@ -267,7 +271,7 @@ def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit:
     ads that set the step's length always run out, even where `rem / rate`
     underflowed to 0.0, so every exhaustion step retires at least one ad.
     """
-    budgets = instance.budgets
+    floors = instance._floors
     tau = min((remaining[i] / rate for i, rate in rates.items() if rate > 0.0), default=math.inf)
     hit = tau < limit
     dt = tau if hit else limit
@@ -275,7 +279,7 @@ def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit:
     for i, rate in rates.items():
         if rate > 0.0:
             left = remaining[i] - rate * dt
-            if left <= EXHAUSTED * budgets[i] or (hit and remaining[i] / rate == tau):
+            if left <= floors[i] or (hit and remaining[i] / rate == tau):
                 left = 0.0
                 gone.append(i)
             remaining[i] = left
@@ -342,8 +346,6 @@ def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> Spe
     total = strategy.length
     if _past_horizon(instance, total):
         raise ValueError(f"strategy length {total} exceeds horizon {instance.horizon}")
-    if not all(isinstance(config, Configuration) for config, _ in strategy.segments):
-        raise ValueError("strategy actions must be Configuration values")
     return _ledger(instance, [(_config_indices(instance, c), dur) for c, dur in strategy.segments], total)
 
 
@@ -387,7 +389,7 @@ def marginal_rate(
 
 def _top_ads(instance: AdInstance, j: int, remaining: Sequence[float]) -> Tuple[int, ...]:
     """Top-`slots` unexhausted positive-bid ads of type `j`, in ranking order."""
-    live = (i for i in instance.ranked_ads(j) if remaining[i] > EXHAUSTED * instance.budgets[i])
+    live = (i for i in instance.ranked_ads(j) if remaining[i] > instance._floors[i])
     return tuple(islice(live, instance.slots))
 
 
@@ -436,7 +438,8 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
             if not gone.isdisjoint(ads):
                 picks[j] = _top_ads(instance, j, remaining)
     names: dict = {}
-    strategy = TimedSequence(tuple((_configuration(instance, c, names), d) for c, d in segs))
+    named = tuple((_configuration(instance, c, names), d) for c, d in segs)
+    strategy = unchecked(TimedSequence, segments=named)
     return strategy, _ledger(instance, segs, strategy.length)
 
 
@@ -548,7 +551,7 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     """Random strategy of zero to three segments, total length within the horizon."""
     k = int(rng.integers(0, 4))
     if k == 0:
-        return TimedSequence._trusted(())
+        return unchecked(TimedSequence, segments=())
     total = instance.horizon * rng.random()
     cuts = sorted((total * rng.random(k - 1)).tolist())
     bounds = [0.0, *cuts, total]
@@ -556,7 +559,7 @@ def random_strategy(instance: AdInstance, rng: np.random.Generator) -> Allocatio
     for lo, hi in zip(bounds, bounds[1:]):
         if hi - lo > 1e-9 * instance.horizon:
             segs.append((random_configuration(instance, rng), hi - lo))
-    return TimedSequence._trusted(tuple(segs))
+    return unchecked(TimedSequence, segments=tuple(segs))
 
 
 class FluidRateModel:
@@ -588,8 +591,6 @@ class FluidRateModel:
     def _remaining(self, strategy: AllocationStrategy) -> list:
         """Budgets left after `strategy`, resumed from its longest remembered prefix."""
         segments = strategy.segments
-        if not all(isinstance(config, Configuration) for config, _ in segments):
-            raise ValueError("strategy actions must be Configuration values")
         children, state, done = self._prefixes, self.instance.budgets, 0
         for seg in segments:
             node = children.get(seg)
@@ -613,7 +614,7 @@ class FluidRateModel:
         return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
 
     def sequence_function(self) -> SequenceFunction:
-        return SequenceFunction("continuous", self.utility)
+        return SequenceFunction("continuous", self.utility, math.fsum(self.instance.budgets))
 
     def rate(self, config: Configuration, delta: float, prefix: AllocationStrategy) -> float:
         """Rate of `config` after running for `delta` past `prefix` (see `marginal_rate`)."""

@@ -207,8 +207,8 @@ def _run_checks(
     model = adalloc.FluidRateModel(instance)
     utility = model.sequence_function()
     if planted:
-        # Negative control: a deliberately decreasing utility the checkers must catch.
-        utility = seqcore.SequenceFunction("continuous", lambda seq: -seq.length)
+        # Negative control: a decreasing utility the checkers must catch, scaled like its lengths.
+        utility = seqcore.SequenceFunction("continuous", lambda seq: -seq.length, instance.horizon)
     # (utility, sampler) pairs; each check and pair keeps its own seed in seed..seed+5.
     pairs = [(utility, model.random_prefix)]
     if rewrite_instance is not None:

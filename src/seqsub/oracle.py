@@ -219,8 +219,7 @@ def brute_force_rewrite_opt(instance: RewriteInstance) -> OptResult:
     Guarded at 10**5 raw assignments.
     """
     base = instance.base
-    n_rewrites = len(instance.rewrites)
-    k = min(instance.max_rewrites, n_rewrites)
+    n_rewrites, k = len(instance.rewrites), instance._limit
     per_type_raw = sum(math.comb(n_rewrites, c) for c in range(k + 1))
     raw_count = per_type_raw ** base.num_types
     if raw_count > 10**5:

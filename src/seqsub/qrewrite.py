@@ -18,9 +18,9 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
-from .adalloc import EXHAUSTED, AdInstance, InstanceError, parse_instance
+from .adalloc import AdInstance, InstanceError, parse_instance
 from .adalloc import _draw_distinct, _identifier, _integer
-from .seqcore import DiscreteSequence, SequenceFunction
+from .seqcore import DiscreteSequence, SequenceFunction, unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,6 +50,7 @@ class RewriteInstance:
         if self.max_rewrites < 1:
             raise InstanceError(f"k: must be >= 1, got {self.max_rewrites}")
         object.__setattr__(self, "_ad_sets", ad_sets)
+        object.__setattr__(self, "_limit", min(self.max_rewrites, len(self.rewrites)))  # rewrites per type
 
     def reachable_ads(self, rewrite_ids: Iterable[str]) -> FrozenSet[int]:
         """Indices, in the base instance's ad order, of the ads the rewrites unlock."""
@@ -79,13 +80,6 @@ class PartialAllocation:
             if not c >= 0.0:
                 raise ValueError(f"caps must be >= 0, got {c}")
 
-    @classmethod
-    def _trusted(cls, query_type: str, rewrites: tuple, caps: tuple) -> "PartialAllocation":
-        """A step already in checked form (distinct rewrites, float caps >= 0), built unchecked."""
-        step = object.__new__(cls)
-        step.__dict__.update(query_type=query_type, rewrites=rewrites, caps=caps)
-        return step
-
 
 def single_type_allocate(
     instance: AdInstance, type_id: str, allowed: AbstractSet[int], caps: Sequence[float]
@@ -112,7 +106,7 @@ def single_type_allocate(
     if j is None:
         j = instance.type_index(type_id)  # raises InstanceError
     qj = instance.probs[j]
-    bids, budgets, horizon = instance.bid_matrix, instance.budgets, instance.horizon
+    bids, floors, horizon = instance.bid_matrix, instance._floors, instance.horizon
     paid: Dict[int, float] = {}
     time_left = instance.slots * horizon
     for i in filter(allowed.__contains__, instance._ranking[j]):
@@ -120,7 +114,7 @@ def single_type_allocate(
             break
         rate = qj * bids[i][j]
         cap = caps[i]
-        if rate == 0.0 or cap <= EXHAUSTED * budgets[i]:
+        if rate == 0.0 or cap <= floors[i]:
             continue
         need = cap / rate
         run = min(horizon, need, time_left)
@@ -152,10 +146,10 @@ def _apply(
     """Run one plan step, capped per ad by `caps` and by `remaining`; charge what it paid to `remaining`."""
     capped = [min(r, c) for r, c in zip(remaining, caps)]
     paid = single_type_allocate(instance.base, type_id, instance.reachable_ads(rewrites), capped)
-    budgets = instance.base.budgets
+    floors = instance.base._floors
     for i, spent in paid.items():
         left = remaining[i] - spent
-        remaining[i] = 0.0 if left <= EXHAUSTED * budgets[i] else left
+        remaining[i] = 0.0 if left <= floors[i] else left
     return paid
 
 
@@ -175,7 +169,7 @@ def best_rewrite_set(
     base, ad_sets, fsum = instance.base, instance._ad_sets, math.fsum
     chosen: list = []
     reach: FrozenSet[int] = frozenset()
-    for _ in range(min(instance.max_rewrites, len(instance.rewrites))):
+    for _ in range(instance._limit):
         best, best_value = None, 0.0
         for rid, ads in ad_sets.items():
             if rid in chosen:
@@ -197,7 +191,7 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
     budgets that step consumed, and the global budgets shrink by the same
     amount.  Ties in both loops go to input order.
     """
-    if instance.max_rewrites > len(instance.rewrites):
+    if instance._limit < instance.max_rewrites:
         warnings.warn(
             f"k={instance.max_rewrites} exceeds the {len(instance.rewrites)} available rewrites; clamping",
             stacklevel=2,
@@ -222,7 +216,8 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
 
 def plan_function(instance: RewriteInstance) -> SequenceFunction:
     """Plan utility as a discrete sequence function over partial allocations."""
-    return SequenceFunction("discrete", lambda seq: evaluate_plan(instance, seq)[0])
+    total_budget = math.fsum(instance.base.budgets)
+    return SequenceFunction("discrete", lambda seq: evaluate_plan(instance, seq)[0], total_budget)
 
 
 def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> DiscreteSequence:
@@ -237,15 +232,15 @@ def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> Discrete
     items = []
     for _ in range(k):
         tid = base.type_ids[int(rng.integers(0, base.num_types))]
-        n_rw = int(rng.integers(0, min(instance.max_rewrites, len(instance.rewrites)) + 1))
+        n_rw = int(rng.integers(0, instance._limit + 1))
         picks: Tuple[str, ...] = ()
-        if n_rw and instance.rewrites:
+        if n_rw:
             idx = _draw_distinct(rng, len(instance.rewrites), n_rw)
             picks = tuple(instance.rewrites[i].id for i in sorted(idx))
         caps = [0.0] * len(base.budgets)
         for (i, b), u in zip(funded, rng.random(len(funded)).tolist()):
             caps[i] = b * u
-        items.append(PartialAllocation._trusted(tid, picks, tuple(caps)))
+        items.append(unchecked(PartialAllocation, query_type=tid, rewrites=picks, caps=tuple(caps)))
     return DiscreteSequence(tuple(items))
 
 

@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
 if TYPE_CHECKING:
     import numpy as np
 
-# Tolerance for inequality checks on utilities, relative to their magnitude
-# once that exceeds 1 (see `_exceeds`); also the duration slack of
+# Tolerance for inequality checks, relative to the larger of the values
+# compared and the check's scale (see `_exceeds`); also the duration slack of
 # `dominates`, and so of `equivalent`.
 DEFAULT_TOL = 1e-9
 # Relative tolerance of the finite-difference check on marginal rates.
@@ -39,6 +39,13 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def unchecked(cls, **fields):
+    """A frozen `cls` holding `fields`, which are already in its checked form; `__post_init__` is skipped."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 class MismatchedActionSets(ValueError):
@@ -123,13 +130,6 @@ class TimedSequence:
             if not d > 0.0:
                 raise ValueError(f"segment duration must be positive, got {d}")
 
-    @classmethod
-    def _trusted(cls, segments: tuple) -> "TimedSequence":
-        """A sequence of segments already in checked form, (action, float > 0) tuples; built unchecked."""
-        seq = object.__new__(cls)
-        seq.__dict__["segments"] = segments
-        return seq
-
     @property
     def length(self) -> float:
         return math.fsum(d for _, d in self.segments)
@@ -142,7 +142,7 @@ class TimedSequence:
         lo = max(float(x), 0.0)
         hi = min(float(y), self.length)
         if hi <= lo:
-            return TimedSequence._trusted(())
+            return unchecked(TimedSequence, segments=())
         out = []
         start = 0.0
         for a, d in self.segments:
@@ -154,7 +154,7 @@ class TimedSequence:
             start = end
             if start >= hi:
                 break
-        return TimedSequence._trusted(tuple(out))
+        return unchecked(TimedSequence, segments=tuple(out))
 
     def canonical(self) -> "TimedSequence":
         """Merge adjacent segments holding the same action."""
@@ -175,7 +175,7 @@ def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
     if type(a) is not type(b):
         raise TypeError("cannot concatenate sequences of different kinds")
     if isinstance(a, TimedSequence):
-        return TimedSequence._trusted(a.segments + b.segments)
+        return unchecked(TimedSequence, segments=a.segments + b.segments)
     if a.actions is not None and b.actions is not None and a.actions != b.actions:
         raise MismatchedActionSets("sequences were built over different action sets")
     return DiscreteSequence(a.items + b.items, a.actions or b.actions)
@@ -229,10 +229,10 @@ def sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
         return DiscreteSequence(tuple(x for x, k in zip(b.items, keep) if k), b.actions)
     total = b.length
     m = int(rng.integers(0, 4))  # zero to three windows
+    out = unchecked(TimedSequence, segments=())
     if m == 0 or total <= 0.0:
-        return TimedSequence(())
+        return out
     cuts = sorted((total * rng.random(2 * m)).tolist())
-    out = TimedSequence(())
     for lo, hi in zip(cuts[0::2], cuts[1::2]):
         out = concat(out, b.slice(lo, hi))
     return out
@@ -240,10 +240,15 @@ def sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
 
 @dataclass(frozen=True)
 class SequenceFunction:
-    """Deterministic, side-effect-free evaluator mapping a sequence to a utility."""
+    """Deterministic, side-effect-free evaluator mapping a sequence to a utility.
+
+    `scale` is the utility's typical magnitude, the floor of the checkers'
+    tolerance (see `_exceeds`).
+    """
 
     kind: str
     fn: Callable[[SequenceLike], float]
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -357,15 +362,15 @@ class CheckReport:
         return not self.violations
 
 
-def _exceeds(lhs: float, rhs: float, floor: float = 1.0) -> bool:
+def _exceeds(lhs: float, rhs: float, floor: float) -> bool:
     """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(floor, |lhs|, |rhs|).
 
-    The floor of 1 suits utilities; rate checks pass the model's largest rate.
+    Utility checks pass the utility's `scale`; rate checks pass the model's largest rate.
     """
     return lhs - rhs > DEFAULT_TOL * max(floor, abs(lhs), abs(rhs))
 
 
-def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float = 1.0) -> list:
+def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float) -> list:
     """`[Violation]` when `lhs` exceeds `rhs`, else `[]`."""
     return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor) else []
 
@@ -468,13 +473,13 @@ def check_nondecreasing(
     empty = DiscreteSequence(()) if u.kind == "discrete" else TimedSequence(())
     v0 = u(empty)
     first = ()
-    if _exceeds(abs(v0), 0.0):
+    if _exceeds(abs(v0), 0.0, u.scale):
         first = (Violation("empty_value", v0, 0.0, abs(v0), {"sequence": empty}),)
 
     def body(rng):
         b = sample_b(rng)
         a = sample_dominated(b, rng)
-        return _violations("nondecreasing", u(a), u(b), {"a": a, "b": b})
+        return _violations("nondecreasing", u(a), u(b), {"a": a, "b": b}, u.scale)
 
     return _run_samples("nondecreasing", samples, seed, body, first)
 
@@ -494,7 +499,7 @@ def check_submodular(
         a = sample_dominated(b, rng)
         gain_a = marginal_value(u, c, a)
         gain_b = marginal_value(u, c, b)
-        return _violations("submodular", gain_b, gain_a, {"a": a, "b": b, "c": c})
+        return _violations("submodular", gain_b, gain_a, {"a": a, "b": b, "c": c}, u.scale)
 
     return _run_samples("submodular", samples, seed, body)
 
@@ -570,7 +575,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
             counts["fd_points"] += 1
             gap = min((abs(d0 - x) for x in bps_a), default=d0)
             h = min(1e-4 * unit, min(gap, d0) / 4.0)
-            hold = lambda delta: model.utility(concat(a, TimedSequence(((s, delta),))))
+            hold = lambda delta: model.utility(concat(a, unchecked(TimedSequence, segments=((s, delta),))))
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
             err = abs(fd - r0)
@@ -582,9 +587,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     return _run_samples("derivative", samples, seed, body, details=counts)
 
 
-def _gain_bound(
-    check: str, utility, best_step, sample, samples: int, seed: int, floor: float = 1.0
-) -> CheckReport:
+def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int, floor: float) -> CheckReport:
     """Lemma 1: the best single step after A must reach the gain per unit length of any block B.
 
     A and B are both drawn with `sample`; B is skipped when no longer than
@@ -614,7 +617,7 @@ def check_step_gain_bound(
     def best_step(a):
         return max(marginal_value(u, DiscreteSequence((s,), actions), a) for s in actions)
 
-    return _gain_bound("step_gain_bound", u, best_step, sample, samples, seed)
+    return _gain_bound("step_gain_bound", u, best_step, sample, samples, seed, u.scale)
 
 
 def check_rate_gain_bound(model, samples: int, seed: int = 0) -> CheckReport:

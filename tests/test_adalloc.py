@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc
+from seqsub import adalloc, stochsim
 from seqsub.adalloc import (
     Configuration,
     FluidRateModel,
@@ -547,6 +547,26 @@ def test_rate_model_validates_every_query():
                     query()
         assert model.rate(good, 0.5, TimedSequence(((good, 0.5),))) == 1.0
     assert model._resolve.cache_info().currsize == 1
+
+
+def test_every_entry_point_rejects_a_non_configuration_action():
+    # A raw assignment tuple in place of a Configuration: every entry point
+    # raises the one ValueError of `_config_indices`, none an AttributeError.
+    inst = adalloc.AdInstance.build([("a1", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 2.0)
+    raw = (("t1", ("a1",)),)
+    strategy = TimedSequence(((raw, 1.0),))
+    model = FluidRateModel(inst)
+    for query in (
+        lambda: evaluate_strategy(inst, strategy),
+        lambda: model.utility(strategy),
+        lambda: model.rate(raw, 0.5, TimedSequence(())),
+        lambda: revenue_rate(inst, raw, [1.0]),
+        lambda: marginal_rate(inst, raw, 0.5),
+        lambda: configuration_hold(inst, raw, [1.0]),
+        lambda: stochsim.simulate_stream(inst, strategy, stochsim.StreamConfig(seed=0, trials=1)),
+    ):
+        with pytest.raises(ValueError, match="strategy actions must be Configuration values"):
+            query()
 
 
 def reference_random_configuration(instance, rng):

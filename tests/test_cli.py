@@ -242,19 +242,21 @@ def test_verify_rewrite_instance_includes_plan_checks(i3_file, tmp_path):
 
 def test_verify_tolerance_scales_with_the_instance(tmp_path):
     # Budgets and bids x 1e9: an absolute 1e-9 tolerance reads float rounding
-    # in utilities of order 1e9 as violations.
-    data = json.loads((INSTANCES / "two_ads_two_types.json").read_text())
-    for ad in data["ads"]:
-        ad["budget"] *= 1e9
-    for row in data["bids"].values():
-        for tid in row:
-            row[tid] *= 1e9
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(data))
-    args = ["verify", "--instance", str(path), "--samples", "500", "--seed", "7"]
-    code, report = run(args, tmp_path)
-    assert report["outputs"]["violations"] == 0
-    assert code == 0
+    # in utilities of order 1e9 as violations.  At x 1e-12 the tolerance
+    # shrinks with the utility's scale, and rounding must still pass.
+    for s in (1e9, 1e-12):
+        data = json.loads((INSTANCES / "two_ads_two_types.json").read_text())
+        for ad in data["ads"]:
+            ad["budget"] *= s
+        for row in data["bids"].values():
+            for tid in row:
+                row[tid] *= s
+        path = tmp_path / f"scaled_{s}.json"
+        path.write_text(json.dumps(data))
+        args = ["verify", "--instance", str(path), "--samples", "500", "--seed", "7"]
+        code, report = run(args, tmp_path)
+        assert report["outputs"]["violations"] == 0, s
+        assert code == 0
 
 
 def test_verify_samples_as_many_at_every_time_scale(tmp_path):
@@ -335,25 +337,24 @@ def test_byte_order_mark_is_accepted(tmp_path):
 
 
 def test_verify_planted_violation_exits_1(i1_file, tmp_path):
-    code, report = run(
-        [
-            "verify",
-            "--instance",
-            str(i1_file),
-            "--checks",
-            "mono",
-            "--samples",
-            "100",
-            "--seed",
-            "5",
-            "--planted-violation",
-        ],
-        tmp_path,
-    )
-    assert code == 1
-    assert report["outputs"]["violations"] > 0
-    witness = report["outputs"]["reports"][0]["violations"][0]["witness"]
-    assert "a" in witness and "b" in witness
+    # The planted utility is caught as often with budgets and horizon x 1e-12
+    # or x 1e9: a fixed tolerance floor of 1 hid every violation at x 1e-12.
+    found = {}
+    for s in (1.0, 1e-12, 1e9):
+        data = json.loads(i1_file.read_text())
+        for ad in data["ads"]:
+            ad["budget"] *= s
+        data["horizon"] *= s
+        path = tmp_path / f"planted_{s}.json"
+        path.write_text(json.dumps(data))
+        args = ["verify", "--instance", str(path), "--checks", "mono", "--samples", "100", "--seed", "5"]
+        code, report = run([*args, "--planted-violation"], tmp_path)
+        assert code == 1, s
+        found[s] = report["outputs"]["violations"]
+        witness = report["outputs"]["reports"][0]["violations"][0]["witness"]
+        assert "a" in witness and "b" in witness
+    assert found[1.0] > 0
+    assert found[1e-12] == found[1e9] == found[1.0]
 
 
 def test_verify_unknown_check_exits_2(i1_file, capsys):
