@@ -26,19 +26,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, compress, islice, product
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .seqcore import SequenceFunction, TimedSequence, unchecked
-
-if TYPE_CHECKING:
-    import numpy as np
+from .seqcore import SequenceFunction, Stream, TimedSequence, unchecked
 
 # Remaining budget at or below this fraction of the ad's budget is treated as
 # exhausted (a float residue guard, relative so that it holds at every scale).
 EXHAUSTED = 1e-12
-# Input limits: more slots than this overflow islice and numpy's int64 draws,
-# and a larger total budget or payment lets sums of spend or of spend rates
-# overflow to infinity.
+# Input limits: more slots than this overflow islice (a sampler's slot count
+# draw, `Stream.integers`, takes up to 2^32 values), and a larger total budget
+# or payment lets sums of spend or of spend rates overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
 # Entries that each memo keeps: a FluidRateModel's prefix states and resolved
@@ -512,19 +509,32 @@ def enumerate_configurations(instance: AdInstance) -> Tuple[Configuration, ...]:
     return tuple(configs)
 
 
-def _draw_distinct(rng: np.random.Generator, n: int, size: int) -> Tuple[int, ...]:
-    """`size` distinct values of range(n), as `rng.choice(n, size, replace=False)` draws them.
+def _draw_distinct(rng: Stream, n: int, size: int) -> Tuple[int, ...]:
+    """`size` distinct values of range(n), drawn as `Generator.choice(n, size, replace=False)` draws them.
 
-    One pick is drawn with `rng.integers(0, n)`, which takes the same value
-    from the stream as `choice` does for a single pick (pinned against
-    `choice` by a test) at a fraction of its per-call cost.
+    Above 10,000 values and more than n // 50 picks, `choice` shuffles the
+    tail of range(n); otherwise it picks by Floyd's algorithm and shuffles
+    the picks.  Either way each swap or pick is one `rng.integers` draw.  A
+    test pins this to `choice`.
     """
-    if size == 1:
-        return (int(rng.integers(0, n)),)
-    return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+    if size == 1:  # Floyd's one pick, with nothing to shuffle
+        return (rng.integers(0, n),)
+    if n > 10_000 and size > n // 50:
+        picks, last = list(range(n)), max(n - size, 1)
+    else:
+        picks, seen, last = [], set(), 1
+        for j in range(n - size, n):
+            value = rng.integers(0, j + 1)
+            value = j if value in seen else value
+            seen.add(value)
+            picks.append(value)
+    for i in range(len(picks) - 1, last - 1, -1):
+        j = rng.integers(0, i + 1)
+        picks[i], picks[j] = picks[j], picks[i]
+    return tuple(picks[len(picks) - size :])
 
 
-def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Configuration:
+def random_configuration(instance: AdInstance, rng: Stream) -> Configuration:
     """Each type, in instance order, stays empty with probability 1/4, else gets 1 to `slots` distinct ads.
 
     Equal to `Configuration.of` of the draws; built in canonical form and
@@ -535,8 +545,7 @@ def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Conf
     for j in range(len(drawn)):
         if rng.random() < 0.25:
             continue
-        # integers(1, 2) draws nothing from the stream, so one slot skips it.
-        drawn[j] = _draw_distinct(rng, n, min(int(rng.integers(1, slots + 1)) if slots > 1 else 1, n))
+        drawn[j] = _draw_distinct(rng, n, min(rng.integers(1, slots + 1), n))
     cfg_idx = tuple((j, drawn[j]) for j in instance._order if drawn[j])
     interned = instance._interned
     config = interned.get(cfg_idx)
@@ -547,13 +556,13 @@ def random_configuration(instance: AdInstance, rng: np.random.Generator) -> Conf
     return config
 
 
-def random_strategy(instance: AdInstance, rng: np.random.Generator) -> AllocationStrategy:
+def random_strategy(instance: AdInstance, rng: Stream) -> AllocationStrategy:
     """Random strategy of zero to three segments, total length within the horizon."""
-    k = int(rng.integers(0, 4))
+    k = rng.integers(0, 4)
     if k == 0:
         return unchecked(TimedSequence, segments=())
     total = instance.horizon * rng.random()
-    cuts = sorted((total * rng.random(k - 1)).tolist())
+    cuts = sorted([total * rng.random() for _ in range(k - 1)])
     bounds = [0.0, *cuts, total]
     segs = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -592,22 +601,34 @@ class FluidRateModel:
         """Budgets left after `strategy`, resumed from its longest remembered prefix."""
         segments = strategy.segments
         children, state, done = self._prefixes, self.instance.budgets, 0
-        for seg in segments:
-            node = children.get(seg)
-            if node is None:
-                break
-            state, children = node
-            done += 1
-        remaining = list(state)
-        for seg in segments[done:]:
-            _advance(self.instance, self._resolve(seg[0]), remaining, seg[1])
-            if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
-                self._prefixes, self._stored, children = {}, 0, None
-            if children is not None:
-                children[seg] = node = (tuple(remaining), {})
-                children = node[1]
-                self._stored += 1
+        try:
+            for seg in segments:
+                node = children.get(seg)
+                if node is None:
+                    break
+                state, children = node
+                done += 1
+            remaining = list(state)
+            for seg in segments[done:]:
+                _advance(self.instance, self._resolve(seg[0]), remaining, seg[1])
+                if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
+                    self._prefixes, self._stored, children = {}, 0, None
+                if children is not None:
+                    children[seg] = node = (tuple(remaining), {})
+                    children = node[1]
+                    self._stored += 1
+        except TypeError:  # a memo hashed an unhashable action: reject it as every entry point does
+            for action, _ in segments:
+                _config_indices(self.instance, action)
+            raise
         return remaining
+
+    def _indices(self, config: Configuration):
+        """The memoized index form of `config`; an unhashable action gets `_config_indices`' ValueError."""
+        try:
+            return self._resolve(config)
+        except TypeError:
+            return _config_indices(self.instance, config)
 
     def utility(self, strategy: AllocationStrategy) -> float:
         remaining = self._remaining(strategy)
@@ -621,7 +642,7 @@ class FluidRateModel:
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
         remaining = self._remaining(prefix)
-        cfg_idx = self._resolve(config)
+        cfg_idx = self._indices(config)
         _advance(self.instance, cfg_idx, remaining, delta)
         return _rate(self.instance, cfg_idx, remaining)
 
@@ -629,17 +650,17 @@ class FluidRateModel:
         """Offsets at which the rate of `config` after `prefix` jumps."""
         remaining = self._remaining(prefix)
         out: list = []
-        _advance(self.instance, self._resolve(config), remaining, math.inf, 0.0, out)
+        _advance(self.instance, self._indices(config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
         remaining = self._remaining(prefix)
         return _rate(self.instance, _best(self.instance, remaining), remaining)
 
-    def random_prefix(self, rng: np.random.Generator) -> AllocationStrategy:
+    def random_prefix(self, rng: Stream) -> AllocationStrategy:
         return random_strategy(self.instance, rng)
 
-    def random_action(self, rng: np.random.Generator) -> Configuration:
+    def random_action(self, rng: Stream) -> Configuration:
         return random_configuration(self.instance, rng)
 
 

@@ -16,14 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .adalloc import AdInstance, InstanceError, parse_instance
 from .adalloc import _draw_distinct, _identifier, _integer
-from .seqcore import DiscreteSequence, SequenceFunction, unchecked
-
-if TYPE_CHECKING:
-    import numpy as np
+from .seqcore import DiscreteSequence, SequenceFunction, Stream, unchecked
 
 
 @dataclass(frozen=True)
@@ -220,26 +217,26 @@ def plan_function(instance: RewriteInstance) -> SequenceFunction:
     return SequenceFunction("discrete", lambda seq: evaluate_plan(instance, seq)[0], total_budget)
 
 
-def random_plan(instance: RewriteInstance, rng: np.random.Generator) -> DiscreteSequence:
+def random_plan(instance: RewriteInstance, rng: Stream) -> DiscreteSequence:
     """Random plan of zero to four steps: random types, rewrite subsets and caps.
 
-    Caps are budgets times uniforms, drawn for the n positive budgets by one
-    `rng.random(n)` (the doubles of n scalar calls); steps are built unchecked.
+    Caps are budgets times uniforms, one for each positive budget; steps
+    are built unchecked.
     """
     base = instance.base
     funded = [(i, b) for i, b in enumerate(base.budgets) if b > 0]
-    k = int(rng.integers(0, 5))
+    k = rng.integers(0, 5)
     items = []
     for _ in range(k):
-        tid = base.type_ids[int(rng.integers(0, base.num_types))]
-        n_rw = int(rng.integers(0, instance._limit + 1))
+        tid = base.type_ids[rng.integers(0, base.num_types)]
+        n_rw = rng.integers(0, instance._limit + 1)
         picks: Tuple[str, ...] = ()
         if n_rw:
             idx = _draw_distinct(rng, len(instance.rewrites), n_rw)
             picks = tuple(instance.rewrites[i].id for i in sorted(idx))
         caps = [0.0] * len(base.budgets)
-        for (i, b), u in zip(funded, rng.random(len(funded)).tolist()):
-            caps[i] = b * u
+        for i, b in funded:
+            caps[i] = b * rng.random()
         items.append(unchecked(PartialAllocation, query_type=tid, rewrites=picks, caps=tuple(caps)))
     return DiscreteSequence(tuple(items))
 

@@ -10,7 +10,9 @@ from an incremental oracle; the guarantee they carry (a constant fraction
 of the optimum) holds whenever the utility is non-decreasing under
 domination and has diminishing marginal gains.  The `check_*` functions
 sample randomized witnesses against exactly those structural properties
-and report any violation they find.
+and report any violation they find.  They draw from `Stream`, a pure-Python
+PCG64 that makes the draws of numpy's `default_rng([seed, i])`, so they
+run without numpy.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Hashable, Optional, Tuple
 
 # Tolerance for inequality checks, relative to the larger of the values
-# compared and the check's scale (see `_exceeds`); also the duration slack of
-# `dominates`, and so of `equivalent`.
+# compared and the check's scale (see `_exceeds`); also the relative duration
+# slack of `dominates`, and so of `equivalent`.
 DEFAULT_TOL = 1e-9
 # Relative tolerance of the finite-difference check on marginal rates.
 FD_REL_TOL = 1e-6
@@ -35,7 +35,7 @@ FD_REL_TOL = 1e-6
 MIN_LENGTH = 1e-6
 # Substream seeds hashed at once; a power of two, so a block's indices differ in their low word only.
 SUBSTREAM_BLOCK = 2**10
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 # numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
@@ -189,8 +189,10 @@ def equivalent(a: SequenceLike, b: SequenceLike) -> bool:
 def dominates(a: SequenceLike, b: SequenceLike) -> bool:
     """True when `a` can be obtained by cutting parts out of `b`.
 
-    Timed sequences are walked segment by segment, with a duration slack of
-    DEFAULT_TOL per segment.
+    Timed sequences are walked segment by segment, with a duration slack
+    per segment of DEFAULT_TOL times the longer sequence's length, capped at
+    DEFAULT_TOL: relative at time scales below 1, so that tiny sequences
+    still differ.
     """
     if type(a) is not type(b):
         raise TypeError("cannot compare sequences of different kinds")
@@ -198,17 +200,18 @@ def dominates(a: SequenceLike, b: SequenceLike) -> bool:
         it = iter(b.items)
         return all(x in it for x in a.items)  # order-preserving subsequence
     need, have = a.segments, b.segments
+    slack = DEFAULT_TOL * min(1.0, max(a.length, b.length))
     i = j = 0
     ra = need[0][1] if need else 0.0
     rb = have[0][1] if have else 0.0
     while i < len(need):
-        if ra <= DEFAULT_TOL:
+        if ra <= slack:
             i += 1
             ra = need[i][1] if i < len(need) else 0.0
             continue
         if j >= len(have):
             return False
-        if need[i][0] == have[j][0] and rb > DEFAULT_TOL:
+        if need[i][0] == have[j][0] and rb > slack:
             take = min(ra, rb)
             ra -= take
             rb -= take
@@ -218,21 +221,20 @@ def dominates(a: SequenceLike, b: SequenceLike) -> bool:
     return True
 
 
-def sample_dominated(b: SequenceLike, rng: np.random.Generator) -> SequenceLike:
+def sample_dominated(b: SequenceLike, rng: Stream) -> SequenceLike:
     """Random sequence dominated by `b`, drawn from `rng`.
 
     Discrete sequences get a uniformly random subsequence; timed sequences
     get a concatenation of up to three disjoint, ordered windows of `b`.
     """
     if isinstance(b, DiscreteSequence):
-        keep = rng.random(len(b.items)) < 0.5
-        return DiscreteSequence(tuple(x for x, k in zip(b.items, keep) if k), b.actions)
+        return DiscreteSequence(tuple(x for x in b.items if rng.random() < 0.5), b.actions)
     total = b.length
-    m = int(rng.integers(0, 4))  # zero to three windows
+    m = rng.integers(0, 4)  # zero to three windows
     out = unchecked(TimedSequence, segments=())
     if m == 0 or total <= 0.0:
         return out
-    cuts = sorted((total * rng.random(2 * m)).tolist())
+    cuts = sorted([total * rng.random() for _ in range(2 * m)])
     for lo, hi in zip(cuts[0::2], cuts[1::2]):
         out = concat(out, b.slice(lo, hi))
     return out
@@ -382,62 +384,121 @@ def _words(n: int) -> list:
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _pcg64_seeds(entropy: list) -> list:
-    """`SeedSequence(words).generate_state(4, np.uint64)` per column of `entropy`, a uint32 array a word."""
-    import numpy as np
-    u32, const = np.uint32, [_INIT_A]
+class Stream:
+    """One PCG64 stream (O'Neill 2014) that draws as numpy's `Generator(PCG64)` does.
 
-    def hashmix(value, mult=_MULT_A):
-        value = value ^ u32(const[0])
-        const[0] = const[0] * mult & _MASK32
-        value = value * u32(const[0])
-        return value ^ (value >> u32(16))
-
-    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0])) for k in range(4)]
-    for src in range(max(4, len(entropy))):
-        for dst in range(4):
-            if src != dst:
-                word = hashmix(pool[src] if src < 4 else entropy[src])
-                value = pool[dst] * u32(_MIX_L) - word * u32(_MIX_R)
-                pool[dst] = value ^ (value >> u32(16))
-    const[0] = _INIT_B
-    out = [hashmix(pool[k % 4], _MULT_B).astype(np.uint64) for k in range(8)]
-    return [out[k] | (out[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
-
-
-def substreams(seed: int, indices: range):
-    """For each i of the consecutive `indices`, one Generator(PCG64) reseeded as `default_rng([seed, i])`.
-
-    A yielded generator is valid until the next one.  `_pcg64_seeds` hashes
-    a block of seeds at once, as numpy's SeedSequence does in uint32
-    arithmetic: a pool of 4 words filled, each pool word and later word
-    mixed into every other, 8 words hashed out and paired.  Each seed
-    becomes a PCG64 state as PCG's `srandom` makes it (O'Neill 2014):
-    initstate from words 0-1, increment `(initseq << 1) | 1` from words 2-3,
-    then two LCG steps.  Negative seeds and indices raise ValueError.
+    It has the two draws the samplers make.  `random()` is
+    `Generator.random()`.  `integers(low, high)` is
+    `Generator.integers(low, high)` for ranges of at most 2^32 values:
+    Lemire's multiply-and-reject method (ACM TOMACS 2019) on 32-bit words.
+    Each 64-bit output serves two 32-bit draws, its low half first; the high
+    half waits, as PCG64's `next_uint32` buffers it, and `random` neither
+    uses nor clears it.  A test pins both draws to numpy's.
     """
-    import numpy as np
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc, self.half = state, inc, None
+
+    def random(self) -> float:
+        """A double in [0, 1): the top 53 bits of the next 64-bit output, scaled."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high); a one-value range draws nothing."""
+        span = high - low
+        if not 1 < span <= 2**32:
+            if span == 1:
+                return low
+            raise ValueError(f"integers draws from 1 to 2^32 values, not [{low}, {high})")
+        while True:
+            word = self.half
+            if word is None:
+                x = self._next64()
+                word, self.half = x & _MASK32, x >> 32
+            else:
+                self.half = None
+            m = word * span
+            left = m & _MASK32
+            if left >= span or left >= (2**32 - span) % span:  # else the draw is biased: reject it
+                return low + (m >> 32)
+
+    def _next64(self) -> int:
+        """Step the 128-bit LCG and return its XSL-RR output: the halves xored, rotated by the top 6 bits."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        x, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (x >> r | x << 64 - r) & _MASK64
+
+
+def _pcg64_states(seed: int, indices: range):
+    """PCG64's (state, inc) for each i of the consecutive `indices`, as `default_rng([seed, i])` sets them.
+
+    numpy's SeedSequence hashes the 32-bit words of [seed, i] in uint32
+    arithmetic: a pool of 4 words filled, each pool word and each later word
+    mixed into every other, 8 words hashed out and paired.  A block of up
+    to SUBSTREAM_BLOCK indices is hashed at once: each word of the hash is
+    one Python int holding the block's words in 64-bit lanes, where the
+    product of two 32-bit words fits, so a lane-wise multiply is one
+    multiply and a mask.  Each seed becomes a PCG64 state as PCG's
+    `srandom` makes it (O'Neill 2014): initstate from words 0-1, increment
+    `(initseq << 1) | 1` from words 2-3, then two LCG steps.  Negative
+    seeds and indices raise ValueError.
+    """
     seed_words = _words(operator.index(seed))
-    rng = np.random.Generator(np.random.PCG64())
     lo = indices.start
     while lo < indices.stop:
         hi = min(indices.stop, (lo // SUBSTREAM_BLOCK + 1) * SUBSTREAM_BLOCK)
-        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words + _words(lo)]
-        entropy[len(seed_words)] += np.arange(hi - lo, dtype=np.uint32)
-        for w0, w1, w2, w3 in zip(*(words.tolist() for words in _pcg64_seeds(entropy))):
+        ones = int.from_bytes(array("Q", [1]) * (hi - lo), sys.byteorder)
+        low32, two32, const = ones * _MASK32, ones << 32, [_INIT_A]
+
+        def hashmix(value, mult=_MULT_A):
+            value ^= const[0] * ones
+            const[0] = const[0] * mult & _MASK32
+            value = value * const[0] & low32
+            return (value ^ value >> 16) & low32
+
+        def mix(x, y):
+            value = ((x * _MIX_L & low32) + two32 - (y * _MIX_R & low32)) & low32
+            return (value ^ value >> 16) & low32
+
+        entropy = [w * ones for w in seed_words + _words(lo)]
+        first = lo & _MASK32  # the block's indices differ in their low word only
+        entropy[len(seed_words)] = int.from_bytes(array("Q", range(first, first + hi - lo)), sys.byteorder)
+        pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+        for src in range(max(4, len(entropy))):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src] if src < 4 else entropy[src]))
+        const[0] = _INIT_B
+        out = [hashmix(pool[k % 4], _MULT_B) for k in range(8)]
+        size = 8 * (hi - lo)
+        words = [array("Q", (out[k] | out[k + 1] << 32).to_bytes(size, sys.byteorder)) for k in range(0, 8, 2)]
+        for w0, w1, w2, w3 in zip(*words):
             inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
-            state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+            yield (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
         lo = hi
+
+
+def substreams(seed: int, indices: range):
+    """For each i of the consecutive `indices`, one numpy Generator(PCG64) reseeded as `default_rng([seed, i])`.
+
+    A yielded generator is valid until the next one.  `simulate` draws its
+    vectors of uniforms from these; the checkers draw from `Stream`s.
+    """
+    import numpy as np
+    rng = np.random.Generator(np.random.PCG64())
+    for state, inc in _pcg64_states(seed, indices):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _run_samples(
     check: str,
     samples: int,
     seed: int,
-    body: Callable[[np.random.Generator], Optional[list]],
+    body: Callable[[Stream], Optional[list]],
     violations: Tuple[Violation, ...] = (),
     details: Optional[dict] = None,
 ) -> CheckReport:
@@ -452,8 +513,8 @@ def _run_samples(
         raise ValueError("samples must be >= 1")
     found = list(violations)
     tested = 0
-    for rng in substreams(seed, range(samples)):
-        result = body(rng)
+    for state, inc in _pcg64_states(seed, range(samples)):
+        result = body(Stream(state, inc))
         if result is not None:
             tested += 1
             found.extend(result)
@@ -462,7 +523,7 @@ def _run_samples(
 
 def check_nondecreasing(
     u: SequenceFunction,
-    sample_b: Callable[[np.random.Generator], SequenceLike],
+    sample_b: Callable[[Stream], SequenceLike],
     samples: int,
     seed: int = 0,
 ) -> CheckReport:
@@ -486,8 +547,8 @@ def check_nondecreasing(
 
 def check_submodular(
     u: SequenceFunction,
-    sample_b: Callable[[np.random.Generator], SequenceLike],
-    sample_c: Callable[[np.random.Generator], SequenceLike],
+    sample_b: Callable[[Stream], SequenceLike],
+    sample_c: Callable[[Stream], SequenceLike],
     samples: int,
     seed: int = 0,
 ) -> CheckReport:
@@ -504,7 +565,7 @@ def check_submodular(
     return _run_samples("submodular", samples, seed, body)
 
 
-def _draw_smooth(rng: np.random.Generator, lo: float, hi: float, breakpoints, margin: float):
+def _draw_smooth(rng: Stream, lo: float, hi: float, breakpoints, margin: float):
     """Uniform draw in [lo, hi] at least `margin` away from every breakpoint."""
     for _ in range(200):
         x = lo + (hi - lo) * rng.random()
@@ -572,9 +633,11 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
             found += _violations("rate_nonincreasing", r2, r1, {"a": a, "s": s, "d1": d1, "d2": d2}, floor)
         d0 = _draw_smooth(rng, margin, hi, bps_a, margin)
         if d0 is not None:
-            counts["fd_points"] += 1
             gap = min((abs(d0 - x) for x in bps_a), default=d0)
             h = min(1e-4 * unit, min(gap, d0) / 4.0)
+            if not h > 0.0:  # at subnormal time scales the step can underflow to 0
+                return found
+            counts["fd_points"] += 1
             hold = lambda delta: model.utility(concat(a, unchecked(TimedSequence, segments=((s, delta),))))
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
@@ -609,7 +672,7 @@ def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int,
 def check_step_gain_bound(
     u: SequenceFunction,
     actions: ActionSet,
-    sample: Callable[[np.random.Generator], DiscreteSequence],
+    sample: Callable[[Stream], DiscreteSequence],
     samples: int,
     seed: int = 0,
 ) -> CheckReport:
@@ -634,10 +697,10 @@ def check_rate_gain_bound(model, samples: int, seed: int = 0) -> CheckReport:
 
 
 def random_discrete_sequence(
-    actions: ActionSet, rng: np.random.Generator, max_len: int = 6
+    actions: ActionSet, rng: Stream, max_len: int = 6
 ) -> DiscreteSequence:
     """Uniform-length random sequence over an action set (repeats allowed)."""
-    k = int(rng.integers(0, max_len + 1))
+    k = rng.integers(0, max_len + 1)
     pool = actions.actions
-    items = tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(k))
+    items = tuple(pool[rng.integers(0, len(pool))] for _ in range(k))
     return DiscreteSequence(items, actions)

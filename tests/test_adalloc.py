@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc, stochsim
+from seqsub import adalloc, oracle, stochsim
 from seqsub.adalloc import (
     Configuration,
     FluidRateModel,
@@ -24,6 +24,7 @@ from seqsub.adalloc import (
     random_strategy,
     revenue_rate,
 )
+from seqsub.cli import CONTINUOUS_RATIO_BOUND
 from seqsub.seqcore import (
     ActionSet,
     TimedSequence,
@@ -567,6 +568,49 @@ def test_every_entry_point_rejects_a_non_configuration_action():
     ):
         with pytest.raises(ValueError, match="strategy actions must be Configuration values"):
             query()
+
+
+def _triangular(n):
+    """tri(n) of Karp, Vazirani & Vazirani (STOC 1990): ad i (budget 1) bids 1 on types i..n.
+
+    n types of probability 1/n, one slot, horizon n.  The diagonal spends
+    every budget, so the optimum is n; the greedy, with ties to the lower
+    index, first plays ad 1 on every type.
+    """
+    ads = [(f"a{i}", 1.0) for i in range(1, n + 1)]
+    types = [(f"t{j}", 1.0 / n) for j in range(1, n + 1)]
+    bids = {f"a{i}": {f"t{j}": 1.0 for j in range(i, n + 1)} for i in range(1, n + 1)}
+    return adalloc.AdInstance.build(ads, types, bids, 1, float(n))
+
+
+def test_the_continuous_bound_is_tight_on_the_triangular_family():
+    # The greedy's ratio on tri(n) falls with n toward 1 - 1/e, so the
+    # continuous bound cannot be raised.
+    for n in (2, 3):
+        assert oracle.lp_opt_fluid(_triangular(n)).value == pytest.approx(n, rel=1e-12)
+    ratios = [greedy_allocate(_triangular(n))[1].utility / n for n in (2, 3, 10, 50, 100)]
+    assert ratios[:2] == [pytest.approx(0.75, abs=1e-12), pytest.approx(13 / 18, abs=1e-12)]
+    assert all(r > CONTINUOUS_RATIO_BOUND for r in ratios)
+    assert all(later <= earlier for earlier, later in zip(ratios, ratios[1:]))
+    assert ratios[-1] < CONTINUOUS_RATIO_BOUND + 0.005
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda model: model.utility(TimedSequence(((["t1"], 1.0),))),
+        lambda model: model.rate(["t1"], 0.5, TimedSequence(())),
+        lambda model: model.breakpoints(["t1"], TimedSequence(())),
+        lambda model: model.best_rate(TimedSequence(((["t1"], 1.0),))),
+    ],
+    ids=["utility", "rate", "breakpoints", "best_rate"],
+)
+def test_model_queries_reject_an_unhashable_action(query):
+    # The model's memos hash an action before `_config_indices` sees it; a
+    # list action must still get its ValueError, not a TypeError.
+    inst = adalloc.AdInstance.build([("a1", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 2.0)
+    with pytest.raises(ValueError, match="strategy actions must be Configuration values"):
+        query(FluidRateModel(inst))
 
 
 def reference_random_configuration(instance, rng):

@@ -599,11 +599,17 @@ NEAR_MAX_EXHAUSTION = [
 ]
 
 
+# A subnormal budget: the derivative check's finite-difference step used to
+# underflow to 0 and divide by it.
+SUBNORMAL_BUDGET = [(("ads", 0, "budget"), 5e-324)]
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3))
 @example(HUGE_SLOTS)
 @example(HUGE_BUDGETS)
 @example(NEAR_MAX_EXHAUSTION)
+@example(SUBNORMAL_BUDGET)
 def test_cli_fuzz_verify_exits_0_to_3(edits):
     # Exit 1 reports a property violation, a legal outcome of verify.
     data = _mutate(_fuzz_base(), edits)
@@ -629,27 +635,65 @@ for args in (
     ["allocate", "--instance", ad, "--oracle"],
     ["rewrite", "--instance", rewrite],
     ["rewrite", "--instance", rewrite, "--oracle"],
+    ["verify", "--instance", ad, "--samples", "20"],
+    ["verify", "--instance", rewrite, "--samples", "20"],
 ):
     assert cli.main([*args, "--out", out]) == 0, args
     loaded.append("numpy" in sys.modules)
-assert cli.main(["verify", "--instance", ad, "--samples", "20", "--out", out]) == 0
 assert cli.main(["simulate", "--instance", ad, "--trials", "3", "--seed", "1", "--out", out]) == 0
 print(loaded, "numpy" in sys.modules)
 """
 
 
-def test_only_simulate_and_verify_load_numpy(tmp_path):
-    # numpy's import is most of a process start; commands that draw no random
-    # numbers must not pay it.
+def _probe_env() -> dict:
+    """The environment of a probe process: this checkout's `src` first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_only_simulate_loads_numpy(tmp_path):
+    # numpy's import is most of a process start; commands that draw no
+    # vectors of random numbers must not pay it.
     ad, rewrite = INSTANCES / "two_ads_two_types.json", INSTANCES / "rewrite_two_paths.json"
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, str(ad), str(rewrite), str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, False, False] True"
+    assert proc.stdout.strip() == "[False, False, False, False, False, False, False] True"
+
+
+NO_NUMPY_PROBE = """
+import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from seqsub import cli
+
+out_dir, runs = sys.argv[1], json.loads(sys.argv[2])
+for k, argv in enumerate(runs):
+    cli.main([*argv, "--out", f"{out_dir}/probe{k}.json"])
+"""
+
+
+def test_verify_reports_are_the_same_without_numpy(tmp_path):
+    # verify draws from seqcore.Stream alone: with numpy unimportable, its
+    # reports on the README instances, with and without a planted violation
+    # (whose witnesses print the sampled sequences), are those of a normal run.
+    runs = [
+        ["verify", "--instance", str(INSTANCES / name), "--checks", "mono,submod,deriv,lemma1",
+         "--samples", "200", "--seed", "7", *planted]
+        for name in ("two_ads_two_types.json", "rewrite_two_paths.json")
+        for planted in ([], ["--planted-violation"])
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, str(tmp_path), json.dumps(runs)],
+        env=_probe_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for k, argv in enumerate(runs):
+        expected = tmp_path / f"expected{k}.json"
+        with contextlib.redirect_stderr(io.StringIO()):
+            main([*argv, "--out", str(expected)])
+        assert (tmp_path / f"probe{k}.json").read_bytes() == expected.read_bytes(), argv
 
 
 ORACLE_PROBE = """
@@ -668,15 +712,13 @@ print("seqsub.oracle" in sys.modules, "fractions" in sys.modules)
 def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
     # The oracle module and the fractions and decimal modules it imports are
     # loaded by --oracle alone.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [command, "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--out", str(tmp_path / "r.json")]
     if command == "verify":
         args += ["--samples", "20"]
     if oracle:
         args.append("--oracle")
     proc = subprocess.run(
-        [sys.executable, "-c", ORACLE_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", ORACLE_PROBE, *args], env=_probe_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(oracle)] * 2
@@ -695,14 +737,12 @@ def test_tracer_targets_resolve_and_a_traced_run_exits_0(tmp_path):
     spec.loader.exec_module(tracer)
     missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.TARGETS if not hasattr(owner, attr)]
     assert missing == []
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(TRACER), "--spans", str(spans), "--", "verify",
          "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--samples", "20",
          "--out", str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text())["spans"]

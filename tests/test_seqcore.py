@@ -153,20 +153,36 @@ def test_dominates_timed():
     assert dominates(TimedSequence(()), b)
 
 
+def test_equivalence_holds_its_meaning_at_tiny_time_scales():
+    # The duration slack is relative below length 1: two different actions
+    # over 1e-10 are not equivalent, while a rounding-sized nudge still is.
+    tiny = 1e-10
+    assert not equivalent(TimedSequence((("x", tiny),)), TimedSequence((("y", tiny),)))
+    assert not dominates(TimedSequence((("x", tiny),)), TimedSequence((("y", 5 * tiny),)))
+    assert equivalent(TimedSequence((("x", tiny),)), TimedSequence((("x", tiny * (1 + 1e-12)),)))
+    assert equivalent(TimedSequence((("x", 1.0),)), TimedSequence((("x", 1.0), ("y", 1e-10))))
+
+
+def _slack(a, b):
+    """The duration slack of `dominates`: DEFAULT_TOL relative to the longer length, up to length 1."""
+    return DEFAULT_TOL * min(1.0, max(a.length, b.length))
+
+
 def reference_dominates(a, b):
     """The canonicalising walk `dominates` replaced: adjacent same-action segments merged first."""
     need, have = a.canonical().segments, b.canonical().segments
+    slack = _slack(a, b)
     i = j = 0
     ra = need[0][1] if need else 0.0
     rb = have[0][1] if have else 0.0
     while i < len(need):
-        if ra <= DEFAULT_TOL:
+        if ra <= slack:
             i += 1
             ra = need[i][1] if i < len(need) else 0.0
             continue
         if j >= len(have):
             return False
-        if need[i][0] == have[j][0] and rb > DEFAULT_TOL:
+        if need[i][0] == have[j][0] and rb > slack:
             take = min(ra, rb)
             ra -= take
             rb -= take
@@ -179,7 +195,8 @@ def reference_dominates(a, b):
 def reference_equivalent(a, b):
     """The lockstep walk `equivalent` replaced: merged segments consumed pairwise."""
     ca, cb = a.canonical().segments, b.canonical().segments
-    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > DEFAULT_TOL:
+    slack = _slack(a, b)
+    if abs(math.fsum(d for _, d in ca) - math.fsum(d for _, d in cb)) > slack:
         return False
     i = j = 0
     ra = ca[0][1] if ca else 0.0
@@ -190,10 +207,10 @@ def reference_equivalent(a, b):
         take = min(ra, rb)
         ra -= take
         rb -= take
-        if ra <= DEFAULT_TOL:
+        if ra <= slack:
             i += 1
             ra = ca[i][1] if i < len(ca) else 0.0
-        if rb <= DEFAULT_TOL:
+        if rb <= slack:
             j += 1
             rb = cb[j][1] if j < len(cb) else 0.0
     return i >= len(ca) and j >= len(cb)
@@ -461,8 +478,8 @@ class _ConstantRateModel:
     """Utility grows at unit rate forever, no breakpoints anywhere."""
 
     def random_prefix(self, rng):
-        k = int(rng.integers(0, 3))
-        return TimedSequence(tuple(("go", float(rng.uniform(0.1, 1.0))) for _ in range(k)))
+        k = rng.integers(0, 3)
+        return TimedSequence(tuple(("go", 0.1 + (1.0 - 0.1) * rng.random()) for _ in range(k)))
 
     def random_action(self, rng):
         return "go"
@@ -522,21 +539,69 @@ def _draws(g):
     )
 
 
-def test_substreams_draw_what_default_rng_draws():
-    # Seeds of 1 to 7 words, so [seed, i] fills the pool of 4 words or runs
-    # past it; indices from 0, on both sides of a block boundary, and on
-    # both sides of 2^32, where an index gains a word.
+def _seeds_and_indices():
+    """Seeds of 1 to 7 words, so [seed, i] fills the pool of 4 words or runs
+    past it, and index ranges from 0, on both sides of a block boundary, and
+    on both sides of 2^32, where an index gains a word."""
     rng = np.random.default_rng(1100)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]
     seeds += [int.from_bytes(rng.bytes(int(rng.integers(1, 29))), "little") for _ in range(8)]
     block = seqcore.SUBSTREAM_BLOCK
+    ranges = (range(0, 40), range(3 * block - 30, 3 * block + 30), range(2**32 - 30, 2**32 + 30))
+    return [(seed, indices) for seed in seeds for indices in ranges]
+
+
+def test_substreams_draw_what_default_rng_draws():
     pairs = 0
-    for seed in seeds:
-        for indices in (range(0, 40), range(3 * block - 30, 3 * block + 30), range(2**32 - 30, 2**32 + 30)):
-            for i, g in zip(indices, seqcore.substreams(seed, indices), strict=True):
-                assert _draws(g) == _draws(np.random.default_rng([seed, i])), (seed, i)
-                pairs += 1
+    for seed, indices in _seeds_and_indices():
+        for i, g in zip(indices, seqcore.substreams(seed, indices), strict=True):
+            assert _draws(g) == _draws(np.random.default_rng([seed, i])), (seed, i)
+            pairs += 1
     assert pairs >= 2000
+
+
+# Ranges of `integers`: one value (no draw), then up to 2^32 values; about
+# half of the draws over 2^31 + 1 values and a quarter over 3 * 2^30 are
+# rejected and drawn again.
+SPANS = (1, 2, 5, 70, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+def test_stream_draws_what_default_rng_draws():
+    # Each sample's Stream against a fresh default_rng([seed, i]): every
+    # range of integers, each draw followed by a double (which must leave
+    # the buffered half word alone), then one pick of distinct values, with
+    # (n, size) running through every size at n <= 60, against choice.
+    picks = [(n, size) for n in range(1, 61) for size in range(n + 1)]
+    pairs = 0
+    for seed, indices in _seeds_and_indices():
+        streams = [seqcore.Stream(*state) for state in seqcore._pcg64_states(seed, indices)]
+        for i, stream in zip(indices, streams, strict=True):
+            g = np.random.default_rng([seed, i])
+            for span in SPANS:
+                assert stream.integers(3, 3 + span) == g.integers(3, 3 + span), (seed, i, span)
+                assert stream.random() == g.random(), (seed, i, span)
+            n, size = picks[pairs % len(picks)]
+            assert adalloc._draw_distinct(stream, n, size) == tuple(g.choice(n, size, replace=False).tolist())
+            assert (stream.integers(0, 7), stream.random()) == (g.integers(0, 7), g.random())
+            pairs += 1
+    assert pairs >= max(2000, len(picks))
+
+
+def test_draw_distinct_shuffles_the_tail_as_choice_does():
+    # Above 10,000 values and n // 50 picks, choice shuffles the tail of
+    # range(n); (10_001, 200) is the last case below that line, by Floyd.
+    for seed, (n, size) in enumerate([(10_001, 200), (10_001, 201), (10_050, 10_050), (20_000, 5_000)]):
+        stream = seqcore.Stream(*next(seqcore._pcg64_states(seed, range(1))))
+        g = np.random.default_rng([seed, 0])
+        assert adalloc._draw_distinct(stream, n, size) == tuple(g.choice(n, size, replace=False).tolist())
+        assert stream.random() == g.random()
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1), (-(2**40), 2**40)])
+def test_stream_rejects_an_empty_or_too_wide_range(low, high):
+    stream = seqcore.Stream(*next(seqcore._pcg64_states(0, range(1))))
+    with pytest.raises(ValueError):
+        stream.integers(low, high)
 
 
 def test_substreams_reject_a_negative_seed_as_default_rng_does():
