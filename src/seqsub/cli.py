@@ -167,7 +167,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import stochsim  # loads numpy, which allocate and rewrite never need
+    from . import stochsim  # loads numpy, which no other command needs
     data, digest = _load_json(Path(args.instance))
     instance = adalloc.parse_instance(data)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)

@@ -10,9 +10,9 @@ from an incremental oracle; the guarantee they carry (a constant fraction
 of the optimum) holds whenever the utility is non-decreasing under
 domination and has diminishing marginal gains.  The `check_*` functions
 sample randomized witnesses against exactly those structural properties
-and report any violation they find.  They draw from `Stream`, a pure-Python
-PCG64 that makes the draws of numpy's `default_rng([seed, i])`, so they
-run without numpy.
+and report any violation they find.  Sample i draws from `Stream`, a
+pure-Python PCG64 that makes the draws of numpy's `default_rng([seed, i])`;
+this module holds no numpy code.
 """
 
 from __future__ import annotations
@@ -480,20 +480,6 @@ def _pcg64_states(seed: int, indices: range):
         lo = hi
 
 
-def substreams(seed: int, indices: range):
-    """For each i of the consecutive `indices`, one numpy Generator(PCG64) reseeded as `default_rng([seed, i])`.
-
-    A yielded generator is valid until the next one.  `simulate` draws its
-    vectors of uniforms from these; the checkers draw from `Stream`s.
-    """
-    import numpy as np
-    rng = np.random.Generator(np.random.PCG64())
-    for state, inc in _pcg64_states(seed, indices):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 def _run_samples(
     check: str,
     samples: int,
@@ -502,9 +488,9 @@ def _run_samples(
     violations: Tuple[Violation, ...] = (),
     details: Optional[dict] = None,
 ) -> CheckReport:
-    """Run `body` on the per-sample substreams (seed, 0), (seed, 1), ...
+    """Run `body` on sample i's `Stream`, where `default_rng([seed, i])` starts, for i = 0, 1, ...
 
-    Substreams make samples order-independent and reproducible.  `body`
+    Per-sample streams make samples order-independent and reproducible.  `body`
     returns the sample's violations, or None when it skipped the sample,
     which then does not count as tested.  `violations` found before the
     loop come first in the report.

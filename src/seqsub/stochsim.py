@@ -3,7 +3,7 @@
 Queries arrive one per unit of virtual time: a run of Q queries spans the
 horizon, query n landing at time n * T / Q.  Types are drawn i.i.d. from the
 instance distribution, each shown ad pays min(payment, its remaining
-budget), and every trial is reproducible from (seed, trial index).
+budget), and trial t draws from `numpy.random.default_rng([seed, t])`.
 
 No Python code runs per query.  For each trial the shown (ad, payment)
 pairs of all queries are gathered from per-(segment, type) slot tables and
@@ -15,8 +15,9 @@ every payment is below the remaining budget both compute the same
 differences, the first payment p >= rem leaves the rule at 0.0 for good
 and the fold at rem - p <= 0.0, and subtracting more payments p >= 0.0
 never makes a float larger, so the clamp gives 0.0 there too.  The fold
-runs over blocks of `FOLD_BLOCK` queries, each ad's unclamped value
-carried from block to block, which is the same left fold in fixed memory.
+runs over blocks of queries that show at most `FOLD_BLOCK` pairs (or of
+one query), each ad's unclamped value carried from block to block, which
+is the same left fold in memory bounded by the block, not by the queries.
 
 Query types are what `Generator.choice(n, size, p=p)` draws from the same
 `Generator.random` doubles, drawn block by block; a guide table (Chen &
@@ -40,14 +41,14 @@ from .adalloc import (
     _past_horizon,
     evaluate_strategy,
 )
-from .seqcore import substreams
 
 RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
 # table row of each query, after a set-up peak of 24 (240 MB at the cap).
 MAX_QUERIES = 10**7
-# Queries per block of the fold, which holds about 50 bytes per shown (ad,
-# payment) pair at peak: 3.3 MB x slots at most, whatever the query count.
+# Shown (ad, payment) pairs per block of the fold, which holds about 50
+# bytes a pair at peak: a block is FOLD_BLOCK // width queries (at least one)
+# when configurations show up to `width` ads a type, so about 3.3 MB.
 FOLD_BLOCK = 2**16
 # Buckets of the type draw's guide table; a power of two, so u * _BUCKETS is exact.
 _BUCKETS = 2**12
@@ -158,8 +159,8 @@ def simulate_stream(
 ) -> SimResult:
     """Simulate i.i.d. query arrivals against a fixed strategy.
 
-    Deterministic in the seed: trial t uses the substream (seed, t), and
-    trials are reduced in index order.
+    Deterministic in the seed: trial t draws from `default_rng([seed, t])`,
+    and trials are reduced in index order.
     """
     if _past_horizon(instance, strategy.length):
         raise ValueError("strategy length exceeds horizon")
@@ -172,11 +173,13 @@ def simulate_stream(
     del times  # only the first cells are kept across trials
     budgets = np.asarray(instance.budgets, dtype=float)
     ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
+    step = max(1, FOLD_BLOCK // max(1, ad_tab.shape[1]))
     revenues = []
-    for rng in substreams(config.seed, range(config.trials)):
+    for t in range(config.trials):
+        rng = np.random.default_rng([config.seed, t])
         folds = budgets
-        for lo in range(0, queries, FOLD_BLOCK):
-            block = first_cell[lo : lo + FOLD_BLOCK]
+        for lo in range(0, queries, step):
+            block = first_cell[lo : lo + step]
             block = block + _draw_types(table, rng.random(len(block)))
             ads = np.take(ad_tab, block, axis=0).ravel()
             filled = ads < instance.num_ads

@@ -368,9 +368,12 @@ def _full_horizon(instance):
 
 
 def test_greedy_allocate_matches_id_based_reference():
+    # 400 random instances, then tri(n) (`_triangular`): every bid tied,
+    # so each exhaustion hands its types on by tie-break, in cascades far
+    # longer than the random instances, with at most 12 ads, reach.
     rng = np.random.default_rng(1009)
-    for _ in range(400):
-        inst = _differential_instance(rng)
+    instances = [_differential_instance(rng) for _ in range(400)]
+    for inst in instances + [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]:
         assert greedy_allocate(inst) == reference_greedy_allocate(inst)
         full = dataclasses.replace(inst, horizon=_full_horizon(inst))
         result = greedy_allocate(full)
@@ -588,11 +591,11 @@ def test_the_continuous_bound_is_tight_on_the_triangular_family():
     # continuous bound cannot be raised.
     for n in (2, 3):
         assert oracle.lp_opt_fluid(_triangular(n)).value == pytest.approx(n, rel=1e-12)
-    ratios = [greedy_allocate(_triangular(n))[1].utility / n for n in (2, 3, 10, 50, 100)]
+    ratios = [greedy_allocate(_triangular(n))[1].utility / n for n in (2, 3, 10, 50, 100, 400)]
     assert ratios[:2] == [pytest.approx(0.75, abs=1e-12), pytest.approx(13 / 18, abs=1e-12)]
     assert all(r > CONTINUOUS_RATIO_BOUND for r in ratios)
     assert all(later <= earlier for earlier, later in zip(ratios, ratios[1:]))
-    assert ratios[-1] < CONTINUOUS_RATIO_BOUND + 0.005
+    assert ratios[-1] < CONTINUOUS_RATIO_BOUND + 0.001
 
 
 @pytest.mark.parametrize(

