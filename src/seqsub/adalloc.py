@@ -13,7 +13,7 @@ ad.  It is index-native and incremental: it keeps each type's top-`slots`
 live ads and, after an exhaustion, re-picks only the types whose pick held
 the spent-out ad.  Public functions take id-keyed `Configuration` values; the
 kernel works on (type index, ad indices) pairs.  `FluidRateModel`, the model
-`verify` checks, memoizes recent prefixes' budgets and configurations.  The
+`verify` checks, memoizes recent prefixes' budgets in a trie.  The
 generic `seqcore.greedy_continuous` driven by `incremental_oracle` (prefixes
 replayed through a `FluidRateModel`) over `enumerate_configurations` is the
 paper-faithful form of the same greedy, kept as the test reference for
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from itertools import combinations, compress, islice, product
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -38,8 +37,8 @@ EXHAUSTED = 1e-12
 # or payment lets sums of spend or of spend rates overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
-# Entries that each memo keeps: a FluidRateModel's prefix states and resolved
-# configurations, and an instance's interned random configurations.
+# Entries that each memo keeps before it is dropped whole: a FluidRateModel's
+# prefix states, and an instance's resolved and interned random configurations.
 MODEL_MEMO = 256
 
 
@@ -74,8 +73,9 @@ class AdInstance:
         if sum(self.budgets) > MAX_AMOUNT:
             raise InstanceError(f"ads: total budget {sum(self.budgets)} exceeds {MAX_AMOUNT}")
         for q, tid in zip(self.probs, self.type_ids):
-            if not 0.0 <= q < math.inf:
-                raise InstanceError(f"query_types: probability of {tid!r} must be finite and >= 0")
+            # One above 1, beyond the sum's tolerance, fails the sum too; huge ones would overflow it.
+            if not 0.0 <= q <= 1.0 + 1e-9:
+                raise InstanceError(f"query_types: probability of {tid!r} must be in [0, 1], got {q}")
         if abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise InstanceError(
                 f"query_types: probabilities sum to {math.fsum(self.probs)!r}, expected 1 within 1e-9"
@@ -103,6 +103,7 @@ class AdInstance:
         # Canonical type order (by id): per-ad rates are summed over types in this order.
         object.__setattr__(self, "_order", tuple(sorted(columns, key=self.type_ids.__getitem__)))
         object.__setattr__(self, "_interned", {})  # random_configuration's, by index form
+        object.__setattr__(self, "_resolved", {})  # _config_indices', by configuration
 
     @classmethod
     def build(
@@ -183,7 +184,7 @@ class Configuration:
                 canon.append((tid, ads))
         object.__setattr__(self, "assignment", tuple(canon))
 
-    def __hash__(self) -> int:  # computed once, for the model's memos; allocate never hashes
+    def __hash__(self) -> int:  # computed once, for the memos; allocate never hashes
         if "_hash" not in self.__dict__:
             object.__setattr__(self, "_hash", hash((self.assignment,)))
         return self._hash
@@ -218,10 +219,15 @@ class SpendLedger:
 def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """Index form of a configuration, validated; types keep their canonical (id-sorted) order.
 
-    The only check that actions are `Configuration` values: every entry point resolves them here.
+    The only check that actions are `Configuration` values, made before anything
+    is hashed: every entry point resolves them here and shares the instance's
+    memo of validated index forms (one that fails validation is never stored).
     """
     if not isinstance(config, Configuration):
         raise ValueError("strategy actions must be Configuration values")
+    memo = instance._resolved
+    if config in memo:
+        return memo[config]
     out = []
     for tid, ads in config.assignment:
         j = instance.type_index(tid)
@@ -231,7 +237,10 @@ def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[
                 f"type {tid!r} assigns {len(idx)} ads, more than {instance.slots} slots"
             )
         out.append((j, idx))
-    return tuple(out)
+    if len(memo) >= MODEL_MEMO:
+        memo.clear()
+    memo[config] = out = tuple(out)
+    return out
 
 
 def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
@@ -292,20 +301,22 @@ def _advance(
     duration: float,
     t0: float = 0.0,
     events: Optional[list] = None,
-) -> None:
+) -> Dict[int, float]:
     """Run one configuration for `duration`, stepping through exhaustion events.
 
-    Mutates `remaining`; appends absolute event times to `events`.
+    Mutates `remaining`; appends absolute event times to `events`.  Returns
+    the configuration's `_spend_rates` at the end, kept up to date by `_step`.
     """
     rates = _spend_rates(instance, cfg_idx, remaining)
     done = 0.0
     while duration - done > 0.0:
         dt, hit = _step(instance, rates, remaining, duration - done)
         if not hit:
-            return
+            break
         done += dt
         if events is not None:
             events.append(t0 + done)
+    return rates
 
 
 def _budget_vector(instance: AdInstance, remaining) -> list:
@@ -576,24 +587,24 @@ class FluidRateModel:
 
     `utility` replays any strategy with no horizon cap: utilities of
     arbitrary prefixes are well defined, the horizon only constrains the
-    optimization problem.  Random prefixes stay within the horizon.
+    optimization problem.  Random prefixes stay within the horizon.  `scale`,
+    the total budget, is the utility's typical magnitude.
 
-    The model holds two memos of at most MODEL_MEMO entries: the validated
-    index form of recently resolved configurations (one that fails
-    validation is never stored, so it raises on every query), and a trie of
-    the prefixes it replayed, mapping each `(configuration, duration)`
-    segment to the budgets left after it and to the next segments' trie; a
-    full trie is dropped whole.  A query walks it a segment at a time,
-    hashing each once, and resumes from the longest remembered prefix, so
-    u(A + C) continues from A, and `rate`, `breakpoints` and `best_rate`
-    after A reuse A's budgets.  The budgets left after a prefix do not
-    depend on the time it starts at, so every answer is bit-identical to a
-    replay from zero.
+    The model's one memo is a trie of the prefixes it replayed, mapping each
+    `(configuration, duration)` segment to the budgets left after it and to
+    the next segments' trie; at MODEL_MEMO entries it is dropped whole.  A
+    query walks it a segment at a time, hashing each once, and resumes from
+    the longest remembered prefix, so u(A + C) continues from A, and `rate`,
+    `breakpoints` and `best_rate` after A reuse A's budgets.  The walk looks
+    up only `Configuration` actions; the rest of a prefix is resolved by
+    `_config_indices`, which rejects any other action.  The budgets left
+    after a prefix do not depend on the time it starts at, so every answer
+    is bit-identical to a replay from zero.
     """
 
     def __init__(self, instance: AdInstance):
         self.instance = instance
-        self._resolve = lru_cache(MODEL_MEMO)(partial(_config_indices, instance))
+        self.scale = math.fsum(instance.budgets)
         self._prefixes: dict = {}  # segment -> (budgets left, trie of the next segment)
         self._stored = 0
 
@@ -601,56 +612,42 @@ class FluidRateModel:
         """Budgets left after `strategy`, resumed from its longest remembered prefix."""
         segments = strategy.segments
         children, state, done = self._prefixes, self.instance.budgets, 0
-        try:
-            for seg in segments:
-                node = children.get(seg)
-                if node is None:
-                    break
-                state, children = node
-                done += 1
-            remaining = list(state)
-            for seg in segments[done:]:
-                _advance(self.instance, self._resolve(seg[0]), remaining, seg[1])
-                if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
-                    self._prefixes, self._stored, children = {}, 0, None
-                if children is not None:
-                    children[seg] = node = (tuple(remaining), {})
-                    children = node[1]
-                    self._stored += 1
-        except TypeError:  # a memo hashed an unhashable action: reject it as every entry point does
-            for action, _ in segments:
-                _config_indices(self.instance, action)
-            raise
+        for seg in segments:
+            node = children.get(seg) if isinstance(seg[0], Configuration) else None
+            if node is None:
+                break
+            state, children = node
+            done += 1
+        remaining = list(state)
+        for seg in segments[done:]:
+            _advance(self.instance, _config_indices(self.instance, seg[0]), remaining, seg[1])
+            if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
+                self._prefixes, self._stored, children = {}, 0, None
+            if children is not None:
+                children[seg] = node = (tuple(remaining), {})
+                children = node[1]
+                self._stored += 1
         return remaining
-
-    def _indices(self, config: Configuration):
-        """The memoized index form of `config`; an unhashable action gets `_config_indices`' ValueError."""
-        try:
-            return self._resolve(config)
-        except TypeError:
-            return _config_indices(self.instance, config)
 
     def utility(self, strategy: AllocationStrategy) -> float:
         remaining = self._remaining(strategy)
         return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
 
     def sequence_function(self) -> SequenceFunction:
-        return SequenceFunction("continuous", self.utility, math.fsum(self.instance.budgets))
+        return SequenceFunction("continuous", self.utility, self.scale)
 
     def rate(self, config: Configuration, delta: float, prefix: AllocationStrategy) -> float:
         """Rate of `config` after running for `delta` past `prefix` (see `marginal_rate`)."""
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
-        remaining = self._remaining(prefix)
-        cfg_idx = self._indices(config)
-        _advance(self.instance, cfg_idx, remaining, delta)
-        return _rate(self.instance, cfg_idx, remaining)
+        cfg_idx = _config_indices(self.instance, config)
+        return math.fsum(_advance(self.instance, cfg_idx, self._remaining(prefix), delta).values())
 
     def breakpoints(self, config: Configuration, prefix: AllocationStrategy) -> Tuple[float, ...]:
         """Offsets at which the rate of `config` after `prefix` jumps."""
         remaining = self._remaining(prefix)
         out: list = []
-        _advance(self.instance, self._indices(config), remaining, math.inf, 0.0, out)
+        _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:

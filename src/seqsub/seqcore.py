@@ -30,6 +30,10 @@ from typing import Callable, Hashable, Optional, Tuple
 DEFAULT_TOL = 1e-9
 # Relative tolerance of the finite-difference check on marginal rates.
 FD_REL_TOL = 1e-6
+# Rounding that a difference of two utilities may carry, as a fraction of the
+# utility's scale: the fluid model resolves spend only to an ulp of each
+# budget, and each step of the difference rounds it again (2**7 ulps in all).
+UTILITY_ROUNDING = 2**-45
 # Blocks no longer than this fraction of the sample's total length (for
 # discrete ones: empty blocks) are skipped by the single-step gain bounds.
 MIN_LENGTH = 1e-6
@@ -364,17 +368,18 @@ class CheckReport:
         return not self.violations
 
 
-def _exceeds(lhs: float, rhs: float, floor: float) -> bool:
-    """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(floor, |lhs|, |rhs|).
+def _exceeds(lhs: float, rhs: float, floor: float, rounding: float = 0.0) -> bool:
+    """True when `lhs` beats `rhs` by more than DEFAULT_TOL * max(floor, |lhs|, |rhs|) + rounding.
 
-    Utility checks pass the utility's `scale`; rate checks pass the model's largest rate.
+    Utility checks pass the utility's `scale`; rate checks pass the model's
+    largest rate, and `rounding` where a rate is a utility difference over a length.
     """
-    return lhs - rhs > DEFAULT_TOL * max(floor, abs(lhs), abs(rhs))
+    return lhs - rhs > DEFAULT_TOL * max(floor, abs(lhs), abs(rhs)) + rounding
 
 
-def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float) -> list:
+def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float, rounding=0.0) -> list:
     """`[Violation]` when `lhs` exceeds `rhs`, else `[]`."""
-    return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor) else []
+    return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor, rounding) else []
 
 
 def _words(n: int) -> list:
@@ -571,6 +576,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
       rate(action, delta, prefix) -> float
       breakpoints(action, prefix) -> iterable of offsets where the rate jumps
       best_rate(prefix) -> float, the largest rate of any action after prefix
+      scale (optional) -> the utility's typical magnitude, 0 if absent
 
     Per sample, with B a random prefix, A cut out of B and s a random action,
     the checker asserts (away from the reported breakpoints):
@@ -583,12 +589,14 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     Rates are compared relative to max(R, |rates compared|), where R is the
     model's largest rate, `best_rate` of the empty prefix: R bounds every
     rate, and it scales with the model, so a model rescaled in time is held
-    to the same relative tolerance.
+    to the same relative tolerance.  The finite difference may also miss
+    by the rounding of its utility difference, UTILITY_ROUNDING * scale / 2h.
     """
     if getattr(model, "breakpoints", None) is None:
         raise TypeError("model must report breakpoints for each queried prefix")
     counts = {"fd_points": 0, "monotonicity_pairs": 0}
     floor = model.best_rate(TimedSequence(()))  # the rate checks' scale, R
+    rounding = UTILITY_ROUNDING * getattr(model, "scale", 0.0)
 
     def body(rng):
         found = []
@@ -628,7 +636,7 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
             fd = (hold(d0 + h) - hold(d0 - h)) / (2.0 * h)
             r0 = model.rate(s, d0, a)
             err = abs(fd - r0)
-            if err > FD_REL_TOL * max(floor, abs(r0)):
+            if err > FD_REL_TOL * max(floor, abs(r0)) + rounding / (2.0 * h):
                 witness = {"a": a, "s": s, "delta": d0}
                 found.append(Violation("rate_finite_difference", fd, r0, err, witness))
         return found
@@ -636,12 +644,15 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     return _run_samples("derivative", samples, seed, body, details=counts)
 
 
-def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int, floor: float) -> CheckReport:
+def _gain_bound(
+    check: str, utility, best_step, sample, samples: int, seed: int, floor: float, scale: float
+) -> CheckReport:
     """Lemma 1: the best single step after A must reach the gain per unit length of any block B.
 
     A and B are both drawn with `sample`; B is skipped when no longer than
     MIN_LENGTH times the length of A + B (so always when empty).  `floor`
-    is the tolerance floor of `_exceeds`.
+    is the tolerance floor of `_exceeds`; the gain per unit may also miss by
+    its utility difference's rounding, UTILITY_ROUNDING * scale / length of B.
     """
 
     def body(rng):
@@ -650,7 +661,8 @@ def _gain_bound(check: str, utility, best_step, sample, samples: int, seed: int,
         if b.length <= MIN_LENGTH * (a.length + b.length):
             return None
         per_unit = (utility(concat(a, b)) - utility(a)) / b.length
-        return _violations(check, per_unit, best_step(a), {"a": a, "b": b}, floor)
+        rounding = UTILITY_ROUNDING * scale / b.length
+        return _violations(check, per_unit, best_step(a), {"a": a, "b": b}, floor, rounding)
 
     return _run_samples(check, samples, seed, body)
 
@@ -666,19 +678,20 @@ def check_step_gain_bound(
     def best_step(a):
         return max(marginal_value(u, DiscreteSequence((s,), actions), a) for s in actions)
 
-    return _gain_bound("step_gain_bound", u, best_step, sample, samples, seed, u.scale)
+    return _gain_bound("step_gain_bound", u, best_step, sample, samples, seed, u.scale, u.scale)
 
 
 def check_rate_gain_bound(model, samples: int, seed: int = 0) -> CheckReport:
     """Best instantaneous rate after A must reach the per-time average gain of any block B.
 
     `model` provides random_prefix, utility and best_rate (the maximum of
-    rate(s, 0, prefix) over all actions).  As in `check_derivative_props`,
-    rates are compared relative to at least the model's largest rate.
+    rate(s, 0, prefix) over all actions), and optionally `scale`.  As in
+    `check_derivative_props`, rates are compared relative to at least the
+    model's largest rate.
     """
-    floor = model.best_rate(TimedSequence(()))
+    floor, scale = model.best_rate(TimedSequence(())), getattr(model, "scale", 0.0)
     return _gain_bound(
-        "rate_gain_bound", model.utility, model.best_rate, model.random_prefix, samples, seed, floor
+        "rate_gain_bound", model.utility, model.best_rate, model.random_prefix, samples, seed, floor, scale
     )
 
 

@@ -413,11 +413,18 @@ def test_greedy_configurations_equal_the_canonical_ones(seed):
             assert all(type(ads) is tuple for _, ads in config.assignment)
 
 
+def reference_indices(instance, config):
+    """The index form of a valid configuration, resolved again, without the instance's memo."""
+    return tuple(
+        (instance.type_index(tid), tuple(instance.ad_index(a) for a in ads)) for tid, ads in config.assignment
+    )
+
+
 def replay(instance, strategy):
     """Budgets left after `strategy`, replayed from zero one segment at a time."""
     remaining = list(instance.budgets)
     for config, dur in strategy.segments:
-        adalloc._advance(instance, adalloc._config_indices(instance, config), remaining, dur)
+        adalloc._advance(instance, reference_indices(instance, config), remaining, dur)
     return remaining
 
 
@@ -463,20 +470,23 @@ def reference_rate_model(instance):
 
     def rate(config, delta, prefix):
         rem = remaining(prefix)
-        cfg_idx = adalloc._config_indices(instance, config)
+        cfg_idx = reference_indices(instance, config)
         adalloc._advance(instance, cfg_idx, rem, delta)
         return adalloc._rate(instance, cfg_idx, rem)
 
     def breakpoints(config, prefix):
         rem, out = remaining(prefix), []
-        adalloc._advance(instance, adalloc._config_indices(instance, config), rem, math.inf, 0.0, out)
+        adalloc._advance(instance, reference_indices(instance, config), rem, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(prefix):
         rem = remaining(prefix)
         return adalloc._rate(instance, adalloc._best(instance, rem), rem)
 
-    return {"utility": utility, "rate": rate, "breakpoints": breakpoints, "best_rate": best_rate}
+    def spent(strategy):
+        return tuple(b - r for b, r in zip(instance.budgets, remaining(strategy)))
+
+    return {"utility": utility, "rate": rate, "breakpoints": breakpoints, "best_rate": best_rate, "spent": spent}
 
 
 def _hex(value):
@@ -491,29 +501,38 @@ def _trie_size(children):
 @pytest.mark.parametrize("memo", [3, adalloc.MODEL_MEMO])
 def test_rate_model_matches_stateless_replay(memo):
     # Prefixes share segments (B, B + C, windows of B + C), every query kind
-    # runs on every prefix, in shuffled order, so answers come from resumed,
-    # reused and (with a memo of 3) evicted prefix states and index forms.
+    # runs on every prefix, in shuffled order, on two models of one instance
+    # interleaved with `evaluate_strategy`, so answers come from resumed,
+    # reused and (with a memo of 3) dropped prefix states and from index
+    # forms that all of them share through the instance's memo.
     rng = np.random.default_rng(1031)
-    evicted = 0
+    dropped = 0
     with mock.patch.object(adalloc, "MODEL_MEMO", memo):
         for _ in range(40):
             inst = _differential_instance(rng)
-            model, ref = FluidRateModel(inst), reference_rate_model(inst)
+            models, ref = (FluidRateModel(inst), FluidRateModel(inst)), reference_rate_model(inst)
             prefixes = [random_strategy(inst, rng) for _ in range(5)]
             prefixes += [concat(b, c) for b, c in zip(prefixes, prefixes[1:])]
             prefixes += [sample_dominated(p, np.random.default_rng(int(rng.integers(2**31)))) for p in prefixes[5:]]
             configs = [adalloc.random_configuration(inst, rng) for _ in range(3)]
             queries = [("utility", (p,)) for p in prefixes] + [("best_rate", (p,)) for p in prefixes]
+            queries += [("spent", (p,)) for p in prefixes if not adalloc._past_horizon(inst, p.length)]
             for c in configs:
                 queries += [("breakpoints", (c, p)) for p in prefixes]
                 queries += [("rate", (c, float(rng.uniform(0.0, inst.horizon)), p)) for p in prefixes]
             for k in rng.permutation(len(queries)):
                 name, args = queries[k]
-                assert _hex(getattr(model, name)(*args)) == _hex(ref[name](*args)), (name, args)
-                assert _trie_size(model._prefixes) <= memo
-            info = model._resolve.cache_info()
-            evicted += info.misses - info.currsize
-    assert evicted > 0 or memo > 3
+                held = len(inst._resolved)
+                if name == "spent":
+                    got = evaluate_strategy(inst, *args).spent
+                else:
+                    got = getattr(models[k % 2], name)(*args)
+                assert _hex(got) == _hex(ref[name](*args)), (name, args)
+                assert all(_trie_size(model._prefixes) <= memo for model in models)
+                assert len(inst._resolved) <= memo
+                dropped += len(inst._resolved) < held
+            assert all(cfg_idx == reference_indices(inst, c) for c, cfg_idx in inst._resolved.items())
+    assert dropped > 0 or memo > 3
 
 
 def test_configuration_hash_is_the_same_however_it_is_built():
@@ -532,8 +551,8 @@ def test_configuration_hash_is_the_same_however_it_is_built():
 
 
 def test_rate_model_validates_every_query():
-    # The index memo holds only validated configurations, so a bad one
-    # raises on every query, before and after good ones fill the memo.
+    # The instance's index memo holds only validated configurations, so a bad
+    # one raises on every query, before and after good ones fill the memo.
     inst = adalloc.AdInstance.build(
         [("a1", 1.0), ("a2", 1.0)], [("t1", 0.5), ("t2", 0.5)], {"a1": {"t1": 1.0}, "a2": {"t2": 1.0}}, 1, 2.0
     )
@@ -550,7 +569,7 @@ def test_rate_model_validates_every_query():
                 with pytest.raises(ValueError):
                     query()
         assert model.rate(good, 0.5, TimedSequence(((good, 0.5),))) == 1.0
-    assert model._resolve.cache_info().currsize == 1
+    assert list(inst._resolved) == [good]
 
 
 def test_every_entry_point_rejects_a_non_configuration_action():
@@ -609,8 +628,8 @@ def test_the_continuous_bound_is_tight_on_the_triangular_family():
     ids=["utility", "rate", "breakpoints", "best_rate"],
 )
 def test_model_queries_reject_an_unhashable_action(query):
-    # The model's memos hash an action before `_config_indices` sees it; a
-    # list action must still get its ValueError, not a TypeError.
+    # The memos hash actions, but `_config_indices` checks an action before
+    # anything hashes it: a list action gets its ValueError, not a TypeError.
     inst = adalloc.AdInstance.build([("a1", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 2.0)
     with pytest.raises(ValueError, match="strategy actions must be Configuration values"):
         query(FluidRateModel(inst))
