@@ -119,7 +119,10 @@ def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     _write(report, out, "\n")
     text = "".join(out) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InstanceError(f"out: cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -33,10 +34,15 @@ FD_REL_TOL = 1e-6
 # Rounding that a difference of two utilities may carry, as a fraction of the
 # utility's scale: the fluid model resolves spend only to an ulp of each
 # budget, and each step of the difference rounds it again (2**7 ulps in all).
+# Below the smallest normal float an ulp stops shrinking, so a smaller scale
+# counts as that one (see `_utility_rounding`).
 UTILITY_ROUNDING = 2**-45
 # Blocks no longer than this fraction of the sample's total length (for
 # discrete ones: empty blocks) are skipped by the single-step gain bounds.
 MIN_LENGTH = 1e-6
+# Fewest samples a check hands each process; below twice this, it runs inline.
+# A fork costs about 3.5 ms, and 128 samples of the cheapest check about 7 ms.
+MIN_WORKER_SAMPLES = 128
 # Substream seeds hashed at once; a power of two, so a block's indices differ in their low word only.
 SUBSTREAM_BLOCK = 2**10
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -377,6 +383,15 @@ def _exceeds(lhs: float, rhs: float, floor: float, rounding: float = 0.0) -> boo
     return lhs - rhs > DEFAULT_TOL * max(floor, abs(lhs), abs(rhs)) + rounding
 
 
+def _utility_rounding(scale: float) -> float:
+    """The rounding a utility difference at `scale` may carry: UTILITY_ROUNDING * scale.
+
+    It is at least 2**7 ulps of a subnormal (2**-1067), the resolution of a
+    subnormal budget's spend.
+    """
+    return UTILITY_ROUNDING * max(scale, sys.float_info.min)
+
+
 def _violations(check: str, lhs: float, rhs: float, witness: dict, floor: float, rounding=0.0) -> list:
     """`[Violation]` when `lhs` exceeds `rhs`, else `[]`."""
     return [Violation(check, lhs, rhs, lhs - rhs, witness)] if _exceeds(lhs, rhs, floor, rounding) else []
@@ -485,6 +500,85 @@ def _pcg64_states(seed: int, indices: range):
         lo = hi
 
 
+def _workers(samples: int) -> int:
+    """How many processes share a check's samples.
+
+    One per CPU this process may run on, each with at least
+    MIN_WORKER_SAMPLES samples; but only one unless this process can fork
+    and has a single thread, since forking a threaded one can deadlock the
+    child.
+    """
+    most = samples // MIN_WORKER_SAMPLES
+    if most < 2 or not hasattr(os, "fork"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+        return min(len(os.sched_getaffinity(0)), most)
+    except (OSError, AttributeError):  # no /proc, or no affinity call on this platform
+        return 1
+
+
+def _run_chunk(seed: int, indices: range, body) -> tuple:
+    """`body` on the `Stream` of each sample in `indices`: (samples tested, violations)."""
+    found: list = []
+    tested = 0
+    for state, inc in _pcg64_states(seed, indices):
+        result = body(Stream(state, inc))
+        if result is not None:
+            tested += 1
+            found.extend(result)
+    return tested, found
+
+
+def _fork_chunk(seed: int, indices: range, body, details: dict) -> tuple:
+    """Run `_run_chunk` in a forked worker; return its pid and the read end of its pipe.
+
+    The worker sends `(tested, violations, details delta)`, or the exception
+    it raised, pickled, and always ends with `os._exit`.
+    """
+    import pickle  # on the fork path only: the CLI's start would pay for it on every command
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        start = dict(details)
+        try:
+            tested, found = _run_chunk(seed, indices, body)
+            result = (tested, found, {key: value - start.get(key, 0) for key, value in details.items()})
+        except BaseException as exc:
+            result = exc
+        payload = pickle.dumps(result)  # if this raises, the worker sends nothing: see `_collect`
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _collect(pid: int, read: int):
+    """A worker's result, or the exception it raised or died of; the worker is reaped."""
+    import pickle
+
+    with os.fdopen(read, "rb") as pipe:
+        payload = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not payload:
+        return ChildProcessError(f"sample worker {pid} sent no result (exit code {code})")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        return exc
+
+
 def _run_samples(
     check: str,
     samples: int,
@@ -498,18 +592,39 @@ def _run_samples(
     Per-sample streams make samples order-independent and reproducible.  `body`
     returns the sample's violations, or None when it skipped the sample,
     which then does not count as tested.  `violations` found before the
-    loop come first in the report.
+    loop come first in the report.  `body` may count into `details`.
+
+    The samples run in `_workers(samples)` contiguous chunks: this process
+    runs the first and a forked worker each other one.  The chunks are
+    merged in order (tested counts and `details` counts summed, violations
+    concatenated), and the first exception in sample order is raised, so
+    the report is the same for any number of workers.  Every worker is
+    reaped before this returns or raises.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    details = {} if details is None else details
+    count = _workers(samples)
+    chunks = [range(k * samples // count, (k + 1) * samples // count) for k in range(count)]
+    workers: list = []
+    results: list = []
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_fork_chunk(seed, chunk, body, details))
+        results.append((*_run_chunk(seed, chunks[0], body), {}))
+    finally:
+        results += [_collect(pid, read) for pid, read in workers]
     found = list(violations)
     tested = 0
-    for state, inc in _pcg64_states(seed, range(samples)):
-        result = body(Stream(state, inc))
-        if result is not None:
-            tested += 1
-            found.extend(result)
-    return CheckReport(check, tested, tuple(found), details or {})
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        more_tested, more, delta = result
+        tested += more_tested
+        found.extend(more)
+        for key, value in delta.items():
+            details[key] += value
+    return CheckReport(check, tested, tuple(found), details)
 
 
 def check_nondecreasing(
@@ -590,13 +705,13 @@ def check_derivative_props(model, samples: int, seed: int = 0) -> CheckReport:
     model's largest rate, `best_rate` of the empty prefix: R bounds every
     rate, and it scales with the model, so a model rescaled in time is held
     to the same relative tolerance.  The finite difference may also miss
-    by the rounding of its utility difference, UTILITY_ROUNDING * scale / 2h.
+    by the rounding of its utility difference, `_utility_rounding(scale)` / 2h.
     """
     if getattr(model, "breakpoints", None) is None:
         raise TypeError("model must report breakpoints for each queried prefix")
     counts = {"fd_points": 0, "monotonicity_pairs": 0}
     floor = model.best_rate(TimedSequence(()))  # the rate checks' scale, R
-    rounding = UTILITY_ROUNDING * getattr(model, "scale", 0.0)
+    rounding = _utility_rounding(getattr(model, "scale", 0.0))
 
     def body(rng):
         found = []
@@ -652,8 +767,9 @@ def _gain_bound(
     A and B are both drawn with `sample`; B is skipped when no longer than
     MIN_LENGTH times the length of A + B (so always when empty).  `floor`
     is the tolerance floor of `_exceeds`; the gain per unit may also miss by
-    its utility difference's rounding, UTILITY_ROUNDING * scale / length of B.
+    its utility difference's rounding, `_utility_rounding(scale)` / length of B.
     """
+    rounding = _utility_rounding(scale)
 
     def body(rng):
         a = sample(rng)
@@ -661,8 +777,7 @@ def _gain_bound(
         if b.length <= MIN_LENGTH * (a.length + b.length):
             return None
         per_unit = (utility(concat(a, b)) - utility(a)) / b.length
-        rounding = UTILITY_ROUNDING * scale / b.length
-        return _violations(check, per_unit, best_step(a), {"a": a, "b": b}, floor, rounding)
+        return _violations(check, per_unit, best_step(a), {"a": a, "b": b}, floor, rounding / b.length)
 
     return _run_samples(check, samples, seed, body)
 

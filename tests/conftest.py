@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,3 +129,16 @@ def random_coverage(rng: np.random.Generator, max_actions: int = 5, max_elements
         mask = rng.random(n_elements) < 0.5
         covers[f"s{a}"] = {e for e in range(n_elements) if mask[e]}
     return oracle.make_coverage_fixture(covers, weights)
+
+
+def probe_env() -> dict:
+    """The environment of a probe process: this checkout's `src` first on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# A check splits its samples over forked workers only where it may run on more than one CPU.
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a check runs its samples inline on one CPU",
+)

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc, cli, stochsim
+from seqsub import adalloc, cli, seqcore, stochsim
 from seqsub.cli import main
 
-from conftest import make_i1, make_i3
+from conftest import make_i1, make_i3, needs_two_cpus, probe_env
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -383,6 +384,64 @@ def test_verify_unknown_check_exits_2(i1_file, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def _certify_shaped() -> dict:
+    """4 ads x 3 types, 6 rewrites of 1-2 ads and k = 2: the benchmark's certify-small shape."""
+    rng = random.Random(19)
+    ads = [f"a{i}" for i in range(4)]
+    weights = [rng.uniform(0.2, 1.0) for _ in range(3)]
+    return {
+        "ads": [{"id": ad, "budget": rng.uniform(0.2, 1.0)} for ad in ads],
+        "query_types": [{"id": f"t{j}", "prob": w / math.fsum(weights)} for j, w in enumerate(weights)],
+        "bids": {ad: {f"t{j}": rng.uniform(0.2, 1.0) for j in range(3)} for ad in ads},
+        "slots": 1,
+        "horizon": 2.0,
+        "rewrites": [{"id": f"r{r}", "ads": sorted(rng.sample(ads, rng.randint(1, 2)))} for r in range(6)],
+        "k": 2,
+    }
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name", ["two_ads_two_types.json", "rewrite_two_paths.json", "certify-shaped"])
+def test_verify_reports_do_not_depend_on_the_cpus(name, tmp_path):
+    # Pinned to one CPU, verify runs every check inline; with more, each check
+    # splits its samples over forked workers.  Reports and exit codes match.
+    path = INSTANCES / name
+    if name == "certify-shaped":
+        path = tmp_path / "certify.json"
+        path.write_text(json.dumps(_certify_shaped()))
+    samples = str(2 * seqcore.MIN_WORKER_SAMPLES)
+    for planted in ([], ["--planted-violation"]):
+        runs = []
+        for k, preexec in enumerate((_one_cpu, None)):
+            out = tmp_path / f"report{k}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "seqsub", "verify", "--instance", str(path), "--samples", samples,
+                 "--seed", "11", "--out", str(out), *planted],
+                env=probe_env(), preexec_fn=preexec, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            runs.append((proc.returncode, out.read_bytes()))
+        assert runs[0] == runs[1], (name, planted)
+        assert runs[0][0] == (1 if planted else 0)
+
+
+@pytest.mark.parametrize(
+    "command", [["allocate"], ["rewrite"], ["simulate", "--trials", "2", "--seed", "0"], ["verify", "--samples", "5"]],
+    ids=lambda command: command[0],
+)
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    # A report path that cannot be written is an input error, not a property violation.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_fuzz_base()))
+    for out in (tmp_path / "absent" / "report.json", tmp_path):
+        assert main([*command, "--instance", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: out: cannot write {out}: ")
+
+
 # ---------------------------------------------------------------------------
 # malformed input: exit 2 with the field named, never a traceback or a hang
 # ---------------------------------------------------------------------------
@@ -673,6 +732,76 @@ def test_cli_fuzz_verify_exits_0_to_3(edits):
         assert "Traceback" not in err.getvalue()
 
 
+# Positive floats from the smallest subnormal to 1e300, over every decade.
+MAGNITUDES = st.one_of(
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(1.0, 9.999), st.integers(-300, 299)),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300]),
+)
+
+
+@st.composite
+def valid_instances(draw) -> dict:
+    """An instance every command parses: budgets, bids, probabilities and
+    horizon across magnitudes, subnormals included, and sometimes rewrites."""
+    ads = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    types = [f"t{j}" for j in range(draw(st.integers(1, 3)))]
+    rest = [min(draw(MAGNITUDES), 1.0 / len(types)) for _ in types[1:]]
+    data = {
+        # Each budget at most a third of the total budget the parser allows.
+        "ads": [{"id": ad, "budget": min(draw(MAGNITUDES), adalloc.MAX_AMOUNT / 3)} for ad in ads],
+        "query_types": [{"id": t, "prob": p} for t, p in zip(types, [1.0 - math.fsum(rest), *rest])],
+        "bids": {ad: {t: draw(MAGNITUDES) for t in types if draw(st.booleans())} for ad in ads},
+        "slots": draw(st.sampled_from([1, 1, 2, 3, adalloc.MAX_SLOTS])),
+        "horizon": draw(MAGNITUDES),
+    }
+    if draw(st.booleans()):
+        data["rewrites"] = [
+            {"id": f"r{r}", "ads": draw(st.lists(st.sampled_from(ads), min_size=1, max_size=len(ads), unique=True))}
+            for r in range(draw(st.integers(1, 3)))
+        ]
+        data["k"] = draw(st.integers(1, 3))
+    return data
+
+
+# A subnormal budget: a spend of less than one ulp of it rounds to 0, so the
+# finite difference read 0 against a positive rate, a violation.
+SUBNORMAL_SPEND = {
+    "ads": [{"id": "a0", "budget": 5e-324}],
+    "query_types": [{"id": "t0", "prob": 0.5}, {"id": "t1", "prob": 0.5}],
+    "bids": {"a0": {"t1": 1e-300}},
+    "slots": 1,
+    "horizon": 1.5052431942160866e-125,
+}
+SUBNORMAL_RATE = {
+    "ads": [{"id": "a0", "budget": 1e-323}, {"id": "a1", "budget": 5e-324}],
+    "query_types": [{"id": "t0", "prob": 1.0}, {"id": "t1", "prob": 2.2250738585072014e-308}],
+    "bids": {"a0": {}, "a1": {"t0": 5e-324, "t1": 3.957574771979827e-309}},
+    "slots": 1,
+    "horizon": 2.2250738585072014e-308,
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_instances())
+@example(SUBNORMAL_SPEND)
+@example(SUBNORMAL_RATE)
+def test_cli_fuzz_verify_valid_instances_exit_0_or_3(data):
+    # The edits above mostly make input errors; these draws are valid, so
+    # each reaches the checkers, which must find no violation in the fluid
+    # model or the plan utility at any magnitude.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--samples", "20", "--instance", str(path), "--out", os.devnull]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3), (err.getvalue(), data)
+        assert "Traceback" not in err.getvalue()
+
+
 NUMPY_PROBE = """
 import sys
 from seqsub import cli
@@ -694,19 +823,13 @@ print(loaded, "numpy" in sys.modules)
 """
 
 
-def _probe_env() -> dict:
-    """The environment of a probe process: this checkout's `src` first on the path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_only_simulate_loads_numpy(tmp_path):
     # numpy's import is most of a process start; commands that draw no
     # vectors of random numbers must not pay it.
     ad, rewrite = INSTANCES / "two_ads_two_types.json", INSTANCES / "rewrite_two_paths.json"
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, str(ad), str(rewrite), str(tmp_path / "r.json")],
-        env=_probe_env(), capture_output=True, text=True, timeout=120,
+        env=probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False, False, False, False, False] True"
@@ -735,7 +858,7 @@ def test_verify_reports_are_the_same_without_numpy(tmp_path):
     ]
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_PROBE, str(tmp_path), json.dumps(runs)],
-        env=_probe_env(), capture_output=True, text=True, timeout=120,
+        env=probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     for k, argv in enumerate(runs):
@@ -767,7 +890,7 @@ def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
     if oracle:
         args.append("--oracle")
     proc = subprocess.run(
-        [sys.executable, "-c", ORACLE_PROBE, *args], env=_probe_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", ORACLE_PROBE, *args], env=probe_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(oracle)] * 2
@@ -791,7 +914,7 @@ def test_tracer_targets_resolve_and_a_traced_run_exits_0(tmp_path):
         [sys.executable, str(TRACER), "--spans", str(spans), "--", "verify",
          "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--samples", "20",
          "--out", str(tmp_path / "r.json")],
-        env=_probe_env(), capture_output=True, text=True, timeout=120,
+        env=probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text())["spans"]

@@ -1,6 +1,11 @@
 """Sequence algebra, greedy drivers, and checker behavior."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from seqsub.seqcore import (
     sample_dominated,
 )
 
-from conftest import make_i3, random_coverage
+from conftest import make_i3, needs_two_cpus, probe_env, random_coverage
 
 
 ABC = ActionSet(("s1", "s2", "s3"))
@@ -606,6 +611,151 @@ def test_scaled_doubles_are_generator_uniform():
         assert new.random() == old.random()
         draws += 90
     assert draws >= 10**4
+
+
+# ---------------------------------------------------------------------------
+# the checkers' samples in forked workers: the same report as inline
+# ---------------------------------------------------------------------------
+
+# Runs in a fresh process without numpy, so it has one thread and
+# `_run_samples` forks: once over every CPU of its affinity, then pinned to
+# one CPU, inline.  Sample i is found from its stream's start; one in 7 is
+# skipped and one in 5 reports a violation, so the merge order shows.
+PARALLEL_PROBE = """
+import json, os, sys
+from seqsub import seqcore
+
+assert "numpy" not in sys.modules and len(os.listdir("/proc/self/task")) == 1
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+samples, seed = 4 * seqcore.MIN_WORKER_SAMPLES, 3
+index = {state: i for i, state in enumerate(seqcore._pcg64_states(seed, range(samples)))}
+
+def run(fail=None):
+    counts = {"seen": 0, "drawn": 0}
+
+    def body(rng):
+        i = index[rng.state, rng.inc]
+        if i == fail:
+            raise ValueError(f"sample {i} failed")
+        if i == samples - 1 and fail == "die":
+            os._exit(3)
+        counts["seen"] += 1
+        counts["drawn"] += rng.integers(0, 10)
+        if i % 7 == 0:
+            return None
+        return [seqcore.Violation("v", float(i), rng.random(), 1.0, {"i": i})] if i % 5 == 0 else []
+
+    before, first = len(forks), (seqcore.Violation("first", 0.0, 0.0, 0.0),)
+    try:
+        report = seqcore._run_samples("probe", samples, seed, body, first, counts)
+    except Exception as exc:
+        return {"error": [type(exc).__name__, str(exc)], "forks": len(forks) - before}
+    violations = [[v.check, v.lhs, v.rhs, v.witness] for v in report.violations]
+    return {"report": [report.check, report.samples_tested, violations, report.details], "forks": len(forks) - before}
+
+def children_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+out = {"workers": seqcore._workers(samples)}
+out["parallel"] = [run(), run(fail=samples - 1), run(fail=0)]
+out["parallel_children_left"] = children_left()
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+out["inline"] = [run(), run(fail=samples - 1), run(fail=0)]
+out["inline_children_left"] = children_left()
+print(json.dumps(out))
+"""
+
+DYING_PROBE = """
+import os
+from seqsub import seqcore
+
+samples = 4 * seqcore.MIN_WORKER_SAMPLES
+last = list(seqcore._pcg64_states(0, range(samples)))[-1]
+
+def body(rng):
+    if (rng.state, rng.inc) == last:
+        os._exit(3)
+    return []
+
+try:
+    seqcore._run_samples("probe", samples, 0, body)
+except ChildProcessError as exc:
+    print("ChildProcessError", "exit code 3" in str(exc))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no children")
+"""
+
+
+@pytest.fixture(scope="module")
+def parallel_probe():
+    proc = subprocess.run([sys.executable, "-c", PARALLEL_PROBE], env=probe_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@needs_two_cpus
+def test_forked_samples_make_the_inline_report(parallel_probe):
+    samples = 4 * seqcore.MIN_WORKER_SAMPLES
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    assert parallel_probe["workers"] == workers
+    parallel, inline = parallel_probe["parallel"][0], parallel_probe["inline"][0]
+    assert (parallel["forks"], inline["forks"]) == (workers - 1, 0)
+    assert parallel["report"] == inline["report"]
+    check, tested, violations, details = inline["report"]
+    assert tested == samples - len(range(0, samples, 7))
+    assert [v[3].get("i") for v in violations] == [None, *(i for i in range(samples) if i % 5 == 0 and i % 7)]
+    assert details["seen"] == samples and details["drawn"] > 0
+
+
+@needs_two_cpus
+def test_a_worker_raises_what_the_inline_run_raises(parallel_probe):
+    # In the last chunk's worker, and in this process's own first chunk.
+    samples = 4 * seqcore.MIN_WORKER_SAMPLES
+    for k, failed in ((1, samples - 1), (2, 0)):
+        parallel, inline = parallel_probe["parallel"][k], parallel_probe["inline"][k]
+        assert parallel["error"] == inline["error"] == ["ValueError", f"sample {failed} failed"]
+        assert parallel["forks"] > 0 and inline["forks"] == 0
+
+
+@needs_two_cpus
+def test_no_sample_worker_outlives_its_check(parallel_probe, tmp_path):
+    assert parallel_probe["parallel_children_left"] is False
+    assert parallel_probe["inline_children_left"] is False
+    # A worker that dies without a result is reaped and reported.
+    proc = subprocess.run([sys.executable, "-c", DYING_PROBE], env=probe_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["ChildProcessError True", "no children"]
+
+
+def test_a_threaded_process_runs_the_samples_inline(monkeypatch):
+    # Forking a process with more than one thread can deadlock the child, so
+    # a check in one, like this test process, must never fork.
+    def no_fork():
+        raise AssertionError("forked a threaded process")
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert seqcore._workers(64 * seqcore.MIN_WORKER_SAMPLES) == 1
+        u = _length_function()
+        report = check_nondecreasing(u, lambda rng: random_discrete_sequence(ABC, rng),
+                                     samples=4 * seqcore.MIN_WORKER_SAMPLES)
+        assert report.samples_tested == 4 * seqcore.MIN_WORKER_SAMPLES and report.ok
+    finally:
+        release.set()
+        thread.join()
 
 
 # ---------------------------------------------------------------------------
