@@ -13,9 +13,9 @@ ad.  It is index-native and incremental: it keeps each type's top-`slots`
 live ads and, after an exhaustion, re-picks only the types whose pick held
 the spent-out ad.  Public functions take id-keyed `Configuration` values; the
 kernel works on (type index, ad indices) pairs.  `FluidRateModel`, the model
-`verify` checks, memoizes recent prefixes' budgets in a trie.  The
+`verify` checks, replays each query's prefix from the full budgets.  The
 generic `seqcore.greedy_continuous` driven by `incremental_oracle` (prefixes
-replayed through a `FluidRateModel`) over `enumerate_configurations` is the
+replayed the same way) over `enumerate_configurations` is the
 paper-faithful form of the same greedy, kept as the test reference for
 `greedy_allocate`.
 """
@@ -37,8 +37,8 @@ EXHAUSTED = 1e-12
 # or payment lets sums of spend or of spend rates overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
-# Entries that each memo keeps before it is dropped whole: a FluidRateModel's
-# prefix states, and an instance's resolved and interned random configurations.
+# Entries that each of an instance's memos (its resolved and its interned
+# random configurations) keeps before it is dropped whole.
 MODEL_MEMO = 256
 
 
@@ -381,6 +381,14 @@ def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedg
     return SpendLedger(instance.ad_ids, spent, math.fsum(spent), tuple(breakpoints))
 
 
+def _replay(instance: AdInstance, strategy: AllocationStrategy) -> list:
+    """Budgets left after `strategy`, replayed from the full budgets with no horizon cap."""
+    remaining = list(instance.budgets)
+    for config, duration in strategy.segments:
+        _advance(instance, _config_indices(instance, config), remaining, duration)
+    return remaining
+
+
 def marginal_rate(
     instance: AdInstance,
     config: Configuration,
@@ -476,14 +484,12 @@ def incremental_oracle(instance: AdInstance):
 
     Returns `oracle(prefix, config) -> (rate, hold)` where `hold` is how long
     the configuration keeps satisfying the driver's best-choice condition;
-    prefixes are replayed through one `FluidRateModel`.  With
+    each prefix is replayed from the full budgets.  With
     `enumerate_configurations` as the action set this is the paper-faithful
     test reference for `greedy_allocate`, not a production path.
     """
-    model = FluidRateModel(instance)
-
     def oracle(prefix: AllocationStrategy, config: Configuration) -> Tuple[float, float]:
-        remaining = model._remaining(prefix)
+        remaining = _replay(instance, prefix)
         rate = _rate(instance, _config_indices(instance, config), remaining)
         return rate, configuration_hold(instance, config, remaining)
 
@@ -590,47 +596,17 @@ class FluidRateModel:
     optimization problem.  Random prefixes stay within the horizon.  `scale`,
     the total budget, is the utility's typical magnitude.
 
-    The model's one memo is a trie of the prefixes it replayed, mapping each
-    `(configuration, duration)` segment to the budgets left after it and to
-    the next segments' trie; at MODEL_MEMO entries it is dropped whole.  A
-    query walks it a segment at a time, hashing each once, and resumes from
-    the longest remembered prefix, so u(A + C) continues from A, and `rate`,
-    `breakpoints` and `best_rate` after A reuse A's budgets.  The walk looks
-    up only `Configuration` actions; the rest of a prefix is resolved by
-    `_config_indices`, which rejects any other action.  The budgets left
-    after a prefix do not depend on the time it starts at, so every answer
-    is bit-identical to a replay from zero.
+    Every query replays its prefix from the full budgets (`_replay`); the
+    only caches are the instance's two memos (resolved index forms and
+    interned random configurations) and each `Configuration`'s computed hash.
     """
 
     def __init__(self, instance: AdInstance):
         self.instance = instance
         self.scale = math.fsum(instance.budgets)
-        self._prefixes: dict = {}  # segment -> (budgets left, trie of the next segment)
-        self._stored = 0
-
-    def _remaining(self, strategy: AllocationStrategy) -> list:
-        """Budgets left after `strategy`, resumed from its longest remembered prefix."""
-        segments = strategy.segments
-        children, state, done = self._prefixes, self.instance.budgets, 0
-        for seg in segments:
-            node = children.get(seg) if isinstance(seg[0], Configuration) else None
-            if node is None:
-                break
-            state, children = node
-            done += 1
-        remaining = list(state)
-        for seg in segments[done:]:
-            _advance(self.instance, _config_indices(self.instance, seg[0]), remaining, seg[1])
-            if self._stored >= MODEL_MEMO:  # full: drop it, and store no more of this strategy
-                self._prefixes, self._stored, children = {}, 0, None
-            if children is not None:
-                children[seg] = node = (tuple(remaining), {})
-                children = node[1]
-                self._stored += 1
-        return remaining
 
     def utility(self, strategy: AllocationStrategy) -> float:
-        remaining = self._remaining(strategy)
+        remaining = _replay(self.instance, strategy)
         return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
 
     def sequence_function(self) -> SequenceFunction:
@@ -641,17 +617,17 @@ class FluidRateModel:
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
         cfg_idx = _config_indices(self.instance, config)
-        return math.fsum(_advance(self.instance, cfg_idx, self._remaining(prefix), delta).values())
+        return math.fsum(_advance(self.instance, cfg_idx, _replay(self.instance, prefix), delta).values())
 
     def breakpoints(self, config: Configuration, prefix: AllocationStrategy) -> Tuple[float, ...]:
         """Offsets at which the rate of `config` after `prefix` jumps."""
-        remaining = self._remaining(prefix)
+        remaining = _replay(self.instance, prefix)
         out: list = []
         _advance(self.instance, _config_indices(self.instance, config), remaining, math.inf, 0.0, out)
         return tuple(out)
 
     def best_rate(self, prefix: AllocationStrategy) -> float:
-        remaining = self._remaining(prefix)
+        remaining = _replay(self.instance, prefix)
         return _rate(self.instance, _best(self.instance, remaining), remaining)
 
     def random_prefix(self, rng: Stream) -> AllocationStrategy:

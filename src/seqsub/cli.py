@@ -53,7 +53,7 @@ def _load_json(path: Path) -> Tuple[dict, str]:
         data = json.loads(raw)
     except OSError as exc:
         raise InstanceError(f"instance: cannot read {path}: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
         raise InstanceError(f"instance: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError("instance: the top level must be a JSON object")

@@ -595,7 +595,8 @@ def _run_samples(
     loop come first in the report.  `body` may count into `details`.
 
     The samples run in `_workers(samples)` contiguous chunks: this process
-    runs the first and a forked worker each other one.  The chunks are
+    runs the first and a forked worker each other one, or runs that chunk
+    too where the fork fails (a process or memory limit).  The chunks are
     merged in order (tested counts and `details` counts summed, violations
     concatenated), and the first exception in sample order is raised, so
     the report is the same for any number of workers.  Every worker is
@@ -606,24 +607,28 @@ def _run_samples(
     details = {} if details is None else details
     count = _workers(samples)
     chunks = [range(k * samples // count, (k + 1) * samples // count) for k in range(count)]
-    workers: list = []
-    results: list = []
+    jobs: list = [chunks[0]]  # per chunk: its range, run here, or its forked worker's (pid, read end)
+    found, tested = list(violations), 0
     try:
         for chunk in chunks[1:]:
-            workers.append(_fork_chunk(seed, chunk, body, details))
-        results.append((*_run_chunk(seed, chunks[0], body), {}))
+            try:
+                jobs.append(_fork_chunk(seed, chunk, body, details))
+            except OSError:
+                jobs.append(chunk)
+        while jobs:
+            job = jobs.pop(0)
+            result = (*_run_chunk(seed, job, body), {}) if isinstance(job, range) else _collect(*job)
+            if isinstance(result, BaseException):
+                raise result
+            more_tested, more, delta = result
+            tested += more_tested
+            found.extend(more)
+            for key, value in delta.items():
+                details[key] += value
     finally:
-        results += [_collect(pid, read) for pid, read in workers]
-    found = list(violations)
-    tested = 0
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-        more_tested, more, delta = result
-        tested += more_tested
-        found.extend(more)
-        for key, value in delta.items():
-            details[key] += value
+        for job in jobs:
+            if not isinstance(job, range):
+                _collect(*job)
     return CheckReport(check, tested, tuple(found), details)
 
 

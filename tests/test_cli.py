@@ -429,6 +429,57 @@ def test_verify_reports_do_not_depend_on_the_cpus(name, tmp_path):
         assert runs[0][0] == (1 if planted else 0)
 
 
+# Runs verify without numpy, so in a single-threaded process whose checks
+# fork, with `os.fork` refused as a process limit refuses it: on every call,
+# on the first call only (so one check runs inline and the others fork), or
+# never, pinned to one CPU.
+REFUSED_FORK_PROBE = """
+import errno, json, os, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from seqsub import cli
+
+out, argv, refuse = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+fork, calls = os.fork, []
+
+def refused_fork():
+    calls.append(1)
+    if refuse == "every" or (refuse == "first" and len(calls) == 1):
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return fork()
+
+if refuse == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+os.fork = refused_fork
+code = cli.main([*argv, "--out", out])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"code": code, "forks": len(calls), "children_left": left}))
+"""
+
+
+@needs_two_cpus
+def test_verify_runs_a_chunk_inline_when_its_fork_fails(tmp_path):
+    # A refused fork is no error: that chunk runs in the process itself, and
+    # the report and the exit code are those of a run pinned to one CPU.
+    for planted in ([], ["--planted-violation"]):
+        argv = ["verify", "--instance", str(INSTANCES / "rewrite_two_paths.json"),
+                "--samples", str(2 * seqcore.MIN_WORKER_SAMPLES), "--seed", "11", *planted]
+        runs = {}
+        for refuse in ("pinned", "every", "first"):
+            out = tmp_path / f"{refuse}.json"
+            proc = subprocess.run([sys.executable, "-c", REFUSED_FORK_PROBE, str(out), json.dumps(argv), refuse],
+                                  env=probe_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads(proc.stdout)
+            assert result["code"] == (1 if planted else 0) and result["children_left"] is False
+            runs[refuse] = (out.read_bytes(), result["forks"])
+        assert runs["every"][0] == runs["first"][0] == runs["pinned"][0]
+        assert runs["pinned"][1] == 0 and runs["every"][1] == runs["first"][1] == 6  # one fork a check
+
+
 @pytest.mark.parametrize(
     "command", [["allocate"], ["rewrite"], ["simulate", "--trials", "2", "--seed", "0"], ["verify", "--samples", "5"]],
     ids=lambda command: command[0],
@@ -648,6 +699,19 @@ def test_size_limits_exit_2_on_every_command(edits, field, tmp_path, capsys):
     for command in (*FUZZ_COMMANDS, ["verify", "--samples", "5"]):
         assert main([*command, "--instance", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000 + "]" * 200_000, '{"slots": ' + "9" * 5000 + "}"], ids=["deep-nesting", "5000-digits"]
+)
+def test_unparsable_json_exits_2_on_every_command(text, tmp_path, capsys):
+    # json.loads raises RecursionError on deep nesting, and a ValueError that
+    # is no JSONDecodeError on an integer past Python's digit limit.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command in (*FUZZ_COMMANDS, ["verify", "--samples", "5"]):
+        assert main([*command, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: instance: invalid JSON: ")
 
 
 @pytest.mark.filterwarnings("ignore:k=.*exceeds")

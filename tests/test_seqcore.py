@@ -618,11 +618,13 @@ def test_scaled_doubles_are_generator_uniform():
 # ---------------------------------------------------------------------------
 
 # Runs in a fresh process without numpy, so it has one thread and
-# `_run_samples` forks: once over every CPU of its affinity, then pinned to
-# one CPU, inline.  Sample i is found from its stream's start; one in 7 is
-# skipped and one in 5 reports a violation, so the merge order shows.
+# `_run_samples` forks: once over every CPU of its affinity; then over four
+# claimed CPUs with the first and the last of each check's three forks
+# refused, so chunks 1 and 3 run inline and chunk 2 in a worker; then pinned
+# to one CPU, inline.  Sample i is found from its stream's start; one in 7
+# is skipped and one in 5 reports a violation, so the merge order shows.
 PARALLEL_PROBE = """
-import json, os, sys
+import errno, json, os, sys
 from seqsub import seqcore
 
 assert "numpy" not in sys.modules and len(os.listdir("/proc/self/task")) == 1
@@ -632,15 +634,13 @@ os.fork = lambda: forks.append(1) or fork()
 samples, seed = 4 * seqcore.MIN_WORKER_SAMPLES, 3
 index = {state: i for i, state in enumerate(seqcore._pcg64_states(seed, range(samples)))}
 
-def run(fail=None):
+def run(fail=()):
     counts = {"seen": 0, "drawn": 0}
 
     def body(rng):
         i = index[rng.state, rng.inc]
-        if i == fail:
+        if i in fail:
             raise ValueError(f"sample {i} failed")
-        if i == samples - 1 and fail == "die":
-            os._exit(3)
         counts["seen"] += 1
         counts["drawn"] += rng.integers(0, 10)
         if i % 7 == 0:
@@ -662,11 +662,24 @@ def children_left():
         return False
     return True
 
+failures = [(samples - 1,), (0,), (samples // 2,), (samples // 2, samples - 1)]
 out = {"workers": seqcore._workers(samples)}
-out["parallel"] = [run(), run(fail=samples - 1), run(fail=0)]
+out["parallel"] = [run(), *map(run, failures[:2])]
 out["parallel_children_left"] = children_left()
+counted, attempts, affinity = os.fork, [], os.sched_getaffinity
+
+def refusing_fork():
+    attempts.append(1)
+    if len(attempts) % 3 != 2:
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return counted()
+
+os.fork, os.sched_getaffinity = refusing_fork, lambda pid: {0, 1, 2, 3}
+out["refused"] = [run(), *map(run, failures)]
+out["refused_children_left"] = children_left()
+os.fork, os.sched_getaffinity = counted, affinity
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-out["inline"] = [run(), run(fail=samples - 1), run(fail=0)]
+out["inline"] = [run(), *map(run, failures)]
 out["inline_children_left"] = children_left()
 print(json.dumps(out))
 """
@@ -724,6 +737,21 @@ def test_a_worker_raises_what_the_inline_run_raises(parallel_probe):
         parallel, inline = parallel_probe["parallel"][k], parallel_probe["inline"][k]
         assert parallel["error"] == inline["error"] == ["ValueError", f"sample {failed} failed"]
         assert parallel["forks"] > 0 and inline["forks"] == 0
+
+
+@needs_two_cpus
+def test_a_refused_fork_runs_its_chunk_inline(parallel_probe):
+    # The report, and the first exception in sample order (of an inline
+    # chunk, of a worker, and of a worker before an inline chunk that also
+    # raises), are the inline run's.
+    assert [run["forks"] for run in parallel_probe["refused"]] == [1] * 5
+    for refused, inline in zip(parallel_probe["refused"], parallel_probe["inline"]):
+        assert refused.get("report") == inline.get("report") and refused.get("error") == inline.get("error")
+    half = 2 * seqcore.MIN_WORKER_SAMPLES
+    assert [run["error"][1] for run in parallel_probe["inline"][1:]] == [
+        f"sample {i} failed" for i in (2 * half - 1, 0, half, half)
+    ]
+    assert parallel_probe["refused_children_left"] is False
 
 
 @needs_two_cpus
