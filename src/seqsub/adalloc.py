@@ -12,10 +12,11 @@ strictly better one available, so it changes configuration at most once per
 ad.  It is index-native and incremental: it keeps each type's top-`slots`
 live ads and, after an exhaustion, re-picks only the types whose pick held
 the spent-out ad.  Public functions take id-keyed `Configuration` values; the
-kernel works on (type index, ad indices) pairs.  `FluidRateModel`, the model
-`verify` checks, replays each query's prefix from the full budgets.  The
-generic `seqcore.greedy_continuous` driven by `incremental_oracle` (prefixes
-replayed the same way) over `enumerate_configurations` is the
+kernel works on (type index, ad indices) pairs, which a configuration built
+from them carries, with its instance, as its stamp.  `FluidRateModel`, the
+model `verify` checks, replays each query's prefix from the full budgets.
+The generic `seqcore.greedy_continuous` driven by `incremental_oracle`
+(prefixes replayed the same way) over `enumerate_configurations` is the
 paper-faithful form of the same greedy, kept as the test reference for
 `greedy_allocate`.
 """
@@ -37,8 +38,7 @@ EXHAUSTED = 1e-12
 # or payment lets sums of spend or of spend rates overflow to infinity.
 MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
-# Entries that each of an instance's memos (its resolved and its interned
-# random configurations) keeps before it is dropped whole.
+# Random configurations an instance interns before its memo is dropped whole.
 MODEL_MEMO = 256
 
 
@@ -103,7 +103,6 @@ class AdInstance:
         # Canonical type order (by id): per-ad rates are summed over types in this order.
         object.__setattr__(self, "_order", tuple(sorted(columns, key=self.type_ids.__getitem__)))
         object.__setattr__(self, "_interned", {})  # random_configuration's, by index form
-        object.__setattr__(self, "_resolved", {})  # _config_indices', by configuration
 
     @classmethod
     def build(
@@ -173,6 +172,7 @@ class Configuration:
     """
 
     assignment: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+    _stamp = None  # (instance, index form) from `_configuration`; not a field, and never pickled
 
     def __post_init__(self):
         canon = []
@@ -184,10 +184,8 @@ class Configuration:
                 canon.append((tid, ads))
         object.__setattr__(self, "assignment", tuple(canon))
 
-    def __hash__(self) -> int:  # computed once, for the memos; allocate never hashes
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.assignment,)))
-        return self._hash
+    def __getstate__(self) -> dict:  # a stamp would pickle its whole instance
+        return {"assignment": self.assignment}
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[str]]) -> "Configuration":
@@ -219,15 +217,15 @@ class SpendLedger:
 def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """Index form of a configuration, validated; types keep their canonical (id-sorted) order.
 
-    The only check that actions are `Configuration` values, made before anything
-    is hashed: every entry point resolves them here and shares the instance's
-    memo of validated index forms (one that fails validation is never stored).
+    The only check that actions are `Configuration` values.  One stamped for
+    this very instance returns its stamp, whose ads within a type may be in
+    ranking or draw order (no result depends on it); any other is validated.
     """
     if not isinstance(config, Configuration):
         raise ValueError("strategy actions must be Configuration values")
-    memo = instance._resolved
-    if config in memo:
-        return memo[config]
+    stamp = config._stamp
+    if stamp is not None and stamp[0] is instance:
+        return stamp[1]
     out = []
     for tid, ads in config.assignment:
         j = instance.type_index(tid)
@@ -237,10 +235,7 @@ def _config_indices(instance: AdInstance, config: Configuration) -> Tuple[Tuple[
                 f"type {tid!r} assigns {len(idx)} ads, more than {instance.slots} slots"
             )
         out.append((j, idx))
-    if len(memo) >= MODEL_MEMO:
-        memo.clear()
-    memo[config] = out = tuple(out)
-    return out
+    return tuple(out)
 
 
 def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
@@ -248,12 +243,14 @@ def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
 
     It is `==`, and hash-equal, to `Configuration.of` of the same picks without
     its canonicalising sort: `names` caches each pick's id form, ads sorted by id.
+    Its stamp, `(instance, cfg_idx)`, is what `_config_indices` returns for it.
     """
     for pick in cfg_idx:
         if pick not in names:
             j, ads = pick
             names[pick] = (instance.type_ids[j], tuple(sorted(instance.ad_ids[i] for i in ads)))
-    return unchecked(Configuration, assignment=tuple(names[pick] for pick in cfg_idx))
+    assignment = tuple(names[pick] for pick in cfg_idx)
+    return unchecked(Configuration, assignment=assignment, _stamp=(instance, cfg_idx))
 
 
 def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> Dict[int, float]:
@@ -554,8 +551,8 @@ def _draw_distinct(rng: Stream, n: int, size: int) -> Tuple[int, ...]:
 def random_configuration(instance: AdInstance, rng: Stream) -> Configuration:
     """Each type, in instance order, stays empty with probability 1/4, else gets 1 to `slots` distinct ads.
 
-    Equal to `Configuration.of` of the draws; built in canonical form and
-    interned per instance (MODEL_MEMO entries), so a repeat keeps its hash.
+    Equal to `Configuration.of` of the draws; built in canonical form, stamped,
+    and interned per instance by index form (MODEL_MEMO entries).
     """
     slots, n = instance.slots, instance.num_ads
     drawn = [()] * instance.num_types
@@ -596,9 +593,9 @@ class FluidRateModel:
     optimization problem.  Random prefixes stay within the horizon.  `scale`,
     the total budget, is the utility's typical magnitude.
 
-    Every query replays its prefix from the full budgets (`_replay`); the
-    only caches are the instance's two memos (resolved index forms and
-    interned random configurations) and each `Configuration`'s computed hash.
+    Every query replays its prefix from the full budgets (`_replay`).  It
+    keeps no cache: the random configurations it draws are stamped with their
+    index form and interned by the instance (`random_configuration`).
     """
 
     def __init__(self, instance: AdInstance):

@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--queries", type=int, default=None, help="queries per trial (default round(horizon))")
+    p.add_argument("--queries", type=int, default=None, help="queries per trial (default round(horizon)); "
+                   "each pays in full, so mean runs at queries/horizon times fluid's arrival rate")
     p.add_argument("--per-trial", action="store_true", help="include per-trial revenues in the report")
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.set_defaults(func=cmd_simulate)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -414,7 +415,7 @@ def test_greedy_configurations_equal_the_canonical_ones(seed):
 
 
 def reference_indices(instance, config):
-    """The index form of a valid configuration, resolved again, without the instance's memo."""
+    """The index form of a valid configuration, resolved from its ids alone (never its stamp)."""
     return tuple(
         (instance.type_index(tid), tuple(instance.ad_index(a) for a in ads)) for tid, ads in config.assignment
     )
@@ -493,23 +494,32 @@ def _hex(value):
     return tuple(x.hex() for x in value) if isinstance(value, tuple) else value.hex()
 
 
+def _unstamped(strategy):
+    """`strategy` with every configuration rebuilt by `Configuration.of`, which stamps nothing."""
+    return TimedSequence(tuple((Configuration.of(dict(c.assignment)), d) for c, d in strategy.segments))
+
+
 @pytest.mark.parametrize("memo", [3, adalloc.MODEL_MEMO])
 def test_rate_model_matches_stateless_replay(memo):
     # Prefixes share segments (B, B + C, windows of B + C), every query kind
     # runs on every prefix, in shuffled order, on two models of one instance
-    # interleaved with `evaluate_strategy`, so answers come from index forms
-    # that all of them share, and (with a memo of 3) drop, through the
-    # instance's memo.
+    # interleaved with `evaluate_strategy`.  The configurations are stamped
+    # for the instance in draw order (re-interned often with a memo of 3),
+    # stamped for an equal twin instance, or not stamped, so answers come
+    # from stamps and from validation alike, and all must be the bits of the
+    # id-sorted reference.
     rng = np.random.default_rng(1031)
-    dropped = 0
     with mock.patch.object(adalloc, "MODEL_MEMO", memo):
         for _ in range(40):
             inst = _differential_instance(rng)
+            twin = dataclasses.replace(inst)
             models, ref = (FluidRateModel(inst), FluidRateModel(inst)), reference_rate_model(inst)
             prefixes = [random_strategy(inst, rng) for _ in range(5)]
             prefixes += [concat(b, c) for b, c in zip(prefixes, prefixes[1:])]
             prefixes += [sample_dominated(p, np.random.default_rng(int(rng.integers(2**31)))) for p in prefixes[5:]]
+            prefixes += [_unstamped(p) for p in prefixes[:3]]
             configs = [adalloc.random_configuration(inst, rng) for _ in range(3)]
+            configs += [adalloc.random_configuration(twin, rng), Configuration.of(dict(configs[0].assignment))]
             queries = [("utility", (p,)) for p in prefixes] + [("best_rate", (p,)) for p in prefixes]
             queries += [("spent", (p,)) for p in prefixes if not adalloc._past_horizon(inst, p.length)]
             for c in configs:
@@ -517,22 +527,21 @@ def test_rate_model_matches_stateless_replay(memo):
                 queries += [("rate", (c, float(rng.uniform(0.0, inst.horizon)), p)) for p in prefixes]
             for k in rng.permutation(len(queries)):
                 name, args = queries[k]
-                held = len(inst._resolved)
                 if name == "spent":
                     got = evaluate_strategy(inst, *args).spent
                 else:
                     got = getattr(models[k % 2], name)(*args)
                 assert _hex(got) == _hex(ref[name](*args)), (name, args)
-                assert len(inst._resolved) <= memo
-                dropped += len(inst._resolved) < held
-            assert all(cfg_idx == reference_indices(inst, c) for c, cfg_idx in inst._resolved.items())
-    assert dropped > 0 or memo > 3
+            for c in configs:
+                assert sorted((j, sorted(ads)) for j, ads in adalloc._config_indices(inst, c)) == sorted(
+                    (j, sorted(ads)) for j, ads in reference_indices(inst, c)
+                )
 
 
 def test_configuration_hash_is_the_same_however_it_is_built():
     # random_configuration, the index-form builder `_configuration` and
     # Configuration.of with types and ads in reverse order make equal,
-    # hash-equal configurations; a cached hash is the hash of a fresh copy.
+    # hash-equal configurations; a stamp changes neither, nor a copy's hash.
     rng = np.random.default_rng(1037)
     for _ in range(200):
         inst = _differential_instance(rng)
@@ -545,13 +554,21 @@ def test_configuration_hash_is_the_same_however_it_is_built():
 
 
 def test_rate_model_validates_every_query():
-    # The instance's index memo holds only validated configurations, so a bad
-    # one raises on every query, before and after good ones fill the memo.
+    # Only a stamp of this very instance skips validation, so a bad
+    # configuration raises on every query, before and after good ones,
+    # whether it is unstamped or stamped for an instance where it is valid.
     inst = adalloc.AdInstance.build(
         [("a1", 1.0), ("a2", 1.0)], [("t1", 0.5), ("t2", 0.5)], {"a1": {"t1": 1.0}, "a2": {"t2": 1.0}}, 1, 2.0
     )
-    good = Configuration.of({"t1": ("a1",), "t2": ("a2",)})
+    other = adalloc.AdInstance.build(
+        [("a1", 1.0), ("a2", 1.0), ("zz", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}, "a2": {"t1": 2.0}}, 2, 2.0
+    )
+    good = best_configuration(inst, inst.budgets)
+    assert good == Configuration.of({"t1": ("a1",), "t2": ("a2",)})
+    assert adalloc._config_indices(inst, good) is good._stamp[1]
     bad = [Configuration.of({"t1": ("zz",)}), Configuration.of({"t1": ("a1", "a2")})]
+    bad += [adalloc._configuration(other, ((0, (2,)),), {}), best_configuration(other, other.budgets)]
+    assert bad[2:] == bad[:2]
     model = FluidRateModel(inst)
     for _ in range(3):
         for config in bad:
@@ -563,7 +580,53 @@ def test_rate_model_validates_every_query():
                 with pytest.raises(ValueError):
                     query()
         assert model.rate(good, 0.5, TimedSequence(((good, 0.5),))) == 1.0
-    assert list(inst._resolved) == [good]
+
+
+def test_a_configuration_stamped_for_another_instance_resolves_by_its_validation():
+    # Built for A, a configuration passed with B resolves by B's ids: B with
+    # the same ids in another order gets B's indices, and B without one of
+    # its ads raises the usual error.
+    ads, types = [("a1", 1.0), ("a2", 2.0), ("a3", 3.0)], [("t1", 0.5), ("t2", 0.5)]
+    bids = {"a1": {"t1": 1.0, "t2": 3.0}, "a2": {"t1": 2.0}, "a3": {"t1": 3.0, "t2": 1.0}}
+    a = adalloc.AdInstance.build(ads, types, bids, 2, 4.0)
+    shuffled = adalloc.AdInstance.build(ads[::-1], types[::-1], bids, 2, 4.0)
+    config = best_configuration(a, a.budgets)
+    assert config._stamp == (a, ((0, (2, 1)), (1, (0, 2))))
+    got = adalloc._config_indices(shuffled, config)
+    assert got == reference_indices(shuffled, config) == ((1, (1, 0)), (0, (2, 0)))
+    assert got != config._stamp[1]
+    assert FluidRateModel(shuffled).rate(config, 0.0, TimedSequence(())) == FluidRateModel(a).rate(
+        config, 0.0, TimedSequence(())
+    )
+    lacking = adalloc.AdInstance.build(ads[:2], types, {k: bids[k] for k in ("a1", "a2")}, 2, 4.0)
+    with pytest.raises(InstanceError, match="unknown ad id 'a3'"):
+        adalloc._config_indices(lacking, config)
+    with pytest.raises(InstanceError, match="unknown ad id 'a3'"):
+        FluidRateModel(lacking).rate(config, 0.0, TimedSequence(()))
+
+
+def test_a_stamped_configuration_pickles_as_its_assignment_alone():
+    # Forked verify workers pickle violation witnesses: a stamp, which holds
+    # the whole instance, must not go with them.  A stamped configuration
+    # pickles to the bytes of `Configuration.of` of the same picks, and its
+    # loaded copy is equal, repr-equal and resolves against the instance it
+    # is given.
+    rng = np.random.default_rng(1061)
+    for _ in range(100):
+        inst = _differential_instance(rng)
+        strategy, _ = greedy_allocate(inst)
+        stamped = [c for c, _ in strategy.segments] + [adalloc.random_configuration(inst, rng)]
+        for config in stamped:
+            assert config._stamp[0] is inst
+            picks = {inst.type_ids[j]: [inst.ad_ids[i] for i in ads] for j, ads in config._stamp[1]}
+            plain = Configuration.of(picks)
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(config, protocol)
+                assert data == pickle.dumps(plain, protocol)
+                loaded = pickle.loads(data)
+                assert loaded == config and repr(loaded) == repr(config) and hash(loaded) == hash(config)
+                assert loaded._stamp is None
+                assert adalloc._config_indices(inst, loaded) == reference_indices(inst, config)
 
 
 def test_every_entry_point_rejects_a_non_configuration_action():
@@ -622,8 +685,8 @@ def test_the_continuous_bound_is_tight_on_the_triangular_family():
     ids=["utility", "rate", "breakpoints", "best_rate"],
 )
 def test_model_queries_reject_an_unhashable_action(query):
-    # The memos hash actions, but `_config_indices` checks an action before
-    # anything hashes it: a list action gets its ValueError, not a TypeError.
+    # `_config_indices` checks an action before it reads anything of it: a
+    # list action gets its ValueError, not a TypeError or an AttributeError.
     inst = adalloc.AdInstance.build([("a1", 1.0)], [("t1", 1.0)], {"a1": {"t1": 1.0}}, 1, 2.0)
     with pytest.raises(ValueError, match="strategy actions must be Configuration values"):
         query(FluidRateModel(inst))

@@ -192,6 +192,22 @@ def test_simulate_single_type_exact(tmp_path):
     assert report["outputs"]["mean"] == report["outputs"]["fluid"] == 1.0
 
 
+def test_simulate_queries_scale_the_arrival_rate_not_the_fluid_value(tmp_path):
+    # Every query pays in full, so Q queries over horizon T run at Q/T times
+    # the fluid arrival rate; `fluid` stays at rate 1.  The budget never
+    # binds, so both values are exact.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1e6)], query_types=[("t1", 1.0)], bids={"a1": {"t1": 1.0}}, slots=1, horizon=100.0
+    )
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(adalloc.instance_to_json(inst)))
+    for queries, mean in (("100", 100.0), ("200", 200.0)):
+        args = ["simulate", "--instance", str(path), "--trials", "3", "--seed", "0", "--queries", queries]
+        code, report = run(args, tmp_path)
+        assert code == 0
+        assert (report["outputs"]["mean"], report["outputs"]["fluid"]) == (mean, 100.0)
+
+
 def test_simulate_bad_flags_exit_2(i1_file, capsys, monkeypatch):
     # StreamConfig rejects each bad parameter, naming it, before the greedy runs.
     def no_greedy(*args):
