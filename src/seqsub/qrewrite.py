@@ -8,7 +8,9 @@ property checkers; evaluating a plan runs the single-type fluid allocator
 tuple by tuple against the global budgets.  `greedy_rewrite` nests two
 greedy loops: an inner one that grows the rewrite set of each candidate type
 one best rewrite at a time, and an outer one that appends the type with the
-largest marginal utility.
+largest marginal utility.  The outer loop keeps each pending type's inner
+result until a step pays an ad that type ranks: a type's value reads the
+budgets of its ranked ads only, and a step changes only the budgets it paid.
 """
 
 from __future__ import annotations
@@ -183,10 +185,14 @@ def best_rewrite_set(
 def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
     """Assign rewrite sets type by type, always appending the best candidate.
 
-    Each outer round runs the inner greedy of `best_rewrite_set` for every
-    unassigned type and appends the winner; the recorded caps are exactly the
+    Each outer round appends the unassigned type whose inner greedy
+    (`best_rewrite_set`) is worth most; the recorded caps are exactly the
     budgets that step consumed, and the global budgets shrink by the same
-    amount.  Ties in both loops go to input order.
+    amount.  Ties in both loops go to input order.  A type's inner result is
+    kept across rounds and rerun only after a step pays one of its ranked
+    ads.  This is exact: `single_type_allocate` reads the caps of the type's
+    ranked ads only, and `_apply` changes `remaining` only at the keys of the
+    `paid` it returns, so a kept result equals what a rerun would return.
     """
     if instance._limit < instance.max_rewrites:
         warnings.warn(
@@ -196,18 +202,24 @@ def greedy_rewrite(instance: RewriteInstance) -> Tuple[DiscreteSequence, float]:
     base = instance.base
     remaining = list(base.budgets)
     pending = list(base.type_ids)
+    ranked = dict(zip(base.type_ids, base._ranking))
+    inner: Dict[str, Tuple[Tuple[str, ...], float]] = {}  # best_rewrite_set of a pending type
     allocations: list = []
     total = 0.0
     while pending:
-        best_type, best_set, _ = max(
-            ((tid, *best_rewrite_set(instance, tid, remaining)) for tid in pending),
-            key=lambda entry: entry[2],
-        )
+        for tid in pending:
+            if tid not in inner:
+                inner[tid] = best_rewrite_set(instance, tid, remaining)
+        best_type = max(pending, key=lambda tid: inner[tid][1])
+        best_set = inner.pop(best_type)[0]
         paid = _apply(instance, remaining, best_type, best_set, remaining)
         caps = [paid.get(i, 0.0) for i in range(base.num_ads)]
         allocations.append(PartialAllocation(best_type, best_set, caps))
         total += math.fsum(paid.values())
         pending.remove(best_type)
+        for tid in pending:
+            if not paid.keys().isdisjoint(ranked[tid]):
+                del inner[tid]
     return DiscreteSequence(tuple(allocations)), total
 
 

@@ -307,6 +307,94 @@ def test_greedy_rewrite_matches_the_reunioning_inner_loop():
             assert best_rewrite_set(inst, tid, caps) == reference_best_rewrite_set(inst, tid, caps)
 
 
+def eager_rewrite_calls(n_types, n_rewrites, k):
+    """`single_type_allocate` calls of the eager nested greedy (`reference_greedy_rewrite`'s loop).
+
+    Each outer round reruns the inner greedy for every pending type, each of
+    its trials and its final set one call, then pays the winner with one more.
+    """
+    per_type = sum(n_rewrites - s for s in range(min(k, n_rewrites))) + 1
+    return sum(p * per_type + 1 for p in range(1, n_types + 1))
+
+
+def _count_calls(monkeypatch, run):
+    calls = []
+    original = qrewrite.single_type_allocate
+    monkeypatch.setattr(qrewrite, "single_type_allocate", lambda *a: calls.append(1) or original(*a))
+    result = run()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def _sparse_rewrite_instance(rng):
+    """3-8 types, bid density at most 0.4, tied payments and budgets, zero budgets, repeated
+    rewrite ad sets, rewrites that reach only ads no type ranks, and k often >= rewrites."""
+    m, n, n_rw = int(rng.integers(3, 11)), int(rng.integers(3, 9)), int(rng.integers(1, 8))
+    density = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
+    budgets = [(f"a{i}", float(rng.choice([0.0, 0.5, 1.0, 2.0]))) for i in range(m)]
+    bids = {
+        f"a{i}": {f"t{j}": float(rng.choice([0.25, 0.5, 1.0])) for j in range(n) if rng.random() < density}
+        for i in range(m)
+    }
+    base = adalloc.AdInstance.build(
+        budgets, [(f"t{j}", 1.0 / n) for j in range(n)], bids, int(rng.integers(1, 3)), float(rng.choice([0.5, 2.0]))
+    )
+    unranked = [f"a{i}" for i in range(m) if not bids[f"a{i}"]]
+    rewrites = []
+    for r in range(n_rw):
+        draw = rng.random()
+        if rewrites and draw < 0.2:
+            ads = rewrites[int(rng.integers(len(rewrites)))].ads
+        elif unranked and draw < 0.35:
+            ads = tuple(unranked[: int(rng.integers(1, len(unranked) + 1))])
+        else:
+            ads = tuple(f"a{int(i)}" for i in sorted(rng.choice(m, size=int(rng.integers(1, 4)), replace=False)))
+        rewrites.append(Rewrite(f"r{r}", ads))
+    return RewriteInstance(base, tuple(rewrites), int(rng.integers(1, n_rw + 3)))
+
+
+def test_greedy_rewrite_keeps_untouched_inner_results(monkeypatch):
+    # The outer loop reruns a type's inner greedy only after a step paid an ad the type ranks;
+    # on sparse instances that must skip calls and still pick what the eager loop picks.
+    rng = np.random.default_rng(2207)
+    fewer = 0
+    for _ in range(320):
+        inst = _sparse_rewrite_instance(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k may exceed the rewrites
+            result, calls = _count_calls(monkeypatch, lambda: greedy_rewrite(inst))
+            assert result == reference_greedy_rewrite(inst)
+        eager = eager_rewrite_calls(inst.base.num_types, len(inst.rewrites), inst.max_rewrites)
+        assert calls <= eager
+        fewer += calls < eager
+    assert fewer >= 160
+
+
+@pytest.mark.parametrize("n_types,n_rewrites,k", [(1, 1, 1), (3, 6, 2), (4, 3, 5), (6, 5, 3)])
+def test_greedy_rewrite_makes_the_eager_count_when_every_type_ranks_every_ad(monkeypatch, n_types, n_rewrites, k):
+    # Every step pays some ad (budgets far above what a horizon can spend), and every type ranks
+    # it, so no inner result survives a round: the call count is the eager loop's.
+    rng = np.random.default_rng(n_types * 100 + n_rewrites * 10 + k)
+    m = 6
+    base = adalloc.AdInstance.build(
+        [(f"a{i}", 100.0) for i in range(m)],
+        [(f"t{j}", 1.0 / n_types) for j in range(n_types)],
+        {f"a{i}": {f"t{j}": float(rng.uniform(0.1, 2.0)) for j in range(n_types)} for i in range(m)},
+        1,
+        1.0,
+    )
+    rewrites = tuple(
+        Rewrite(f"r{r}", tuple(f"a{int(i)}" for i in sorted(rng.choice(m, size=2, replace=False))))
+        for r in range(n_rewrites)
+    )
+    inst = RewriteInstance(base, rewrites, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        (plan, _), calls = _count_calls(monkeypatch, lambda: greedy_rewrite(inst))
+    assert all(any(pa.caps) for pa in plan.items)
+    assert calls == eager_rewrite_calls(n_types, n_rewrites, k)
+
+
 def reference_random_plan(instance, rng):
     """`random_plan` as it drew before single picks stopped going through `choice`."""
     base = instance.base
