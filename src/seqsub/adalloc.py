@@ -40,6 +40,8 @@ MAX_SLOTS = 2**31 - 1
 MAX_AMOUNT = 1e300
 # Random configurations an instance interns before its memo is dropped whole.
 MODEL_MEMO = 256
+# 2^1074: a sum of `_units` counts divided by this is the float nearest the sum.
+_UNIT = 1 << 1074
 
 
 class InstanceError(ValueError):
@@ -416,6 +418,12 @@ def best_configuration(instance: AdInstance, remaining) -> Configuration:
     return _configuration(instance, _best(instance, _budget_vector(instance, remaining)), {})
 
 
+def _units(d: float) -> int:
+    """The finite float `d` exactly, as a count of 2^-1074, the smallest subnormal."""
+    n, den = d.as_integer_ratio()
+    return n << 1075 - den.bit_length()
+
+
 def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedger]:
     """Play the best configuration, switching only when a strictly better one appears.
 
@@ -430,6 +438,7 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     remaining = list(instance.budgets)
     picks = [_top_ads(instance, j, remaining) for j in range(instance.num_types)]
     segs: list = []
+    exact = 0  # the durations in `segs`, summed exactly in units of 2^-1074
     elapsed = 0.0
     current, rates = None, {}
     while horizon - elapsed > 1e-15 * horizon:
@@ -440,10 +449,13 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
         live = set(rates)
         dt, hit = _step(instance, rates, remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
+            exact -= _units(segs[-1][1])
             segs[-1][1] += dt
+            exact += _units(segs[-1][1])
         elif dt > 0.0:
             segs.append([current, dt])
-        elapsed = math.fsum(d for _, d in segs)
+            exact += _units(dt)
+        elapsed = exact / _UNIT  # correctly rounded, as `math.fsum(durations)` is
         if not hit:
             break
         gone = live.difference(rates)

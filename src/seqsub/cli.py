@@ -11,7 +11,8 @@ Commands:
 
 Reports are key-sorted JSON, byte-identical across runs with the same inputs
 and seeds; wall-clock timing goes to stderr only.  Exit codes: 0 success,
-1 property violation, 2 input error, 3 oracle size guard.
+1 property violation, 2 input error (or `simulate` without numpy, the
+`seqsub[simulate]` extra), 3 oracle size guard.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -170,7 +172,12 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import stochsim  # loads numpy, which no other command needs
+    try:
+        from . import stochsim  # loads numpy, which no other command needs
+    except ImportError as exc:
+        if exc.name != "numpy":
+            raise
+        raise InstanceError("simulate needs numpy: pip install 'seqsub[simulate]'") from None
     data, digest = _load_json(Path(args.instance))
     instance = adalloc.parse_instance(data)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)
@@ -325,4 +332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
+    """The process entry of `seqsub` and `python -m seqsub`.
+
+    No command makes a BLAS call, so the numpy that `simulate` imports gets no
+    idle BLAS thread, unless the caller set OMP_ or OPENBLAS_NUM_THREADS.
+    """
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     raise SystemExit(main())

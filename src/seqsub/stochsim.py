@@ -3,7 +3,10 @@
 Queries arrive one per unit of virtual time: a run of Q queries spans the
 horizon, query n landing at time n * T / Q.  Types are drawn i.i.d. from the
 instance distribution, each shown ad pays min(payment, its remaining
-budget), and trial t draws from `numpy.random.default_rng([seed, t])`.
+budget), and trial t draws from the stream of
+`numpy.random.default_rng([seed, t])`: one PCG64 is set to each trial's
+state from `seqcore._pcg64_states`, the substreams `verify` draws from.
+numpy is the `seqsub[simulate]` extra.
 
 No Python code runs per query.  For each trial the shown (ad, payment)
 pairs of all queries are gathered from per-(segment, type) slot tables and
@@ -41,6 +44,7 @@ from .adalloc import (
     _past_horizon,
     evaluate_strategy,
 )
+from .seqcore import _pcg64_states
 
 RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
@@ -175,8 +179,11 @@ def simulate_stream(
     ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
     step = max(1, FOLD_BLOCK // max(1, ad_tab.shape[1]))
     revenues = []
-    for t in range(config.trials):
-        rng = np.random.default_rng([config.seed, t])
+    bit_generator = np.random.PCG64()  # its state is replaced before every trial
+    rng = np.random.Generator(bit_generator)
+    for state, inc in _pcg64_states(config.seed, range(config.trials)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
         folds = budgets
         for lo in range(0, queries, step):
             block = first_cell[lo : lo + step]

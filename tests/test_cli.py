@@ -915,6 +915,55 @@ def test_only_simulate_loads_numpy(tmp_path):
     assert proc.stdout.strip() == "[False, False, False, False, False, False, False] True"
 
 
+ENTRY_PROBE = """
+import os
+from seqsub import cli
+
+def main():
+    import numpy
+    print(len(os.listdir("/proc/self/task")), os.environ["OMP_NUM_THREADS"])
+    return 0
+
+cli.main = main
+cli.entry()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+@pytest.mark.parametrize("omp", [None, "2"])
+def test_entry_imports_numpy_without_a_blas_thread(omp):
+    # The process entry keeps numpy's idle BLAS worker from starting, unless
+    # the caller set a thread count; main, which tests call, sets nothing.
+    env = {k: v for k, v in probe_env().items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    if omp is not None:
+        env["OMP_NUM_THREADS"] = omp
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    if omp is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == omp
+
+
+SIMULATE_NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from seqsub import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_simulate_without_numpy_names_the_extra():
+    argv = ["simulate", "--instance", str(INSTANCES / "two_ads_two_types.json"), "--trials", "3", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE_NO_NUMPY_PROBE, *argv],
+        env=probe_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and "seqsub[simulate]" in proc.stderr, proc.stderr
+
+
 NO_NUMPY_PROBE = """
 import json, sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsub import adalloc, stochsim
+from seqsub import adalloc, seqcore, stochsim
 from seqsub.adalloc import _config_indices
 from seqsub.stochsim import (
     StreamConfig,
@@ -248,6 +248,21 @@ def test_fold_matches_query_loop_on_random_streams():
         # Small blocks carry each ad's fold across block boundaries.
         with mock.patch.object(stochsim, "FOLD_BLOCK", (2, 7, 40)[k % 3]):
             assert simulate_stream(inst, strategy, config).revenues == expected
+    # Trials from seqcore.SUBSTREAM_BLOCK on take their states from a second
+    # hashed block, and seeds of two and three 32-bit words hash more words.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 0.5), ("a2", 0.4)],
+        query_types=[("t1", 0.3), ("t2", 0.7)],
+        bids={"a1": {"t1": 0.25, "t2": 0.1}, "a2": {"t2": 0.15}},
+        slots=2,
+        horizon=4.0,
+    )
+    strategy, _ = adalloc.greedy_allocate(inst)
+    for seed in (9, 2**32, 2**64 + 3):
+        config = StreamConfig(seed=seed, trials=seqcore.SUBSTREAM_BLOCK + 6)
+        revenues = simulate_stream(inst, strategy, config).revenues
+        assert revenues == reference_revenues(inst, strategy, config)
+        assert len(set(revenues[seqcore.SUBSTREAM_BLOCK - 3 :])) > 1
 
 
 def test_fold_memory_does_not_grow_with_slots():
