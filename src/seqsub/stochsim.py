@@ -10,8 +10,9 @@ numpy is the `seqsub[simulate]` extra.
 
 No Python code runs per query.  For each trial the shown (ad, payment)
 pairs of all queries are gathered from per-(segment, type) slot tables and
-stably sorted by ad, so each ad's payments p1, p2, ... stay in query order;
-the ad's remaining budget is then the left fold ((b - p1) - p2) - ...,
+taken from the budgets by `np.subtract.at`, one update at a time in index,
+so query, order (an empty slot's 0.0 lands in a spare entry past the last
+ad); each ad's remaining budget is the left fold ((b - p1) - p2) - ...,
 clamped once at zero.  That is exact, not an approximation of the
 query-by-query rule "skip if rem <= 0, else rem - min(pay, rem)": while
 every payment is below the remaining budget both compute the same
@@ -50,9 +51,10 @@ RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
 # table row of each query, after a set-up peak of 24 (240 MB at the cap).
 MAX_QUERIES = 10**7
-# Shown (ad, payment) pairs per block of the fold, which holds about 50
-# bytes a pair at peak: a block is FOLD_BLOCK // width queries (at least one)
-# when configurations show up to `width` ads a type, so about 3.3 MB.
+# Shown (ad, payment) pairs per block of the fold: FOLD_BLOCK // width
+# queries (at least one) when configurations show up to `width` ads a type.
+# At peak a block holds about 32 bytes a query in the type draw and 10 a
+# pair in the fold (a narrow ad index and a payment), so at most 2.1 MB.
 FOLD_BLOCK = 2**16
 # Buckets of the type draw's guide table; a power of two, so u * _BUCKETS is exact.
 _BUCKETS = 2**12
@@ -122,7 +124,7 @@ def _slot_tables(instance: AdInstance, strategy: AllocationStrategy):
         shown.append(dict(_config_indices(instance, config)))
     width = max((len(ads) for row in shown for ads in row.values()), default=0)
     n_ads, n_types = instance.num_ads, instance.num_types
-    # The narrowest index type: numpy's stable sort is a radix sort on 8- and 16-bit keys.
+    # The narrowest index type, which only saves memory; `num_ads` names the fold's spare entry.
     ad_tab = np.full(((len(shown) + 1) * n_types, width), n_ads, dtype=np.min_scalar_type(n_ads))
     pay_tab = np.zeros(ad_tab.shape)
     for s, row in enumerate(shown):
@@ -175,8 +177,7 @@ def simulate_stream(
     times = np.arange(queries, dtype=float) * (instance.horizon / queries)
     first_cell = np.searchsorted(ends, times, side="right") * instance.num_types
     del times  # only the first cells are kept across trials
-    budgets = np.asarray(instance.budgets, dtype=float)
-    ad_keys = np.arange(instance.num_ads, dtype=ad_tab.dtype)
+    start = np.asarray(instance.budgets + (0.0,), dtype=float)
     step = max(1, FOLD_BLOCK // max(1, ad_tab.shape[1]))
     revenues = []
     bit_generator = np.random.PCG64()  # its state is replaced before every trial
@@ -184,18 +185,13 @@ def simulate_stream(
     for state, inc in _pcg64_states(config.seed, range(config.trials)):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        folds = budgets
+        folds = start.copy()
         for lo in range(0, queries, step):
             block = first_cell[lo : lo + step]
             block = block + _draw_types(table, rng.random(len(block)))
             ads = np.take(ad_tab, block, axis=0).ravel()
-            filled = ads < instance.num_ads
-            # Every ad's fold so far first, then its payments in query order.
-            keys = np.concatenate((ad_keys, ads[filled]))
-            order = np.argsort(keys, kind="stable")
-            pays = np.concatenate((folds, np.take(pay_tab, block, axis=0).ravel()[filled]))[order]
-            folds = np.subtract.reduceat(pays, np.searchsorted(keys[order], ad_keys))
-        remaining = np.maximum(folds, 0.0)
+            np.subtract.at(folds, ads, np.take(pay_tab, block, axis=0).ravel())
+        remaining = np.maximum(folds[:-1], 0.0)
         revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining.tolist())))
     mean = math.fsum(revenues) / len(revenues)
     std = statistics.stdev(revenues) if len(revenues) > 1 else 0.0

@@ -309,6 +309,59 @@ def test_fold_matches_query_loop_when_payment_meets_budget():
     assert simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1)).revenues == (2.3,)
 
 
+def test_fold_is_left_to_right_in_query_order():
+    # 500 queries pay 1e-17, under half an ulp of 1.0, so each leaves the
+    # budget at 1.0; then up to three pay 0.25 each.  Taken in query order
+    # the remainder is exactly 1.0 - 0.25 * k; summing the payments first
+    # would take about 2.5e-15 more.
+    inst = adalloc.AdInstance.build(
+        ads=[("a1", 1.0)],
+        query_types=[("t1", 0.5), ("t2", 0.5)],
+        bids={"a1": {"t1": 1e-17, "t2": 0.25}},
+        slots=1,
+        horizon=503.0,
+    )
+    strategy = TimedSequence(
+        (
+            (adalloc.Configuration.of({"t1": ("a1",)}), 500.0),
+            (adalloc.Configuration.of({"t2": ("a1",)}), 3.0),
+        )
+    )
+    config = StreamConfig(seed=5, trials=12)
+    expected = reference_revenues(inst, strategy, config)
+    assert all(r in (0.0, 0.25, 0.5, 0.75) for r in expected) and len(set(expected)) > 1
+    for block in (stochsim.FOLD_BLOCK, 2):
+        with mock.patch.object(stochsim, "FOLD_BLOCK", block):
+            assert simulate_stream(inst, strategy, config).revenues == expected
+
+
+def test_fold_matches_query_loop_at_every_slot_table_width():
+    # 255 ads index a uint8 table whose empty marker 255 is the fold's spare
+    # entry; 256 and 300 ads need a uint16 table.  Configurations leave some
+    # slots empty and show the last ads as well as the first.
+    rng = np.random.default_rng(24)
+    for m in (255, 256, 300):
+        inst = adalloc.AdInstance.build(
+            [(f"a{i}", float(rng.integers(0, 49)) / 8.0) for i in range(m)],
+            [("t0", 0.4), ("t1", 0.6)],
+            {f"a{i}": {f"t{j}": float(rng.integers(1, 5)) / 8.0 for j in range(2)} for i in range(m)},
+            3,
+            200.0,
+        )
+        segments = []
+        for _ in range(4):
+            assignment = {}
+            for j in range(2):
+                picks = rng.choice(m - 1, size=int(rng.integers(0, 4)), replace=False)
+                if len(picks) and rng.random() < 0.5:
+                    picks[0] = m - 1
+                assignment[f"t{j}"] = tuple(f"a{int(i)}" for i in picks)
+            segments.append((adalloc.Configuration.of(assignment), 45.0))
+        strategy = TimedSequence(tuple(segments))
+        config = StreamConfig(seed=m, trials=4)
+        assert simulate_stream(inst, strategy, config).revenues == reference_revenues(inst, strategy, config)
+
+
 # ---------------------------------------------------------------------------
 # Differential test: the guide-table type draw against Generator.choice
 # ---------------------------------------------------------------------------
