@@ -1,10 +1,12 @@
-"""Exact small-instance baselines: brute force, a rational-arithmetic LP, and
-coverage fixtures.
+"""Exact small-instance baselines: brute force, an exact LP, and coverage
+fixtures.
 
 Everything here is an oracle, not a heuristic: size guards fail loudly with
-the measured size rather than approximating, and the LP runs entirely in
-exact rational arithmetic so ratio assertions never hinge on solver
-tolerances.
+the measured size rather than approximating, and the LP is exact, so ratio
+assertions never hinge on solver tolerances.  It pivots on rows of integers
+over one denominator, in time variables whose coefficients are floats' exact
+binary values; its pivots, value and witness are those of the dense
+`Fraction` tableau of the LP in spends.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .adalloc import AdInstance, SizeGuardError
 from .qrewrite import RewriteInstance
 from .seqcore import ActionSet, DiscreteSequence, SequenceFunction
+
+# An LP entry, taken at its exact value.
+Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -87,60 +92,88 @@ def brute_force_discrete(u: SequenceFunction, actions: ActionSet, horizon: int) 
 # Exact simplex (maximize c.x, A x <= b, x >= 0, b >= 0)
 # ---------------------------------------------------------------------------
 
-def _simplex_max(
-    c: List[Fraction], a_rows: List[List[Fraction]], b: List[Fraction]
-) -> Tuple[Fraction, List[Fraction]]:
-    """Tableau simplex in Fractions with Bland's rule, pivoting sparsely.
+def _integer_row(values: Iterable[Number]) -> Tuple[List[int], int]:
+    """Integer numerators of `values`, each at its exact value, over their least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
+
+def _simplex_max(
+    c: List[Number], a_rows: List[List[Number]], b: List[Number]
+) -> Tuple[Fraction, List[Fraction]]:
+    """Exact tableau simplex with Bland's rule, pivoting sparsely on integer rows.
+
+    Entries may be ints, Fractions or floats, each taken at its exact value.
     All right-hand sides must be non-negative so the slack basis is feasible;
     the problems solved here are always bounded, but unboundedness raises.
-    A pivot normalises the pivot row's nonzero entries and subtracts only
-    those columns from the other rows: in exact arithmetic `x - f * 0` is
-    `x`, so every entry, pivot and witness is the dense tableau's.
+    Each row, the cost row too, is integer numerators over one positive
+    denominator in lowest terms.  The ratio test cross-multiplies, as a
+    row's denominator cancels.  A pivot makes the pivot entry the pivot
+    row's denominator.  Any other row r with entry f in the entering column
+    becomes (r * pivot - f * pivot_row) / g over its denominator times
+    pivot / g, where g = gcd(f, pivot); the subtraction touches only the
+    pivot row's nonzero columns, and one gcd then reduces the row.  Each
+    row is exactly the dense Fraction tableau's, so the pivots, the value
+    and the witness are too.
     """
     m = len(a_rows)
     n = len(c)
-    width = n + m + 1
-    tableau = []
+    rows: List[List[int]] = []
+    dens: List[int] = []
     for i in range(m):
-        row = list(a_rows[i]) + [Fraction(0)] * m + [b[i]]
-        row[n + i] = Fraction(1)
-        tableau.append(row)
-    cost = [-cj for cj in c] + [Fraction(0)] * (m + 1)
+        nums, den = _integer_row([*a_rows[i], b[i]])
+        row = nums[:n] + [0] * m + nums[n:]
+        row[n + i] = den
+        rows.append(row)
+        dens.append(den)
+    nums, den = _integer_row(c)
+    cost = [-x for x in nums] + [0] * (m + 1)
+    rows.append(cost)  # rows[m]: it enters no ratio test and holds no basic variable
+    dens.append(den)
     basis = [n + i for i in range(m)]
     while True:
-        enter = next((j for j in range(width - 1) if cost[j] < 0), None)
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best_ratio = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = i
+                rhs = rows[i][-1]
+                if leave is not None:
+                    # rhs / coeff against best_rhs / best_coeff; both coefficients are positive.
+                    order = rhs * best_coeff - best_rhs * coeff
+                    if order > 0 or (order == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_coeff = i, rhs, coeff
         if leave is None:
             raise RuntimeError("LP is unbounded; guards should prevent this")
-        pivot_row = tableau[leave]
-        pivot = pivot_row[enter]
-        nonzero = [(j, x / pivot) for j, x in enumerate(pivot_row) if x]
-        for j, x in nonzero:
-            pivot_row[j] = x
-        for row in (*tableau, cost):
+        pivot_row = rows[leave]
+        # Over the pivot it is still in lowest terms: its basic column held its old denominator.
+        pivot = dens[leave] = best_coeff
+        nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
+        for i, row in enumerate(rows):
             f = row[enter]
-            if f and row is not pivot_row:
-                for j, x in nonzero:
-                    row[j] -= f * x
+            if f and i != leave:
+                g = math.gcd(f, pivot)
+                scale, f = pivot // g, f // g
+                if scale != 1:
+                    row[:] = [x * scale for x in row]
+                for j, y in nonzero:
+                    row[j] -= f * y
+                den = dens[i] * scale
+                g = math.gcd(den, *row)
+                if g != 1:
+                    row[:] = [x // g for x in row]
+                    den //= g
+                dens[i] = den
         basis[leave] = enter
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][-1]
-    return cost[-1], x
+            x[var] = Fraction(rows[i][-1], dens[i])
+    return Fraction(cost[-1], dens[m]), x
 
 
 def lp_opt_fluid(
@@ -149,55 +182,60 @@ def lp_opt_fluid(
 ) -> OptResult:
     """Exact optimum of the fluid allocation problem, by linear program.
 
-    Variables are per-pair spends z[ad, type] over allowed pairs with a
-    positive payment.  Constraints: per-ad budgets, per-type display capacity
-    (at most `slots` ads shown per arriving query), and the per-pair cap that
-    one ad occupies at most one slot of a type at a time.  The optimum both
-    upper-bounds every strategy restricted to the allowed pairs and is
-    achievable by one, so it is the exact offline fluid optimum.  Solved in
-    rational arithmetic; guarded at num_ads * num_types <= 12.
+    The witness is the per-pair spend z[ad, type] over allowed pairs with a
+    positive payment p.  Constraints: per-ad budgets, per-type display
+    capacity (at most `slots` ads shown per arriving query), and the per-pair
+    cap that one ad occupies at most one slot of a type at a time.  The
+    optimum both upper-bounds every strategy restricted to the allowed pairs
+    and is achievable by one, so it is the exact offline fluid optimum.
+    Guarded at num_ads * num_types <= 12.
+
+    It is solved in time variables x = z / p: max sum p x subject to
+    sum_type p x <= budget, sum_ad x <= slots * q * H and x <= q * H, each
+    type's rows multiplied by the denominator of q * H, so every entry is a
+    float or an integer.  This scales the spend LP's columns and cap rows by
+    positive constants, which keeps every reduced cost's sign and scales
+    each entering column's ratios alike: Bland's rule makes the same pivots,
+    the value is the same, and z = p x is the same witness.
     """
     size = instance.num_ads * instance.num_types
     if size > 12:
         raise SizeGuardError(f"LP oracle limited to 12 ad/type pairs, instance has {size}")
     allowed = None if allowed_pairs is None else set(allowed_pairs)
+    bids = instance.bid_matrix
     pairs = [
         (i, j)
         for i in range(instance.num_ads)
         for j in range(instance.num_types)
-        if instance.bid_matrix[i][j] > 0.0
+        if bids[i][j] > 0.0
         and (allowed is None or (instance.ad_ids[i], instance.type_ids[j]) in allowed)
     ]
     if not pairs:
         return OptResult(0.0, {}, Fraction(0))
-    budgets = [Fraction(b) for b in instance.budgets]
-    probs = [Fraction(q) for q in instance.probs]
-    bids = [[Fraction(p) for p in row] for row in instance.bid_matrix]
-    horizon = Fraction(instance.horizon)
-    slots = Fraction(instance.slots)
     nv = len(pairs)
-    a_rows: List[List[Fraction]] = []
-    b_vec: List[Fraction] = []
+    a_rows: List[List[Number]] = []
+    b_vec: List[Number] = []
     for i in range(instance.num_ads):
-        cols = [Fraction(1) if pi == i else Fraction(0) for pi, _ in pairs]
+        cols = [bids[pi][pj] if pi == i else 0 for pi, pj in pairs]
         if any(cols):
             a_rows.append(cols)
-            b_vec.append(budgets[i])
-    for j in range(instance.num_types):
-        cols = [
-            Fraction(1) / bids[pi][pj] if pj == j else Fraction(0) for pi, pj in pairs
-        ]
+            b_vec.append(instance.budgets[i])
+    # Each type's q * H exactly, as (numerator, denominator).
+    h_num, h_den = instance.horizon.as_integer_ratio()
+    served = [(n * h_num, d * h_den) for n, d in (q.as_integer_ratio() for q in instance.probs)]
+    for j, (qh, scale) in enumerate(served):
+        cols = [scale if pj == j else 0 for _, pj in pairs]
         if any(cols):
             a_rows.append(cols)
-            b_vec.append(slots * probs[j] * horizon)
-    for k, (i, j) in enumerate(pairs):
-        cols = [Fraction(0)] * nv
-        cols[k] = Fraction(1)
+            b_vec.append(instance.slots * qh)
+    for k, (_, j) in enumerate(pairs):
+        cols = [0] * nv
+        cols[k] = served[j][1]
         a_rows.append(cols)
-        b_vec.append(probs[j] * bids[i][j] * horizon)
-    value, x = _simplex_max([Fraction(1)] * nv, a_rows, b_vec)
+        b_vec.append(served[j][0])
+    value, x = _simplex_max([bids[i][j] for i, j in pairs], a_rows, b_vec)
     spend = {
-        (instance.ad_ids[i], instance.type_ids[j]): float(x[k])
+        (instance.ad_ids[i], instance.type_ids[j]): float(x[k] * Fraction(bids[i][j]))
         for k, (i, j) in enumerate(pairs)
         if x[k] > 0
     }

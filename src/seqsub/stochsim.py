@@ -49,7 +49,8 @@ from .seqcore import _pcg64_states
 
 RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
-# table row of each query, after a set-up peak of 24 (240 MB at the cap).
+# table row of each query, after a set-up peak of 16 while the query times
+# are held too (160 MB at the cap).
 MAX_QUERIES = 10**7
 # Shown (ad, payment) pairs per block of the fold: FOLD_BLOCK // width
 # queries (at least one) when configurations show up to `width` ads a type.

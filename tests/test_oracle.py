@@ -193,6 +193,116 @@ def test_sparse_simplex_matches_the_dense_tableau():
         assert oracle._simplex_max(c, a_rows, b) == reference_simplex_max(c, a_rows, b)
 
 
+def test_sparse_simplex_takes_ints_and_mixed_entries():
+    # Twice a tied LP is an integer LP; given as ints, or with every other
+    # entry of each row a Fraction, it solves exactly as in Fractions.
+    rng = np.random.default_rng(1061)
+    doubled = lambda row: [int(2 * v) for v in row]
+    mixed = lambda row: [Fraction(v) if k % 2 else v for k, v in enumerate(row)]
+    exact = lambda row: [Fraction(v) for v in row]
+    for _ in range(200):
+        c, a_rows, b = _tied_lp(rng)
+        c, a_rows, b = doubled(c), [doubled(row) for row in a_rows], doubled(b)
+        want = reference_simplex_max(exact(c), [exact(row) for row in a_rows], exact(b))
+        for entries in (list, mixed):
+            value, x = oracle._simplex_max(entries(c), [entries(row) for row in a_rows], entries(b))
+            assert (value, x) == want
+            assert type(value) is Fraction and all(type(v) is Fraction for v in x)
+
+
+def reference_lp_opt_fluid(instance, allowed_pairs=None):
+    """The LP in spends that `lp_opt_fluid` replaced, on the dense Fraction tableau.
+
+    Variables are per-pair spends z[ad, type]; a type's display row weighs
+    each spend by 1 / p and a pair's cap is q * p * H.
+    """
+    allowed = None if allowed_pairs is None else set(allowed_pairs)
+    pairs = [
+        (i, j)
+        for i in range(instance.num_ads)
+        for j in range(instance.num_types)
+        if instance.bid_matrix[i][j] > 0.0
+        and (allowed is None or (instance.ad_ids[i], instance.type_ids[j]) in allowed)
+    ]
+    if not pairs:
+        return oracle.OptResult(0.0, {}, Fraction(0))
+    budgets = [Fraction(b) for b in instance.budgets]
+    probs = [Fraction(q) for q in instance.probs]
+    bids = [[Fraction(p) for p in row] for row in instance.bid_matrix]
+    horizon = Fraction(instance.horizon)
+    slots = Fraction(instance.slots)
+    nv = len(pairs)
+    a_rows, b_vec = [], []
+    for i in range(instance.num_ads):
+        cols = [Fraction(1) if pi == i else Fraction(0) for pi, _ in pairs]
+        if any(cols):
+            a_rows.append(cols)
+            b_vec.append(budgets[i])
+    for j in range(instance.num_types):
+        cols = [Fraction(1) / bids[pi][pj] if pj == j else Fraction(0) for pi, pj in pairs]
+        if any(cols):
+            a_rows.append(cols)
+            b_vec.append(slots * probs[j] * horizon)
+    for k, (i, j) in enumerate(pairs):
+        cols = [Fraction(0)] * nv
+        cols[k] = Fraction(1)
+        a_rows.append(cols)
+        b_vec.append(probs[j] * bids[i][j] * horizon)
+    value, x = reference_simplex_max([Fraction(1)] * nv, a_rows, b_vec)
+    spend = {
+        (instance.ad_ids[i], instance.type_ids[j]): float(x[k])
+        for k, (i, j) in enumerate(pairs)
+        if x[k] > 0
+    }
+    return oracle.OptResult(float(value), spend, value)
+
+
+def _edge_ad_instance(rng, case):
+    """A valid instance of at most 12 pairs whose amounts come from one of four regimes.
+
+    Case 0 draws from a few values, so bids and ratios tie; case 1 from
+    (0.05, 2); case 2 mixes subnormal and normal amounts; case 3 puts
+    budgets, bids and the horizon near 1e300.  Budgets are zero, bids are
+    zero and types have probability zero at random.
+    """
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 12 // m + 1))
+    tiny = [5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308, 0.5]
+    huge = [1e300 / 8, 3e299, 1e299, 7.5e298]
+
+    def amount():
+        if case == 0:
+            return [0.25, 0.5, 1.0, 2.0][int(rng.integers(4))]
+        if case == 1:
+            return float(rng.uniform(0.05, 2.0))
+        if case == 2:
+            return tiny[int(rng.integers(len(tiny)))] * float(rng.integers(1, 4))
+        return huge[int(rng.integers(len(huge)))] * float(rng.uniform(0.5, 1.0))
+
+    ads = [(f"a{i}", 0.0 if rng.random() < 0.15 else amount()) for i in range(m)]
+    weights = [0.0 if rng.random() < 0.25 else float(rng.integers(1, 4)) for _ in range(n)]
+    weights[int(rng.integers(n))] = 1.0
+    query_types = [(f"t{j}", w / sum(weights)) for j, w in enumerate(weights)]
+    bids = {f"a{i}": {f"t{j}": amount() for j in range(n) if rng.random() < 0.75} for i in range(m)}
+    horizon = {0: 1.0, 1: float(rng.uniform(0.5, 4.0)), 2: tiny[int(rng.integers(len(tiny)))], 3: 1e300}[case]
+    slots = int(rng.integers(1, 4))
+    return adalloc.AdInstance.build(ads, query_types, bids, slots, horizon)
+
+
+def test_time_variable_lp_matches_the_spend_lp():
+    # The LP in time variables x = z / p makes the pivots of the LP in spends
+    # z, so its value and witness are equal, not close, on every regime.
+    rng = np.random.default_rng(1069)
+    for trial in range(320):
+        inst = _edge_ad_instance(rng, trial % 4)
+        allowed = None
+        if trial % 3 == 0:
+            allowed = [(a, t) for a in inst.ad_ids for t in inst.type_ids if rng.random() < 0.6]
+        got, want = lp_opt_fluid(inst, allowed), reference_lp_opt_fluid(inst, allowed)
+        assert got.exact_value == want.exact_value, trial
+        assert got.value == want.value and got.witness == want.witness, trial
+
+
 def test_lp_guard():
     inst = adalloc.AdInstance.build(
         ads=[(f"a{i}", 1.0) for i in range(4)],

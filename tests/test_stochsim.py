@@ -290,6 +290,23 @@ def test_fold_memory_does_not_grow_with_slots():
         assert peak < bound, (n, peak)
 
 
+def test_set_up_peak_is_16_bytes_a_query():
+    # MAX_QUERIES's memory comment: the query times and the first table rows,
+    # 8 bytes a query each, are the peak of one trial at one slot.
+    queries = 10**6
+    inst = adalloc.AdInstance.build(
+        [("a1", 1e9)], [("t1", 0.5), ("t2", 0.5)], {"a1": {"t1": 1.0, "t2": 0.5}}, 1, float(queries)
+    )
+    strategy = TimedSequence(((adalloc.Configuration.of({"t1": ["a1"], "t2": ["a1"]}), float(queries)),))
+    tracemalloc.start()
+    try:
+        simulate_stream(inst, strategy, StreamConfig(seed=0, trials=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * queries, peak
+
+
 def test_fold_matches_query_loop_when_payment_meets_budget():
     # 0.25 and 0.5 reach the budget exactly.  0.1 leaves 0.09999999999999998
     # of 0.3 after two queries, so the third payment exceeds what is left
