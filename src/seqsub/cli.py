@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -120,13 +121,14 @@ def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     out: list = []
     _write(report, out, "\n")
     text = "".join(out) + "\n"
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise InstanceError(f"out: cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # a full disk, a missing directory, or a closed pipe
+        raise InstanceError(f"out: cannot write {args.out or 'stdout'}: {exc.strerror}") from None
 
 
 def cmd_allocate(args) -> int:
@@ -336,6 +338,23 @@ def entry() -> None:
 
     No command makes a BLAS call, so the numpy that `simulate` imports gets no
     idle BLAS thread, unless the caller set OMP_ or OPENBLAS_NUM_THREADS.
+    A run makes only a fixed handful of cyclic garbage whatever its input, so
+    the cycle collector is off, and once `main` returns the process flushes
+    its streams and ends with `os._exit`, skipping the interpreter's teardown
+    of every module and object.  An exception out of `main`, argparse's exit
+    too, takes the normal path.  `main` itself changes neither, so tests and
+    library callers keep both.
     """
     os.environ.setdefault("OMP_NUM_THREADS", "1")
-    raise SystemExit(main())
+    gc.disable()
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with its stdout closed
+            sys.stdout.flush()
+    except OSError as exc:  # `_emit` flushes its report, so it has already said why when it failed
+        if code != EXIT_INPUT:
+            print(f"error: out: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_INPUT
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

@@ -3,6 +3,8 @@
 import contextlib
 import copy
 import enum
+import errno
+import gc
 import hashlib
 import importlib.util
 import io
@@ -104,7 +106,8 @@ def test_allocate_unreadable_instance_exits_2(tmp_path):
     assert main(["allocate", "--instance", str(tmp_path)]) == 2  # a directory
 
 
-def test_allocate_oracle_guard_exits_3(tmp_path):
+def _guard_sized(tmp_path) -> Path:
+    """An instance of 5 ads x 4 types, past the LP oracle's guard of 12 pairs."""
     inst = adalloc.AdInstance.build(
         ads=[(f"a{i}", 1.0) for i in range(5)],
         query_types=[(f"t{j}", 0.25) for j in range(4)],
@@ -114,6 +117,11 @@ def test_allocate_oracle_guard_exits_3(tmp_path):
     )
     path = tmp_path / "big.json"
     path.write_text(json.dumps(adalloc.instance_to_json(inst)))
+    return path
+
+
+def test_allocate_oracle_guard_exits_3(tmp_path):
+    path = _guard_sized(tmp_path)
     assert main(["allocate", "--instance", str(path)]) == 0
     assert main(["allocate", "--instance", str(path), "--oracle"]) == 3
 
@@ -915,6 +923,11 @@ def test_only_simulate_loads_numpy(tmp_path):
     assert proc.stdout.strip() == "[False, False, False, False, False, False, False] True"
 
 
+def _entry_env() -> dict:
+    """A probe's environment with stdout block-buffered when it is a pipe, as it is by default."""
+    return {k: v for k, v in probe_env().items() if k != "PYTHONUNBUFFERED"}
+
+
 ENTRY_PROBE = """
 import os
 from seqsub import cli
@@ -934,7 +947,9 @@ cli.entry()
 def test_entry_imports_numpy_without_a_blas_thread(omp):
     # The process entry keeps numpy's idle BLAS worker from starting, unless
     # the caller set a thread count; main, which tests call, sets nothing.
-    env = {k: v for k, v in probe_env().items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    # The probe's main prints to a pipe and entry ends with os._exit, so the
+    # line arrives only because entry flushes stdout first.
+    env = {k: v for k, v in _entry_env().items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     if omp is not None:
         env["OMP_NUM_THREADS"] = omp
     proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE], env=env, capture_output=True, text=True, timeout=120)
@@ -944,6 +959,139 @@ def test_entry_imports_numpy_without_a_blas_thread(omp):
         assert (threads, value) == ("1", "1")
     else:
         assert value == omp
+
+
+def _malformed(tmp_path) -> Path:
+    path = tmp_path / "malformed.json"
+    data = _fuzz_base()
+    data["slots"] = 1.5
+    path.write_text(json.dumps(data))
+    return path
+
+
+ENTRY_CASES = [  # (argv, the exit code that main returns or argparse exits with)
+    (["allocate", "--instance", str(INSTANCES / "two_ads_two_types.json"), "--oracle"], 0),
+    (["rewrite", "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--oracle"], 0),
+    (["simulate", "--instance", str(INSTANCES / "two_ads_two_types.json"), "--trials", "50", "--seed", "3"], 0),
+    (["verify", "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--samples", "50"], 0),
+    # Its report is about 140 KB, more than a pipe's 64 KiB buffer holds.
+    (["verify", "--instance", str(INSTANCES / "two_ads_two_types.json"), "--checks", "mono",
+      "--samples", "300", "--planted-violation"], 1),
+    (["allocate", "--instance", "{malformed}"], 2),
+    (["allocate", "--oracle"], 2),  # argparse: --instance is required
+    (["allocate", "--instance", "{guard}", "--oracle"], 3),
+]
+ENTRY_IDS = ["allocate", "rewrite", "simulate", "verify", "planted-over-64KiB", "malformed", "argparse", "guard"]
+
+
+def _in_process(argv):
+    """What cli.main writes to stdout and stderr, and its exit code, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def _messages(stderr: str) -> list:
+    """stderr without the run's wall-clock timing line."""
+    return [line for line in stderr.splitlines() if " finished in " not in line]
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_CASES, ids=ENTRY_IDS)
+def test_module_entry_writes_what_main_writes(argv, code, tmp_path):
+    # python -m seqsub runs cli.entry, which turns the cycle collector off and
+    # ends with os._exit; its reports, on stdout or --out, its messages and
+    # its exit codes are those of cli.main run in this process.
+    argv = [a.format(malformed=_malformed(tmp_path), guard=_guard_sized(tmp_path)) for a in argv]
+    for to_file in (False, True):
+        main_out, entry_out = tmp_path / f"main{to_file}.json", tmp_path / f"entry{to_file}.json"
+        with_out = lambda path: [*argv, "--out", str(path)] if to_file else argv
+        want = _in_process(with_out(main_out))
+        assert want[0] == code and gc.isenabled()
+        assert bool(want[1]) == (code < 2 and not to_file)
+        proc = subprocess.run([sys.executable, "-m", "seqsub", *with_out(entry_out)],
+                              env=_entry_env(), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == want[:2], proc.stderr
+        assert _messages(proc.stderr.decode()) == _messages(want[2])
+        if to_file and code < 2:
+            assert entry_out.read_bytes() == main_out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [ENTRY_CASES[0][0], ENTRY_CASES[4][0]], ids=["small", "over-64KiB"])
+def test_closed_stdout_exits_2(argv):
+    # A report that cannot reach stdout is an input error, as an unwritable
+    # --out is: one line and exit 2, not a BrokenPipeError traceback and exit
+    # 1, which means a property violation.  The pipe's read end is closed
+    # before the child starts, so every write to it fails.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "seqsub", *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=_entry_env(), text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert _messages(proc.stderr) == [f"error: out: cannot write stdout: {os.strerror(errno.EPIPE)}"]
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_entry_runs_with_a_stream_closed_from_the_start(fd, tmp_path):
+    # With file descriptor 1 or 2 closed at start, sys.stdout or sys.stderr
+    # is None; entry flushes neither, and a report that goes to --out still
+    # ends in exit 0.
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *ENTRY_CASES[0][0], "--out", str(out)],
+                          preexec_fn=lambda: os.close(fd), env=_entry_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["command"] == "allocate"
+
+
+GC_PROBE = """
+import contextlib, gc, io, json, os, sys
+if hasattr(os, "sched_setaffinity"):  # so verify runs its samples inline at every count
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+gc.disable()
+from seqsub import cli
+gc.collect()
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(gc.collect())
+"""
+
+
+def _ad_instance(ads: int, types: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    weights = [rng.uniform(0.2, 1.0) for _ in range(types)]
+    return {
+        "ads": [{"id": f"a{i}", "budget": rng.uniform(0.2, 1.0)} for i in range(ads)],
+        "query_types": [{"id": f"t{j}", "prob": w / math.fsum(weights)} for j, w in enumerate(weights)],
+        "bids": {f"a{i}": {f"t{j}": rng.uniform(0.1, 2.0) for j in range(types) if rng.random() < 0.5}
+                 for i in range(ads)},
+        "slots": 2,
+        "horizon": 3.0,
+    }
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+    # The premise of entry's gc.disable(): a run leaves the same handful of
+    # unreachable cycles, however many samples or ads it works through.
+    def garbage(argv):
+        proc = subprocess.run([sys.executable, "-c", GC_PROBE, json.dumps([*argv, "--out", str(tmp_path / "r.json")])],
+                              env=probe_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    verify = ["verify", "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--samples"]
+    assert garbage([*verify, "200"]) == garbage([*verify, "2000"])
+    counts = []
+    for ads, types in ((4, 3), (200, 40)):
+        path = tmp_path / f"ads{ads}.json"
+        path.write_text(json.dumps(_ad_instance(ads, types, seed=ads)))
+        counts.append(garbage(["allocate", "--instance", str(path)]))
+    assert counts[0] == counts[1]
 
 
 SIMULATE_NO_NUMPY_PROBE = """

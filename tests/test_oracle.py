@@ -127,8 +127,12 @@ def test_lp_pair_capacity_binds():
     assert ledger.utility <= res.value + 1e-9
 
 
-def reference_simplex_max(c, a_rows, b):
-    """The dense tableau simplex that `_simplex_max` replaced: a pivot rewrites every entry."""
+def reference_simplex_max(c, a_rows, b, ties_to_larger=False):
+    """The dense tableau simplex that `_simplex_max` replaced: a pivot rewrites every entry.
+
+    Bland's rule breaks a ratio tie toward the smaller basis index;
+    `ties_to_larger` breaks it the other way, for the test that pins the rule.
+    """
     m = len(a_rows)
     n = len(c)
     width = n + m + 1
@@ -150,7 +154,7 @@ def reference_simplex_max(c, a_rows, b):
             if coeff > 0:
                 ratio = tableau[i][-1] / coeff
                 if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
+                    ratio == best_ratio and (basis[i] > basis[leave]) == ties_to_larger
                 ):
                     best_ratio = ratio
                     leave = i
@@ -191,6 +195,38 @@ def test_sparse_simplex_matches_the_dense_tableau():
     for _ in range(400):
         c, a_rows, b = _tied_lp(rng)
         assert oracle._simplex_max(c, a_rows, b) == reference_simplex_max(c, a_rows, b)
+
+
+def _transport_lp(rng):
+    """max of the total flow over a small bipartite graph, each pair capped at 1.
+
+    Like `lp_opt_fluid`'s LP, a pair lies in one ad row, one type row and its
+    own cap row, all with unit coefficients; every maximum flow is optimal, so
+    the vertex found depends on which tied row leaves at each pivot.
+    """
+    m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    pairs = [(i, j) for i in range(m) for j in range(n)]
+    a_rows = [[Fraction(int(pi == i)) for pi, _ in pairs] for i in range(m)]
+    a_rows += [[Fraction(int(pj == j)) for _, pj in pairs] for j in range(n)]
+    a_rows += [[Fraction(int(k == col)) for col in range(len(pairs))] for k in range(len(pairs))]
+    b = [Fraction(int(rng.integers(1, 3))) for _ in range(m + n)] + [Fraction(1)] * len(pairs)
+    return [Fraction(1)] * len(pairs), a_rows, b
+
+
+def test_sparse_simplex_breaks_ratio_ties_by_blands_rule():
+    # On LPs with many optimal vertices the leaving rule picks the witness:
+    # breaking ties toward the larger basis index ends elsewhere on most of
+    # them, so only Bland's rule gives the reference's witness.
+    rng = np.random.default_rng(1063)
+    other = 0
+    for _ in range(200):
+        c, a_rows, b = _transport_lp(rng)
+        want = reference_simplex_max(c, a_rows, b)
+        assert oracle._simplex_max(c, a_rows, b) == want
+        flipped = reference_simplex_max(c, a_rows, b, ties_to_larger=True)
+        assert flipped[0] == want[0]
+        other += flipped[1] != want[1]
+    assert other >= 80
 
 
 def test_sparse_simplex_takes_ints_and_mixed_entries():
