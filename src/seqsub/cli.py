@@ -11,8 +11,9 @@ Commands:
 
 Reports are key-sorted JSON, byte-identical across runs with the same inputs
 and seeds; wall-clock timing goes to stderr only.  Exit codes: 0 success,
-1 property violation, 2 input error (or `simulate` without numpy, the
-`seqsub[simulate]` extra), 3 oracle size guard.
+1 property violation, 2 input error (also a report that cannot be written,
+or `simulate` without numpy, the `seqsub[simulate]` extra), 3 oracle size
+guard.
 """
 
 from __future__ import annotations
@@ -349,11 +350,9 @@ def entry() -> None:
     gc.disable()
     code = main()
     try:
-        if sys.stdout is not None:  # None when the process started with its stdout closed
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
             sys.stdout.flush()
-    except OSError as exc:  # `_emit` flushes its report, so it has already said why when it failed
-        if code != EXIT_INPUT:
-            print(f"error: out: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    except OSError:  # only where `_emit` failed to flush the report, and has said so
         code = EXIT_INPUT
     if sys.stderr is not None:
         sys.stderr.flush()
