@@ -24,11 +24,10 @@ paper-faithful form of the same greedy, kept as the test reference for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, compress, islice, product
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .seqcore import SequenceFunction, Stream, TimedSequence, unchecked
+from .seqcore import Frozen, SequenceFunction, Stream, TimedSequence, unchecked
 
 # Remaining budget at or below this fraction of the ad's budget is treated as
 # exhausted (a float residue guard, relative so that it holds at every scale).
@@ -52,8 +51,7 @@ class SizeGuardError(RuntimeError):
     """An oracle was asked for more work than its guard allows."""
 
 
-@dataclass(frozen=True)
-class AdInstance:
+class AdInstance(Frozen):
     """Immutable problem data; bids are stored as an ads x types matrix."""
 
     ad_ids: Tuple[str, ...]
@@ -165,8 +163,7 @@ class AdInstance:
         return self._ranking[j]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """Assignment of at most `slots` ads per query type.
 
     Canonical form: types sorted by id, empty assignments dropped, ads within
@@ -201,8 +198,7 @@ class Configuration:
 AllocationStrategy = TimedSequence
 
 
-@dataclass(frozen=True)
-class SpendLedger:
+class SpendLedger(Frozen):
     """Per-ad spend of an evaluated strategy, plus rate-change times.
 
     `spent` has one entry per ad, in the instance's ad order, and `utility`

@@ -19,6 +19,7 @@ guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -125,6 +126,8 @@ def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     try:
         if args.out:
             Path(args.out).write_text(text)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise InstanceError("out: cannot write stdout: file descriptor 1 is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -318,6 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(line: str) -> None:
+    """Write `line` to stderr if it can be written there; no report or exit code depends on it."""
+    with contextlib.suppress(OSError):  # a read-only or otherwise unwritable fd 2
+        if sys.stderr is not None:  # None if fd 2 was closed at start: `print` would write to stdout
+            print(line, file=sys.stderr)  # stderr writes through to fd 2 line by line
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -325,12 +335,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = args.func(args)
     except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_INPUT
     except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_GUARD
-    print(f"{args.command} finished in {time.monotonic() - started:.3f}s", file=sys.stderr)
+    _note(f"{args.command} finished in {time.monotonic() - started:.3f}s")
     return code
 
 
@@ -341,10 +351,9 @@ def entry() -> None:
     idle BLAS thread, unless the caller set OMP_ or OPENBLAS_NUM_THREADS.
     A run makes only a fixed handful of cyclic garbage whatever its input, so
     the cycle collector is off, and once `main` returns the process flushes
-    its streams and ends with `os._exit`, skipping the interpreter's teardown
-    of every module and object.  An exception out of `main`, argparse's exit
-    too, takes the normal path.  `main` itself changes neither, so tests and
-    library callers keep both.
+    stdout (stderr writes through) and ends with `os._exit`, skipping the
+    interpreter's teardown.  An exception out of `main`, argparse's exit too,
+    takes the normal path.  `main` changes neither, as tests and library callers need.
     """
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     gc.disable()
@@ -354,6 +363,4 @@ def entry() -> None:
             sys.stdout.flush()
     except OSError:  # only where `_emit` failed to flush the report, and has said so
         code = EXIT_INPUT
-    if sys.stderr is not None:
-        sys.stderr.flush()
     os._exit(code)

@@ -13,20 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .adalloc import AdInstance, SizeGuardError
 from .qrewrite import RewriteInstance
-from .seqcore import ActionSet, DiscreteSequence, SequenceFunction
+from .seqcore import ActionSet, DiscreteSequence, Frozen, SequenceFunction
 
 # An LP entry, taken at its exact value.
 Number = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(Frozen):
     """An exact optimum with a witness that re-evaluates to it."""
 
     value: float

@@ -17,22 +17,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .adalloc import AdInstance, InstanceError, parse_instance
 from .adalloc import _draw_distinct, _identifier, _integer
-from .seqcore import DiscreteSequence, SequenceFunction, Stream, unchecked
+from .seqcore import DiscreteSequence, Frozen, SequenceFunction, Stream, unchecked
 
 
-@dataclass(frozen=True)
-class Rewrite:
+class Rewrite(Frozen):
     id: str
     ads: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RewriteInstance:
+class RewriteInstance(Frozen):
     base: AdInstance
     rewrites: Tuple[Rewrite, ...]
     max_rewrites: int  # per query type
@@ -59,8 +56,7 @@ class RewriteInstance:
             raise InstanceError(f"unknown rewrite id {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class PartialAllocation:
+class PartialAllocation(Frozen):
     """One plan step: serve `query_type` through `rewrites`, capped per ad.
 
     `caps` aligns with the base instance's ad order.
@@ -232,8 +228,8 @@ def plan_function(instance: RewriteInstance) -> SequenceFunction:
 def random_plan(instance: RewriteInstance, rng: Stream) -> DiscreteSequence:
     """Random plan of zero to four steps: random types, rewrite subsets and caps.
 
-    Caps are budgets times uniforms, one for each positive budget; steps
-    are built unchecked.
+    Caps are budgets times uniforms, one for each positive budget; the
+    plan and its steps are built unchecked.
     """
     base = instance.base
     funded = [(i, b) for i, b in enumerate(base.budgets) if b > 0]
@@ -250,7 +246,7 @@ def random_plan(instance: RewriteInstance, rng: Stream) -> DiscreteSequence:
         for i, b in funded:
             caps[i] = b * rng.random()
         items.append(unchecked(PartialAllocation, query_type=tid, rewrites=picks, caps=tuple(caps)))
-    return DiscreteSequence(tuple(items))
+    return unchecked(DiscreteSequence, items=tuple(items), actions=None)
 
 
 # ---------------------------------------------------------------------------

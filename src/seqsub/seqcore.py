@@ -22,7 +22,6 @@ import operator
 import os
 import sys
 from array import array
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Tuple
 
 # Tolerance for inequality checks, relative to the larger of the values
@@ -58,6 +57,57 @@ def unchecked(cls, **fields):
     return value
 
 
+class Frozen:
+    """Base of the value types, which behave as frozen dataclasses; `dataclasses` cost each CLI start 25-35 ms.
+
+    Fields are the annotated class attributes, in order, with their values as defaults (a dict copied per instance).
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):  # else every field is given, in order
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Each field's value, in order, from a call's arguments and the defaults."""
+        rest = cls._fields[len(args):]
+        missing = [name for name in rest if name not in kwargs and not hasattr(cls, name)]
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest) or missing:
+            raise TypeError(f"{cls.__name__}() takes {cls._fields}: too many, unknown, repeated or missing arguments")
+        values = list(args)
+        for name in rest:
+            default = getattr(cls, name, None)  # the class attribute
+            values.append(kwargs[name] if name in kwargs else dict(default) if isinstance(default, dict) else default)
+        return values
+
+    def __post_init__(self):
+        """Check and normalise the fields; `unchecked` skips it."""
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class MismatchedActionSets(ValueError):
     """Raised when combining sequences built over different action sets."""
 
@@ -66,8 +116,7 @@ class SegmentCapExceeded(RuntimeError):
     """Raised when the continuous greedy driver exceeds its segment budget."""
 
 
-@dataclass(frozen=True)
-class ActionSet:
+class ActionSet(Frozen):
     """Finite ordered pool of actions; the order fixes all greedy tie-breaks."""
 
     actions: Tuple[Hashable, ...]
@@ -89,8 +138,7 @@ class ActionSet:
         return action in self.actions
 
 
-@dataclass(frozen=True)
-class DiscreteSequence:
+class DiscreteSequence(Frozen):
     """Ordered list of actions; length counts items.
 
     `actions` is optional: when given, membership is validated and guards
@@ -124,8 +172,7 @@ class DiscreteSequence:
         return DiscreteSequence(self.items[lo - 1 : hi], self.actions)
 
 
-@dataclass(frozen=True)
-class TimedSequence:
+class TimedSequence(Frozen):
     """Ordered (action, duration) segments; length is total duration.
 
     Durations are strictly positive; the empty sequence is allowed.
@@ -188,7 +235,9 @@ def concat(a: SequenceLike, b: SequenceLike) -> SequenceLike:
         return unchecked(TimedSequence, segments=a.segments + b.segments)
     if a.actions is not None and b.actions is not None and a.actions != b.actions:
         raise MismatchedActionSets("sequences were built over different action sets")
-    return DiscreteSequence(a.items + b.items, a.actions or b.actions)
+    if (a.actions is None) != (b.actions is None):  # check the items of one against the other's action set
+        return DiscreteSequence(a.items + b.items, a.actions or b.actions)
+    return unchecked(DiscreteSequence, items=a.items + b.items, actions=a.actions)
 
 
 def equivalent(a: SequenceLike, b: SequenceLike) -> bool:
@@ -238,7 +287,7 @@ def sample_dominated(b: SequenceLike, rng: Stream) -> SequenceLike:
     get a concatenation of up to three disjoint, ordered windows of `b`.
     """
     if isinstance(b, DiscreteSequence):
-        return DiscreteSequence(tuple(x for x in b.items if rng.random() < 0.5), b.actions)
+        return unchecked(DiscreteSequence, items=tuple(x for x in b.items if rng.random() < 0.5), actions=b.actions)
     total = b.length
     m = rng.integers(0, 4)  # zero to three windows
     out = unchecked(TimedSequence, segments=())
@@ -250,8 +299,7 @@ def sample_dominated(b: SequenceLike, rng: Stream) -> SequenceLike:
     return out
 
 
-@dataclass(frozen=True)
-class SequenceFunction:
+class SequenceFunction(Frozen):
     """Deterministic, side-effect-free evaluator mapping a sequence to a utility.
 
     `scale` is the utility's typical magnitude, the floor of the checkers'
@@ -351,23 +399,21 @@ def greedy_continuous(
 # Property checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One failed inequality: `lhs` should not beat `rhs` by more than the tolerance."""
 
     check: str
     lhs: float
     rhs: float
     gap: float
-    witness: dict = field(default_factory=dict)
+    witness: dict = {}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     check: str
     samples_tested: int
     violations: Tuple[Violation, ...] = ()
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -822,4 +868,4 @@ def random_discrete_sequence(
     k = rng.integers(0, max_len + 1)
     pool = actions.actions
     items = tuple(pool[rng.integers(0, len(pool))] for _ in range(k))
-    return DiscreteSequence(items, actions)
+    return unchecked(DiscreteSequence, items=items, actions=actions)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,7 +44,7 @@ from .adalloc import (
     _past_horizon,
     evaluate_strategy,
 )
-from .seqcore import _pcg64_states
+from .seqcore import Frozen, _pcg64_states
 
 RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
@@ -61,8 +60,7 @@ FOLD_BLOCK = 2**16
 _BUCKETS = 2**12
 
 
-@dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(Frozen):
     """Simulation parameters; every check on them is made here, for every caller."""
 
     seed: int
@@ -88,8 +86,7 @@ class StreamConfig:
         return queries
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(Frozen):
     revenues: Tuple[float, ...]
     mean: float
     std: float

@@ -11,6 +11,11 @@ import pytest
 from seqsub import adalloc, oracle, qrewrite
 
 
+def replace(value, **changes):
+    """A copy of the frozen `value` with `changes`, built through its constructor, which checks it."""
+    return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
+
+
 def make_i0() -> adalloc.AdInstance:
     """One ad, one type: rate 2 against budget 1 over a unit horizon."""
     return adalloc.AdInstance.build(

@@ -1,6 +1,5 @@
 """Fluid allocator: evaluation semantics, greedy behavior, structural checks."""
 
-import dataclasses
 import math
 import pickle
 from unittest import mock
@@ -39,7 +38,7 @@ from seqsub.seqcore import (
     sample_dominated,
 )
 
-from conftest import random_ad_instance
+from conftest import random_ad_instance, replace
 
 
 def cfg(mapping):
@@ -211,7 +210,7 @@ def test_greedy_segment_bound_random():
 def test_greedy_ends_within_one_event_per_ad_plus_one(seed, horizon_scale):
     # Every event but the last exhausts an ad, and an exhausted ad stays so.
     inst = random_ad_instance(np.random.default_rng(seed), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
-    inst = dataclasses.replace(inst, horizon=inst.horizon * horizon_scale)
+    inst = replace(inst, horizon=inst.horizon * horizon_scale)
     with mock.patch.object(adalloc, "_step", wraps=adalloc._step) as steps, mock.patch.object(adalloc, "_ledger"):
         greedy_allocate(inst)
     # The ledger's replay is patched out, so these are the greedy's own steps.
@@ -245,7 +244,7 @@ def test_underflowed_exhaustion_time_still_exhausts():
     assert led.utility == pytest.approx(1.0, rel=1e-12)
     # a1 ran out in zero time, which leaves no zero-length segment behind.
     assert all(d > 0.0 for _, d in strat.segments)
-    alone = dataclasses.replace(inst, budgets=(1e-300, 0.0))
+    alone = replace(inst, budgets=(1e-300, 0.0))
     assert greedy_allocate(alone)[1].spent == (1e-300, 0.0)
 
 
@@ -258,7 +257,7 @@ def test_greedy_allocate_matches_paper_reference():
         base = random_ad_instance(rng, max_ads=3, max_types=3)
         actions = ActionSet(adalloc.enumerate_configurations(base))
         for s in (1.0, 1e-12, 1e-6, 1e6):
-            inst = dataclasses.replace(
+            inst = replace(
                 base,
                 horizon=base.horizon * s,
                 bid_matrix=tuple(tuple(p / s for p in row) for row in base.bid_matrix),
@@ -278,7 +277,7 @@ def test_greedy_allocate_scales_with_budgets_and_bids():
         strat, led = greedy_allocate(inst)
         for k in (3, 6, 9):
             f = 10.0**k
-            scaled = dataclasses.replace(
+            scaled = replace(
                 inst,
                 budgets=tuple(b * f for b in inst.budgets),
                 bid_matrix=tuple(tuple(p * f for p in row) for row in inst.bid_matrix),
@@ -376,7 +375,7 @@ def test_greedy_allocate_matches_id_based_reference():
     instances = [_differential_instance(rng) for _ in range(400)]
     for inst in instances + [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]:
         assert greedy_allocate(inst) == reference_greedy_allocate(inst)
-        full = dataclasses.replace(inst, horizon=_full_horizon(inst))
+        full = replace(inst, horizon=_full_horizon(inst))
         result = greedy_allocate(full)
         assert result == reference_greedy_allocate(full)
         for i, row in enumerate(full.bid_matrix):
@@ -400,9 +399,9 @@ def test_greedy_configurations_equal_the_canonical_ones(seed):
         2,
         1.0,
     )
-    full = dataclasses.replace(inst, horizon=_full_horizon(inst))
+    full = replace(inst, horizon=_full_horizon(inst))
     events = greedy_allocate(full)[1].breakpoints
-    middle = dataclasses.replace(inst, horizon=(events[15] + events[16]) / 2.0)
+    middle = replace(inst, horizon=(events[15] + events[16]) / 2.0)
     for instance in (middle, full):
         strategy, _ = greedy_allocate(instance)
         assert len(strategy.segments) > 10
@@ -512,7 +511,7 @@ def test_rate_model_matches_stateless_replay(memo):
     with mock.patch.object(adalloc, "MODEL_MEMO", memo):
         for _ in range(40):
             inst = _differential_instance(rng)
-            twin = dataclasses.replace(inst)
+            twin = replace(inst)
             models, ref = (FluidRateModel(inst), FluidRateModel(inst)), reference_rate_model(inst)
             prefixes = [random_strategy(inst, rng) for _ in range(5)]
             prefixes += [concat(b, c) for b, c in zip(prefixes, prefixes[1:])]
@@ -550,7 +549,7 @@ def test_configuration_hash_is_the_same_however_it_is_built():
         built = adalloc._configuration(inst, adalloc._config_indices(inst, config), {})
         canonical = Configuration.of({t: ads[::-1] for t, ads in reversed(config.assignment)})
         assert config == built == canonical
-        assert hash(config) == hash(built) == hash(canonical) == hash(dataclasses.replace(config))
+        assert hash(config) == hash(built) == hash(canonical) == hash(replace(config))
 
 
 def test_rate_model_validates_every_query():

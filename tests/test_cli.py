@@ -1049,6 +1049,47 @@ def test_entry_runs_with_a_stream_closed_from_the_start(fd, tmp_path):
     assert json.loads(out.read_text())["command"] == "allocate"
 
 
+
+def test_closed_stdout_without_out_exits_2():
+    # With fd 1 closed from the start there is no sys.stdout to write the
+    # report to: one line and exit 2, not an AttributeError traceback and exit 1.
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *ENTRY_CASES[0][0]], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), env=_entry_env(), text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert _messages(proc.stderr) == ["error: out: cannot write stdout: file descriptor 1 is closed"]
+
+
+def _entry_run(argv, **streams):
+    """`python -m seqsub argv` with `streams` passed to subprocess.run: (exit code, stdout bytes)."""
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv], stdout=subprocess.PIPE, env=_entry_env(),
+                          timeout=120, **streams)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [ENTRY_CASES[0], ENTRY_CASES[5]], ids=["allocate", "malformed"])
+def test_closed_stderr_changes_neither_report_nor_exit_code(argv, code, tmp_path):
+    # With fd 2 closed sys.stderr is None, and the timing or error line is
+    # dropped: it must not land on stdout, after the report.
+    argv = [a.format(malformed=_malformed(tmp_path)) for a in argv]
+    want = _in_process(argv)
+    assert want[0] == code
+    assert _entry_run(argv, preexec_fn=lambda: os.close(2)) == want[:2]
+
+
+@pytest.mark.parametrize("argv, code", [ENTRY_CASES[0], ENTRY_CASES[5], ENTRY_CASES[7]],
+                         ids=["allocate", "malformed", "guard"])
+def test_unwritable_stderr_changes_neither_report_nor_exit_code(argv, code, tmp_path):
+    # A read-only fd 2 fails every write: the timing or error line is lost,
+    # and the report and the exit code are what they would be.
+    argv = [a.format(malformed=_malformed(tmp_path), guard=_guard_sized(tmp_path)) for a in argv]
+    want = _in_process(argv)
+    assert want[0] == code
+    (tmp_path / "stderr").write_text("")
+    with open(tmp_path / "stderr", "rb") as read_only:
+        assert _entry_run(argv, stderr=read_only) == want[:2]
+
+
 GC_PROBE = """
 import contextlib, gc, io, json, os, sys
 if hasattr(os, "sched_setaffinity"):  # so verify runs its samples inline at every count
@@ -1149,28 +1190,40 @@ ORACLE_PROBE = """
 import sys
 from seqsub import cli
 
-assert cli.main(sys.argv[1:]) == 0
-print("seqsub.oracle" in sys.modules, "fractions" in sys.modules)
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+print(*(name for name in ("dataclasses", "fractions", "inspect", "seqsub.oracle") if name in sys.modules))
 """
 
 
 @pytest.mark.parametrize(
     "command, oracle",
-    [("allocate", False), ("rewrite", False), ("verify", False), ("allocate", True), ("rewrite", True)],
+    [("allocate", False), ("rewrite", False), ("verify", False), ("allocate", True), ("rewrite", True),
+     (None, False), ("simulate", False)],
 )
 def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
     # The oracle module and the fractions and decimal modules it imports are
-    # loaded by --oracle alone.
+    # loaded by --oracle alone.  No run, nor the import of seqsub.cli alone,
+    # loads dataclasses or the inspect it imports, about 13 ms of a process
+    # start; numpy, which simulate loads, imports inspect and fractions itself.
     args = [command, "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--out", str(tmp_path / "r.json")]
     if command == "verify":
         args += ["--samples", "20"]
+    if command == "simulate":
+        args = [command, "--instance", str(INSTANCES / "two_ads_two_types.json"), "--trials", "3", "--seed", "1",
+                "--out", str(tmp_path / "r.json")]
     if oracle:
         args.append("--oracle")
     proc = subprocess.run(
-        [sys.executable, "-c", ORACLE_PROBE, *args], env=probe_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", ORACLE_PROBE, *(args if command else [])], env=probe_env(), capture_output=True,
+        text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(oracle)] * 2
+    loaded = proc.stdout.split()
+    if command == "simulate":
+        assert "dataclasses" not in loaded and "seqsub.oracle" not in loaded
+    else:
+        assert loaded == (["fractions", "seqsub.oracle"] if oracle else [])
 
 
 # ---------------------------------------------------------------------------

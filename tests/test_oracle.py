@@ -1,6 +1,5 @@
 """Exact oracles: brute force, rational LP, rewrite enumeration, fixtures."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from seqsub.oracle import (
 from seqsub.qrewrite import single_type_allocate
 from seqsub.seqcore import DiscreteSequence
 
-from conftest import random_ad_instance
+from conftest import random_ad_instance, replace
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def test_lp_matches_single_type_allocator():
             allowed = {a for a in inst.ad_ids if rng.random() < 0.6}
             caps = tuple(float(rng.uniform(0.0, b)) for b in inst.budgets)
         spend = single_type_allocate(inst, tid, {inst.ad_index(a) for a in allowed}, caps)
-        capped = dataclasses.replace(inst, budgets=caps)
+        capped = replace(inst, budgets=caps)
         expected = lp_opt_fluid(capped, [(a, tid) for a in allowed]).value
         assert expected == pytest.approx(math.fsum(spend.values()), abs=1e-9)
 

@@ -71,6 +71,18 @@ def test_concat_mismatched_action_sets():
         concat(D("s1"), DiscreteSequence(("x",), other))
 
 
+def test_concat_checks_the_items_without_an_action_set_against_the_other():
+    # concat builds unchecked only where both sides share their action set.
+    with pytest.raises(ValueError):
+        concat(DiscreteSequence(("x",)), D())
+    with pytest.raises(ValueError):
+        concat(D("s1"), DiscreteSequence(("x",)))
+    assert concat(DiscreteSequence(("s1",)), D("s2")) == D("s1", "s2")
+    assert concat(D("s1"), D("s2")) == D("s1", "s2") and concat(D("s1"), D()).actions is ABC
+    bare = concat(DiscreteSequence(("x",)), DiscreteSequence(["y"]))
+    assert bare == DiscreteSequence(("x", "y")) and type(bare.items) is tuple
+
+
 def test_concat_kind_mismatch():
     with pytest.raises(TypeError):
         concat(D("s1"), TimedSequence((("s1", 1.0),)))

@@ -1,6 +1,5 @@
 """Monte Carlo stream simulator vs the fluid evaluator."""
 
-import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -18,6 +17,8 @@ from seqsub.stochsim import (
     simulate_stream,
 )
 from seqsub.seqcore import TimedSequence
+
+from conftest import replace
 
 
 def deterministic_instance():
@@ -105,11 +106,11 @@ def test_query_count_validation(i1):
     too_many = StreamConfig(seed=0, trials=1, query_count=stochsim.MAX_QUERIES + 1)
     with pytest.raises(adalloc.InstanceError, match="^query_count: "):
         simulate_stream(i1, strategy, too_many)
-    long = dataclasses.replace(i1, horizon=stochsim.MAX_QUERIES + 1.0)
+    long = replace(i1, horizon=stochsim.MAX_QUERIES + 1.0)
     with pytest.raises(adalloc.InstanceError, match="^horizon: "):
         simulate_stream(long, TimedSequence(()), StreamConfig(seed=0, trials=1))
     assert StreamConfig(seed=0, trials=1, query_count=stochsim.MAX_QUERIES).queries(i1) == stochsim.MAX_QUERIES
-    assert StreamConfig(seed=0, trials=1).queries(dataclasses.replace(i1, horizon=2.6)) == 3
+    assert StreamConfig(seed=0, trials=1).queries(replace(i1, horizon=2.6)) == 3
 
 
 def test_long_horizon_greedy_strategy_simulates():
@@ -117,7 +118,7 @@ def test_long_horizon_greedy_strategy_simulates():
     from conftest import random_ad_instance
 
     inst = random_ad_instance(np.random.default_rng(298), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
-    inst = dataclasses.replace(inst, horizon=inst.horizon * 1e12)
+    inst = replace(inst, horizon=inst.horizon * 1e12)
     strategy, ledger = adalloc.greedy_allocate(inst)
     assert strategy.length > inst.horizon
     result = simulate_stream(inst, strategy, StreamConfig(seed=3, trials=2, query_count=500))
