@@ -1049,7 +1049,6 @@ def test_entry_runs_with_a_stream_closed_from_the_start(fd, tmp_path):
     assert json.loads(out.read_text())["command"] == "allocate"
 
 
-
 def test_closed_stdout_without_out_exits_2():
     # With fd 1 closed from the start there is no sys.stdout to write the
     # report to: one line and exit 2, not an AttributeError traceback and exit 1.
@@ -1204,8 +1203,9 @@ print(*(name for name in ("dataclasses", "fractions", "inspect", "seqsub.oracle"
 def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
     # The oracle module and the fractions and decimal modules it imports are
     # loaded by --oracle alone.  No run, nor the import of seqsub.cli alone,
-    # loads dataclasses or the inspect it imports, about 13 ms of a process
-    # start; numpy, which simulate loads, imports inspect and fractions itself.
+    # loads dataclasses or the inspect it imports, which every process start
+    # would pay for; numpy, which simulate loads, imports both inspect and
+    # fractions itself.
     args = [command, "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--out", str(tmp_path / "r.json")]
     if command == "verify":
         args += ["--samples", "20"]
