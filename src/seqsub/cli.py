@@ -9,11 +9,12 @@ Commands:
   seqsub verify   --instance ad.json --checks mono,submod,deriv,lemma1
                   --samples N --seed S
 
-Reports are key-sorted JSON, byte-identical across runs with the same inputs
-and seeds; wall-clock timing goes to stderr only.  Exit codes: 0 success,
-1 property violation, 2 input error (also a report that cannot be written,
-or `simulate` without numpy, the `seqsub[simulate]` extra), 3 oracle size
-guard.
+Reports are one line of key-sorted JSON from json's C encoder (pipe one
+through `python -m json.tool` to pretty-print it), byte-identical across runs
+with the same inputs and seeds; wall-clock timing goes to stderr only.  Exit
+codes: 0 success, 1 property violation, 2 input error (also a report that
+cannot be written, or `simulate` without numpy, the `seqsub[simulate]`
+extra), 3 oracle size guard.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -43,8 +43,6 @@ EXIT_GUARD = 3
 CHECK_NAMES = ("mono", "submod", "deriv", "lemma1")
 CONTINUOUS_RATIO_BOUND = 1.0 - math.exp(-1.0)
 REWRITE_RATIO_BOUND = 1.0 - math.exp(-(1.0 - 1.0 / math.e))
-# How json writes the floats whose repr is not JSON.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _load_json(path: Path) -> Tuple[dict, str]:
@@ -72,46 +70,6 @@ def _strategy_json(strategy) -> list:
     ]
 
 
-def _write(value, out: list, indent: str) -> None:
-    """Append `value` to `out` as `json.dumps(value, sort_keys=True, indent=2)` writes it.
-
-    `indent` opens a line at the value's depth.  This is the dispatch of json's
-    pure-Python indenting encoder, with its C string escaper; a non-str key or
-    a non-JSON type raises `TypeError`.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(_NON_FINITE.get(text, text))
-    elif isinstance(value, (list, tuple)):
-        inner, sep = indent + "  ", "["
-        for item in value:
-            out.append(sep + inner)
-            sep = ","
-            _write(item, out, inner)
-        out.append(indent + "]" if value else "[]")
-    elif isinstance(value, dict):
-        inner, sep = indent + "  ", "{"
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            sep = ","
-            _write(value[key], out, inner)
-        out.append(indent + "}" if value else "{}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     """Write the report envelope for one command run to `--out` or stdout."""
     report = {
@@ -120,9 +78,7 @@ def _emit(args, digest: str, params: dict, outputs: dict) -> None:
         "params": params,
         "outputs": outputs,
     }
-    out: list = []
-    _write(report, out, "\n")
-    text = "".join(out) + "\n"
+    text = json.dumps(report, sort_keys=True) + "\n"
     try:
         if args.out:
             Path(args.out).write_text(text)
@@ -236,7 +192,7 @@ def _run_checks(
             reports.append(seqcore.check_nondecreasing(u, sample, samples, seed=seed + k))
     if "submod" in checks:
         for k, (u, sample) in enumerate(pairs):
-            reports.append(seqcore.check_submodular(u, sample, sample, samples, seed=seed + 2 + k))
+            reports.append(seqcore.check_submodular(u, sample, samples, seed=seed + 2 + k))
     if "deriv" in checks:
         reports.append(seqcore.check_derivative_props(model, samples, seed=seed + 4))
     if "lemma1" in checks:

@@ -704,16 +704,15 @@ def check_nondecreasing(
 
 def check_submodular(
     u: SequenceFunction,
-    sample_b: Callable[[Stream], SequenceLike],
-    sample_c: Callable[[Stream], SequenceLike],
+    sample: Callable[[Stream], SequenceLike],
     samples: int,
     seed: int = 0,
 ) -> CheckReport:
-    """Sample (B, C) and A dominated by B; require u(C|A) >= u(C|B)."""
+    """Sample B, then C, then A dominated by B; require u(C|A) >= u(C|B)."""
 
     def body(rng):
-        b = sample_b(rng)
-        c = sample_c(rng)
+        b = sample(rng)
+        c = sample(rng)
         a = sample_dominated(b, rng)
         gain_a = marginal_value(u, c, a)
         gain_b = marginal_value(u, c, b)

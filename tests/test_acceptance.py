@@ -130,7 +130,7 @@ def test_criterion_04_condition_suite():
         gen = lambda r, inst=inst: adalloc.random_strategy(inst, r)
         seed = int(rng.integers(0, 2**31))
         mono = seqcore.check_nondecreasing(u, gen, samples=500, seed=seed)
-        submod = seqcore.check_submodular(u, gen, gen, samples=500, seed=seed + 1)
+        submod = seqcore.check_submodular(u, gen, samples=500, seed=seed + 1)
         mono_samples += mono.samples_tested
         submod_samples += submod.samples_tested
         violations += len(mono.violations) + len(submod.violations)
@@ -141,7 +141,7 @@ def test_criterion_04_condition_suite():
         gen = lambda r, inst=inst: qrewrite.random_plan(inst, r)
         seed = int(rng.integers(0, 2**31))
         mono = seqcore.check_nondecreasing(u, gen, samples=350, seed=seed)
-        submod = seqcore.check_submodular(u, gen, gen, samples=350, seed=seed + 1)
+        submod = seqcore.check_submodular(u, gen, samples=350, seed=seed + 1)
         mono_samples += mono.samples_tested
         submod_samples += submod.samples_tested
         violations += len(mono.violations) + len(submod.violations)

@@ -848,7 +848,7 @@ def test_submodular_random_instances():
         inst = random_ad_instance(rng, max_ads=3, max_types=3)
         model = FluidRateModel(inst)
         gen = lambda r: random_strategy(inst, r)
-        report = check_submodular(model.sequence_function(), gen, gen, samples=250, seed=43)
+        report = check_submodular(model.sequence_function(), gen, samples=250, seed=43)
         assert report.ok, report.violations[:2]
 
 

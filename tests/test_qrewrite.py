@@ -465,7 +465,7 @@ def test_plan_function_monotone_and_submodular(i3k2):
     u = plan_function(i3k2)
     gen = lambda rng: random_plan(i3k2, rng)
     assert check_nondecreasing(u, gen, samples=500, seed=67).ok
-    assert check_submodular(u, gen, gen, samples=500, seed=71).ok
+    assert check_submodular(u, gen, samples=500, seed=71).ok
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ def test_check_nondecreasing_catches_decreasing():
 def test_check_submodular_catches_superadditive():
     u = SequenceFunction("discrete", lambda seq: float(seq.length) ** 2)
     gen = lambda rng: random_discrete_sequence(ABC, rng, max_len=5)
-    report = check_submodular(u, gen, gen, samples=300, seed=11)
+    report = check_submodular(u, gen, samples=300, seed=11)
     assert not report.ok
 
 
@@ -488,7 +488,7 @@ def test_check_submodular_coverage_ok():
     rng = np.random.default_rng(2)
     u, actions = random_coverage(rng)
     gen = lambda r: random_discrete_sequence(actions, r)
-    assert check_submodular(u, gen, gen, samples=300, seed=4).ok
+    assert check_submodular(u, gen, samples=300, seed=4).ok
 
 
 class _ConstantRateModel:
