@@ -9,12 +9,16 @@ Commands:
   seqsub verify   --instance ad.json --checks mono,submod,deriv,lemma1
                   --samples N --seed S
 
+Commands are pure: each `cmd_*` maps the parsed arguments and the instance's
+JSON object to the report's params, its outputs and its exit code.  `main`
+owns the file I/O, stdout and stderr, and the exit codes of errors.
+
 Reports are one line of key-sorted JSON from json's C encoder (pipe one
 through `python -m json.tool` to pretty-print it), byte-identical across runs
-with the same inputs and seeds; wall-clock timing goes to stderr only.  Exit
-codes: 0 success, 1 property violation, 2 input error (also a report that
-cannot be written, or `simulate` without numpy, the `seqsub[simulate]`
-extra), 3 oracle size guard.
+with the same inputs and seeds.  stderr gets only `error:` and `warning:`
+lines and the wall-clock `finished in` line.  Exit codes: 0 success, 1
+property violation, 2 input error (also a report that cannot be written, or
+`simulate` without numpy, the `seqsub[simulate]` extra), 3 oracle size guard.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -63,13 +68,6 @@ def _load_json(path: Path) -> Tuple[dict, str]:
     return data, hashlib.sha256(raw).hexdigest()
 
 
-def _strategy_json(strategy) -> list:
-    return [
-        {"config": {t: list(ads) for t, ads in config.assignment}, "duration": dur}
-        for config, dur in strategy.segments
-    ]
-
-
 def _emit(args, digest: str, params: dict, outputs: dict) -> None:
     """Write the report envelope for one command run to `--out` or stdout."""
     report = {
@@ -91,13 +89,20 @@ def _emit(args, digest: str, params: dict, outputs: dict) -> None:
         raise InstanceError(f"out: cannot write {args.out or 'stdout'}: {exc.strerror}") from None
 
 
-def cmd_allocate(args) -> int:
-    data, digest = _load_json(Path(args.instance))
+def _oracle_fields(optimum: float, utility: float, bound: float) -> dict:
+    """The report fields that set the greedy's utility against the exact optimum."""
+    return {"optimum": optimum, "ratio": utility / optimum if optimum > 0.0 else 1.0, "ratio_bound": bound}
+
+
+def cmd_allocate(args, data: dict) -> Tuple[dict, dict, int]:
     instance = adalloc.parse_instance(data)
     strategy, ledger = adalloc.greedy_allocate(instance)
     outputs: Dict[str, object] = {
         "utility": ledger.utility,
-        "strategy": _strategy_json(strategy),
+        "strategy": [
+            {"config": {t: list(ads) for t, ads in config.assignment}, "duration": dur}
+            for config, dur in strategy.segments
+        ],
         "breakpoints": list(ledger.breakpoints),
         "spend": {ad: s for ad, s in zip(ledger.ad_ids, ledger.spent) if s > 0.0},
         "segments": len(strategy.segments),
@@ -105,57 +110,62 @@ def cmd_allocate(args) -> int:
     if args.oracle:
         from . import oracle  # loads fractions and decimal, which the greedy never needs
         opt = oracle.lp_opt_fluid(instance)
-        outputs["optimum"] = opt.value
-        outputs["ratio"] = ledger.utility / opt.value if opt.value > 0.0 else 1.0
-        outputs["ratio_bound"] = CONTINUOUS_RATIO_BOUND
+        outputs.update(_oracle_fields(opt.value, ledger.utility, CONTINUOUS_RATIO_BOUND))
         outputs["optimum_spend"] = {f"{ad}/{tid}": z for (ad, tid), z in opt.witness.items()}
-    _emit(args, digest, {"oracle": bool(args.oracle)}, outputs)
-    return EXIT_OK
+    return {"oracle": bool(args.oracle)}, outputs, EXIT_OK
 
 
-def cmd_rewrite(args) -> int:
-    data, digest = _load_json(Path(args.instance))
+def cmd_rewrite(args, data: dict) -> Tuple[dict, dict, int]:
     instance = qrewrite.parse_rewrite_instance(data)
     plan, utility = qrewrite.greedy_rewrite(instance)
     types = [pa.query_type for pa in plan.items]
     outputs: Dict[str, object] = {
         "utility": utility,
-        "plan": qrewrite.plan_to_json(instance, plan),
+        "plan": [
+            {
+                "type": pa.query_type,
+                "rewrites": list(pa.rewrites),
+                "consumed": {ad: cap for ad, cap in zip(instance.base.ad_ids, pa.caps) if cap > 0.0},
+            }
+            for pa in plan.items
+        ],
         "duplicate_types": len(set(types)) != len(types),
     }
     if args.oracle:
         from . import oracle
-        opt = oracle.brute_force_rewrite_opt(instance)
-        outputs["optimum"] = opt.value
-        outputs["ratio"] = utility / opt.value if opt.value > 0.0 else 1.0
-        outputs["ratio_bound"] = REWRITE_RATIO_BOUND
-    _emit(args, digest, {"oracle": bool(args.oracle)}, outputs)
-    return EXIT_OK
+        outputs.update(_oracle_fields(oracle.brute_force_rewrite_opt(instance).value, utility, REWRITE_RATIO_BOUND))
+    return {"oracle": bool(args.oracle)}, outputs, EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, data: dict) -> Tuple[dict, dict, int]:
     try:
         from . import stochsim  # loads numpy, which no other command needs
     except ImportError as exc:
         if exc.name != "numpy":
             raise
         raise InstanceError("simulate needs numpy: pip install 'seqsub[simulate]'") from None
-    data, digest = _load_json(Path(args.instance))
     instance = adalloc.parse_instance(data)
     cfg = stochsim.StreamConfig(seed=args.seed, trials=args.trials, query_count=args.queries)
     cfg.queries(instance)  # rejects a bad count before any work is done
     strategy, _ = adalloc.greedy_allocate(instance)
     result = stochsim.simulate_stream(instance, strategy, cfg)
-    outputs = result.to_json(include_per_trial=args.per_trial)
-    outputs["seed"] = args.seed
+    outputs = {
+        "mean": result.mean,
+        "std": result.std,
+        "fluid": result.fluid_utility,
+        "trials": len(result.revenues),
+        "rng": "numpy-pcg64",
+        "seed": args.seed,
+    }
+    if args.per_trial:
+        outputs["per_trial"] = list(result.revenues)
     params = {
         "queries": args.queries,
         "per_trial": bool(args.per_trial),
         "seed": args.seed,
         "trials": args.trials,
     }
-    _emit(args, digest, params, outputs)
-    return EXIT_OK
+    return params, outputs, EXIT_OK
 
 
 def _violation_json(v: seqcore.Violation) -> dict:
@@ -168,40 +178,7 @@ def _violation_json(v: seqcore.Violation) -> dict:
     }
 
 
-def _run_checks(
-    instance: adalloc.AdInstance,
-    rewrite_instance: Optional[qrewrite.RewriteInstance],
-    checks: List[str],
-    samples: int,
-    seed: int,
-    planted: bool,
-) -> List[seqcore.CheckReport]:
-    model = adalloc.FluidRateModel(instance)
-    utility = model.sequence_function()
-    if planted:
-        # Negative control: a decreasing utility the checkers must catch, scaled like its lengths.
-        utility = seqcore.SequenceFunction("continuous", lambda seq: -seq.length, instance.horizon)
-    # (utility, sampler) pairs; each check and pair keeps its own seed in seed..seed+5.
-    pairs = [(utility, model.random_prefix)]
-    if rewrite_instance is not None:
-        plans = functools.partial(qrewrite.random_plan, rewrite_instance)
-        pairs.append((qrewrite.plan_function(rewrite_instance), plans))
-    reports: List[seqcore.CheckReport] = []
-    if "mono" in checks:
-        for k, (u, sample) in enumerate(pairs):
-            reports.append(seqcore.check_nondecreasing(u, sample, samples, seed=seed + k))
-    if "submod" in checks:
-        for k, (u, sample) in enumerate(pairs):
-            reports.append(seqcore.check_submodular(u, sample, samples, seed=seed + 2 + k))
-    if "deriv" in checks:
-        reports.append(seqcore.check_derivative_props(model, samples, seed=seed + 4))
-    if "lemma1" in checks:
-        reports.append(seqcore.check_rate_gain_bound(model, samples, seed=seed + 5))
-    return reports
-
-
-def cmd_verify(args) -> int:
-    data, digest = _load_json(Path(args.instance))
+def cmd_verify(args, data: dict) -> Tuple[dict, dict, int]:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in CHECK_NAMES:
@@ -218,9 +195,28 @@ def cmd_verify(args) -> int:
         instance = rewrite_instance.base
     else:
         instance = adalloc.parse_instance(data)
-    reports = _run_checks(
-        instance, rewrite_instance, checks, args.samples, args.seed, args.planted_violation
-    )
+    model = adalloc.FluidRateModel(instance)
+    utility = model.sequence_function()
+    if args.planted_violation:
+        # Negative control: a decreasing utility the checkers must catch, scaled like its lengths.
+        utility = seqcore.SequenceFunction("continuous", lambda seq: -seq.length, instance.horizon)
+    # (utility, sampler) pairs; each check and pair keeps its own seed in seed..seed+5.
+    pairs = [(utility, model.random_prefix)]
+    if rewrite_instance is not None:
+        plans = functools.partial(qrewrite.random_plan, rewrite_instance)
+        pairs.append((qrewrite.plan_function(rewrite_instance), plans))
+    samples, seed = args.samples, args.seed
+    reports: List[seqcore.CheckReport] = []
+    if "mono" in checks:
+        for k, (u, sample) in enumerate(pairs):
+            reports.append(seqcore.check_nondecreasing(u, sample, samples, seed=seed + k))
+    if "submod" in checks:
+        for k, (u, sample) in enumerate(pairs):
+            reports.append(seqcore.check_submodular(u, sample, samples, seed=seed + 2 + k))
+    if "deriv" in checks:
+        reports.append(seqcore.check_derivative_props(model, samples, seed=seed + 4))
+    if "lemma1" in checks:
+        reports.append(seqcore.check_rate_gain_bound(model, samples, seed=seed + 5))
     total_violations = sum(len(r.violations) for r in reports)
     outputs = {
         "reports": [
@@ -233,8 +229,8 @@ def cmd_verify(args) -> int:
         ],
         "violations": total_violations,
     }
-    _emit(args, digest, {"checks": checks, "samples": args.samples, "seed": args.seed}, outputs)
-    return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
+    params = {"checks": checks, "samples": samples, "seed": seed}
+    return params, outputs, EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,35 +239,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Greedy sequence maximization: ad allocation, query rewriting, simulation, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--instance", required=True, help="instance JSON file")
+    files.add_argument("--out", help="report path (stdout when omitted)")
 
-    p = sub.add_parser("allocate", help="run the greedy fluid allocator")
-    p.add_argument("--instance", required=True, help="ad instance JSON file")
-    p.add_argument("--out", help="report path (stdout when omitted)")
+    p = sub.add_parser("allocate", parents=[files], help="run the greedy fluid allocator")
     p.add_argument("--oracle", action="store_true", help="also solve the exact LP optimum")
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("rewrite", help="run the greedy query-rewriting optimizer")
-    p.add_argument("--instance", required=True, help="rewrite instance JSON file")
-    p.add_argument("--out", help="report path (stdout when omitted)")
+    p = sub.add_parser("rewrite", parents=[files], help="run the greedy query-rewriting optimizer")
     p.add_argument("--oracle", action="store_true", help="also enumerate the exact optimum")
     p.set_defaults(func=cmd_rewrite)
 
-    p = sub.add_parser("simulate", help="Monte Carlo query stream vs the fluid utility")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("simulate", parents=[files], help="Monte Carlo query stream vs the fluid utility")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--queries", type=int, default=None, help="queries per trial (default round(horizon)); "
                    "each pays in full, so mean runs at queries/horizon times fluid's arrival rate")
     p.add_argument("--per-trial", action="store_true", help="include per-trial revenues in the report")
-    p.add_argument("--out", help="report path (stdout when omitted)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="sample the structural properties the guarantees rely on")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("verify", parents=[files], help="sample the structural properties the guarantees rely on")
     p.add_argument("--checks", default=",".join(CHECK_NAMES), help="comma list: mono,submod,deriv,lemma1")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="report path (stdout when omitted)")
     p.add_argument("--planted-violation", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -285,17 +276,20 @@ def _note(line: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.func(args)
-    except InstanceError as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                data, digest = _load_json(Path(args.instance))
+                params, outputs, code = args.func(args, data)
+            finally:  # noted even where the command then fails
+                for warning in caught:
+                    _note(f"warning: {warning.message}")
+        _emit(args, digest, params, outputs)
+    except (InstanceError, SizeGuardError) as exc:
         _note(f"error: {exc}")
-        return EXIT_INPUT
-    except SizeGuardError as exc:
-        _note(f"error: {exc}")
-        return EXIT_GUARD
+        return EXIT_GUARD if isinstance(exc, SizeGuardError) else EXIT_INPUT
     _note(f"{args.command} finished in {time.monotonic() - started:.3f}s")
     return code
 

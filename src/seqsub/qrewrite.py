@@ -274,18 +274,3 @@ def parse_rewrite_instance(data: Mapping) -> RewriteInstance:
     k = _integer("k", data["k"])
     return RewriteInstance(base=base, rewrites=tuple(rewrites), max_rewrites=k)
 
-
-def plan_to_json(instance: RewriteInstance, plan: DiscreteSequence) -> list:
-    base = instance.base
-    out = []
-    for pa in plan.items:
-        out.append(
-            {
-                "type": pa.query_type,
-                "rewrites": list(pa.rewrites),
-                "consumed": {
-                    ad: cap for ad, cap in zip(base.ad_ids, pa.caps) if cap > 0.0
-                },
-            }
-        )
-    return out

@@ -46,7 +46,6 @@ from .adalloc import (
 )
 from .seqcore import Frozen, _pcg64_states
 
-RNG_NAME = "numpy-pcg64"
 # Largest per-trial query count; a run holds 8 bytes a query for the first
 # table row of each query, after a set-up peak of 16 while the query times
 # are held too (160 MB at the cap).
@@ -77,12 +76,12 @@ class StreamConfig(Frozen):
 
     def queries(self, instance: AdInstance) -> int:
         """Queries per trial on `instance`: `query_count`, else the rounded horizon; at most MAX_QUERIES."""
-        source = "horizon" if self.query_count is None else "query_count"
         queries = round(instance.horizon) if self.query_count is None else self.query_count
-        if queries < 1:
-            raise InstanceError(f"horizon: {instance.horizon} rounds to 0 queries per trial; set query_count")
+        if self.query_count is None and not 1 <= queries <= MAX_QUERIES:
+            count = 0 if queries < 1 else f"more than {MAX_QUERIES}"
+            raise InstanceError(f"horizon: {instance.horizon} rounds to {count} queries per trial; set query_count")
         if queries > MAX_QUERIES:
-            raise InstanceError(f"{source}: {queries} queries per trial exceed the limit of {MAX_QUERIES}")
+            raise InstanceError(f"query_count: {queries} queries per trial exceed the limit of {MAX_QUERIES}")
         return queries
 
 
@@ -91,18 +90,6 @@ class SimResult(Frozen):
     mean: float
     std: float
     fluid_utility: float
-
-    def to_json(self, include_per_trial: bool = False) -> dict:
-        out = {
-            "mean": self.mean,
-            "std": self.std,
-            "fluid": self.fluid_utility,
-            "trials": len(self.revenues),
-            "rng": RNG_NAME,
-        }
-        if include_per_trial:
-            out["per_trial"] = list(self.revenues)
-        return out
 
 
 def _slot_tables(instance: AdInstance, strategy: AllocationStrategy):

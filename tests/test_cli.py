@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -229,6 +230,21 @@ def test_simulate_bad_flags_exit_2(i1_file, capsys, monkeypatch):
     ):
         assert main(["simulate", "--instance", str(i1_file), *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_simulate_outputs_with_and_without_per_trial(i1_file, tmp_path):
+    # cli shapes the simulate report: a summary, and with --per-trial each
+    # trial's revenue in trial order, whose fsum over the trials is the mean.
+    args = ["simulate", "--instance", str(i1_file), "--trials", "7", "--seed", "2"]
+    summary = {"fluid", "mean", "rng", "seed", "std", "trials"}
+    code, report = run(args, tmp_path)
+    assert code == 0 and set(report["outputs"]) == summary
+    code, report = run([*args, "--per-trial"], tmp_path)
+    outputs = report["outputs"]
+    assert code == 0 and set(outputs) == summary | {"per_trial"}
+    per_trial = outputs["per_trial"]
+    assert len(per_trial) == outputs["trials"] == 7 and all(type(r) is float for r in per_trial)
+    assert math.fsum(per_trial) / outputs["trials"] == outputs["mean"]
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +658,14 @@ def test_simulate_oversized_query_count_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(data))
     assert main(args) == 2
     assert "horizon" in capsys.readouterr().err
+    # The horizon is named as given, not as the integer it rounds to (301 digits here).
+    data["horizon"] = 1e300
+    path.write_text(json.dumps(data))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    limit = stochsim.MAX_QUERIES
+    assert err == f"error: horizon: 1e+300 rounds to more than {limit} queries per trial; set query_count\n"
+    assert len(err) < 200
 
 
 # Two budgets and all bids near the float maximum, over a horizon long enough
@@ -737,7 +761,6 @@ def test_unparsable_json_exits_2_on_every_command(text, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: instance: invalid JSON: ")
 
 
-@pytest.mark.filterwarnings("ignore:k=.*exceeds")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3))
 @example(HUGE_SLOTS)
@@ -1093,6 +1116,41 @@ def test_unwritable_stderr_changes_neither_report_nor_exit_code(argv, code, tmp_
         assert _entry_run(argv, stderr=read_only) == want[:2]
 
 
+def test_clamped_k_warns_in_one_line(tmp_path):
+    # greedy_rewrite warns library callers that it clamps k; the CLI notes
+    # that warning as one line, not Python's file path and source line.
+    path = tmp_path / "clamped.json"
+    data = json.loads((INSTANCES / "rewrite_two_paths.json").read_text())
+    data.update(rewrites=[], k=1)
+    path.write_text(json.dumps(data))
+    argv = ["rewrite", "--instance", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv], env=_entry_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    plan = [{"consumed": {}, "rewrites": [], "type": "t1"}]
+    assert json.loads(proc.stdout)["outputs"] == {"duplicate_types": False, "plan": plan, "utility": 0.0}
+    assert proc.stdout.encode() == _in_process(argv)[1]
+    warning, timing = proc.stderr.splitlines()
+    assert warning == "warning: k=1 exceeds the 0 available rewrites; clamping"
+    assert re.fullmatch(r"rewrite finished in \d+\.\d{3}s", timing), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code",
+                         [case for case, name in zip(ENTRY_CASES, ENTRY_IDS) if name != "argparse"],
+                         ids=[name for name in ENTRY_IDS if name != "argparse"])
+def test_a_run_writes_only_error_warning_and_timing_lines_to_stderr(argv, code, tmp_path):
+    # Past argument parsing, which prints argparse's usage, a run's stderr
+    # is what cli notes: `error:` and `warning:` lines and the timing line.
+    argv = [a.format(malformed=_malformed(tmp_path), guard=_guard_sized(tmp_path)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv, "--out", str(tmp_path / "r.json")],
+                          env=_entry_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert lines
+    for line in lines:
+        assert re.fullmatch(r"(error|warning): .+|[a-z]+ finished in \d+\.\d{3}s", line), proc.stderr
+
+
 GC_PROBE = """
 import contextlib, gc, io, json, os, sys
 if hasattr(os, "sched_setaffinity"):  # so verify runs its samples inline at every count
@@ -1317,3 +1375,32 @@ def test_reports_are_one_line_of_compact_sorted_json(argv, tmp_path):
         text = out.read_text() if to_file else stdout.decode()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
         assert text.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the command contract: each cmd_* returns its report, and main writes it
+# ---------------------------------------------------------------------------
+
+CONTRACT_CASES = [
+    ["allocate", "--instance", "two_ads_two_types.json", "--oracle"],
+    ["rewrite", "--instance", "rewrite_two_paths.json", "--oracle"],
+    ["simulate", "--instance", "two_ads_two_types.json", "--trials", "20", "--seed", "1", "--per-trial"],
+    ["verify", "--instance", "rewrite_two_paths.json", "--samples", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_CASES, ids=[c[0] for c in CONTRACT_CASES])
+def test_commands_return_the_report_and_write_nothing(argv, tmp_path, capfd):
+    # A command reads no file and writes no stream, not even its --out:
+    # it returns (params, outputs, exit code), and main writes those.
+    out = tmp_path / "report.json"
+    argv = [*_golden_argv(argv), "--out", str(out)]
+    args = cli.build_parser().parse_args(argv)
+    data = json.loads(Path(args.instance).read_text())
+    result = getattr(cli, f"cmd_{argv[0]}")(args, data)
+    assert [type(x) for x in result] == [dict, dict, int]
+    assert capfd.readouterr() == ("", "")
+    assert not out.exists()
+    assert main(argv) == result[2]
+    report = json.loads(out.read_text())
+    assert [report["params"], report["outputs"]] == json.loads(json.dumps(result[:2]))

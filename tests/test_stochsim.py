@@ -137,15 +137,6 @@ def test_scale_instance_keeps_greedy_utility(seed, factor):
     assert scaled_utility == pytest.approx(utility, rel=1e-9)
 
 
-def test_sim_result_json_shape():
-    inst = deterministic_instance()
-    strategy, _ = adalloc.greedy_allocate(inst)
-    res = simulate_stream(inst, strategy, StreamConfig(seed=2, trials=3))
-    out = res.to_json()
-    assert set(out) == {"mean", "std", "fluid", "trials", "rng"}
-    assert res.to_json(include_per_trial=True)["per_trial"] == [1.0, 1.0, 1.0]
-
-
 # ---------------------------------------------------------------------------
 # Differential test: the per-ad fold against the query-by-query loop it replaced
 # ---------------------------------------------------------------------------
