@@ -279,13 +279,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                data, digest = _load_json(Path(args.instance))
-                params, outputs, code = args.func(args, data)
-            finally:  # noted even where the command then fails
-                for warning in caught:
-                    _note(f"warning: {warning.message}")
+        data, digest = _load_json(Path(args.instance))
+        params, outputs, code = args.func(args, data)
         _emit(args, digest, params, outputs)
     except (InstanceError, SizeGuardError) as exc:
         _note(f"error: {exc}")
@@ -303,10 +298,13 @@ def entry() -> None:
     the cycle collector is off, and once `main` returns the process flushes
     stdout (stderr writes through) and ends with `os._exit`, skipping the
     interpreter's teardown.  An exception out of `main`, argparse's exit too,
-    takes the normal path.  `main` changes neither, as tests and library callers need.
+    takes the normal path.  Each warning, such as `greedy_rewrite`'s on a
+    clamped k, is noted as one `warning:` line, not Python's file path and
+    source line.  `main` changes none of these, as tests and library callers need.
     """
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     gc.disable()
+    warnings.showwarning = lambda message, *_, **__: _note(f"warning: {message}")
     code = main()
     try:
         if sys.stdout is not None:  # None when the process started with fd 1 closed

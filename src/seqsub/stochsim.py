@@ -77,9 +77,11 @@ class StreamConfig(Frozen):
     def queries(self, instance: AdInstance) -> int:
         """Queries per trial on `instance`: `query_count`, else the rounded horizon; at most MAX_QUERIES."""
         queries = round(instance.horizon) if self.query_count is None else self.query_count
-        if self.query_count is None and not 1 <= queries <= MAX_QUERIES:
-            count = 0 if queries < 1 else f"more than {MAX_QUERIES}"
-            raise InstanceError(f"horizon: {instance.horizon} rounds to {count} queries per trial; set query_count")
+        if queries < 1:
+            raise InstanceError(f"horizon: {instance.horizon} rounds to 0 queries per trial; set query_count")
+        if queries > MAX_QUERIES and self.query_count is None:
+            raise InstanceError(
+                f"horizon: {instance.horizon} rounds to more than {MAX_QUERIES} queries per trial; set query_count")
         if queries > MAX_QUERIES:
             raise InstanceError(f"query_count: {queries} queries per trial exceed the limit of {MAX_QUERIES}")
         return queries

@@ -761,6 +761,7 @@ def test_unparsable_json_exits_2_on_every_command(text, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: instance: invalid JSON: ")
 
 
+@pytest.mark.filterwarnings("ignore:k=.*exceeds")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3))
 @example(HUGE_SLOTS)
@@ -1116,39 +1117,44 @@ def test_unwritable_stderr_changes_neither_report_nor_exit_code(argv, code, tmp_
         assert _entry_run(argv, stderr=read_only) == want[:2]
 
 
-def test_clamped_k_warns_in_one_line(tmp_path):
-    # greedy_rewrite warns library callers that it clamps k; the CLI notes
-    # that warning as one line, not Python's file path and source line.
+def _clamped(tmp_path) -> Path:
+    """A rewrite instance with k=1 and no rewrites, on which greedy_rewrite warns that it clamps k."""
     path = tmp_path / "clamped.json"
     data = json.loads((INSTANCES / "rewrite_two_paths.json").read_text())
     data.update(rewrites=[], k=1)
     path.write_text(json.dumps(data))
-    argv = ["rewrite", "--instance", str(path)]
-    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv], env=_entry_env(), capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    plan = [{"consumed": {}, "rewrites": [], "type": "t1"}]
-    assert json.loads(proc.stdout)["outputs"] == {"duplicate_types": False, "plan": plan, "utility": 0.0}
-    assert proc.stdout.encode() == _in_process(argv)[1]
-    warning, timing = proc.stderr.splitlines()
-    assert warning == "warning: k=1 exceeds the 0 available rewrites; clamping"
-    assert re.fullmatch(r"rewrite finished in \d+\.\d{3}s", timing), proc.stderr
+    return path
 
 
-@pytest.mark.parametrize("argv, code",
-                         [case for case, name in zip(ENTRY_CASES, ENTRY_IDS) if name != "argparse"],
-                         ids=[name for name in ENTRY_IDS if name != "argparse"])
-def test_a_run_writes_only_error_warning_and_timing_lines_to_stderr(argv, code, tmp_path):
+STDERR_CASES = [(*case, None) for case, name in zip(ENTRY_CASES, ENTRY_IDS) if name != "argparse"] + [
+    (["rewrite", "--instance", "{clamped}"], 0, ["warning: k=1 exceeds the 0 available rewrites; clamping"]),
+]
+
+
+@pytest.mark.filterwarnings("ignore:k=.*exceeds")  # raised again by the in-process run
+@pytest.mark.parametrize("argv, code, messages", STDERR_CASES,
+                         ids=[name for name in ENTRY_IDS if name != "argparse"] + ["clamped-k"])
+def test_a_run_writes_only_error_warning_and_timing_lines_to_stderr(argv, code, messages, tmp_path):
     # Past argument parsing, which prints argparse's usage, a run's stderr
     # is what cli notes: `error:` and `warning:` lines and the timing line.
-    argv = [a.format(malformed=_malformed(tmp_path), guard=_guard_sized(tmp_path)) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv, "--out", str(tmp_path / "r.json")],
+    # A warning is one line, not Python's file path and source line, and
+    # changes no report.
+    argv = [a.format(malformed=_malformed(tmp_path), guard=_guard_sized(tmp_path), clamped=_clamped(tmp_path))
+            for a in argv]
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-m", "seqsub", *argv, "--out", str(out)],
                           env=_entry_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert lines
     for line in lines:
         assert re.fullmatch(r"(error|warning): .+|[a-z]+ finished in \d+\.\d{3}s", line), proc.stderr
+    if messages is not None:
+        assert _messages(proc.stderr) == messages
+        assert re.fullmatch(rf"{argv[0]} finished in \d+\.\d{{3}}s", lines[-1]), proc.stderr
+        plan = [{"consumed": {}, "rewrites": [], "type": "t1"}]
+        assert json.loads(out.read_text())["outputs"] == {"duplicate_types": False, "plan": plan, "utility": 0.0}
+        assert out.read_bytes() == _in_process(argv)[1]
 
 
 GC_PROBE = """
