@@ -9,22 +9,25 @@ rate until its budget runs out, at which point its rate drops to zero while
 the configuration itself stays fixed.  `greedy_allocate` plays the
 highest-rate configuration and reconsiders only when an exhaustion makes a
 strictly better one available, so it changes configuration at most once per
-ad.  It is index-native and incremental: it keeps each type's top-`slots`
-live ads and, after an exhaustion, re-picks only the types whose pick held
-the spent-out ad.  Public functions take id-keyed `Configuration` values; the
-kernel works on (type index, ad indices) pairs, which a configuration built
-from them carries, with its instance, as its stamp.  `FluidRateModel`, the
-model `verify` checks, replays each query's prefix from the full budgets.
-The generic `seqcore.greedy_continuous` driven by `incremental_oracle`
-(prefixes replayed the same way) over `enumerate_configurations` is the
-paper-faithful form of the same greedy, kept as the test reference for
-`greedy_allocate`.
+ad.  It is index-native and does work in proportion to what each event
+changes: it keeps each type's top-`slots` live ads and a cursor past the
+dead prefix of the type's ranking, re-picks after an exhaustion only the
+types whose pick held the spent-out ad, and sums again only the rates of the
+ads whose set of picking types changed.  Public functions take id-keyed
+`Configuration` values; the kernel works on (type index, ad indices) pairs,
+which a configuration built from them carries, with its instance, as its
+stamp.  `FluidRateModel`, the model `verify` checks, replays each query's
+prefix from the full budgets.  The generic `seqcore.greedy_continuous`
+driven by `incremental_oracle` (prefixes replayed the same way) over
+`enumerate_configurations` is the paper-faithful form of the same greedy,
+kept as the test reference for `greedy_allocate`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, compress, islice, product
+from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .seqcore import Frozen, SequenceFunction, Stream, TimedSequence, unchecked
@@ -41,6 +44,7 @@ MAX_AMOUNT = 1e300
 MODEL_MEMO = 256
 # 2^1074: a sum of `_units` counts divided by this is the float nearest the sum.
 _UNIT = 1 << 1074
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class InstanceError(ValueError):
@@ -63,9 +67,18 @@ class AdInstance(Frozen):
     horizon: float
 
     def __post_init__(self):
-        if len(set(self.ad_ids)) != len(self.ad_ids):
+        m, n = len(self.ad_ids), len(self.type_ids)
+        if len(self.budgets) != m:
+            raise InstanceError(f"ads: the number of budgets ({len(self.budgets)}) must equal the number of ads ({m})")
+        if len(self.probs) != n:
+            raise InstanceError(
+                f"query_types: the number of probabilities ({len(self.probs)}) must equal the number of types ({n})"
+            )
+        if len(self.bid_matrix) != m or any(len(row) != n for row in self.bid_matrix):
+            raise InstanceError(f"bids: the bid matrix must be num_ads x num_types ({m} x {n})")
+        if len(set(self.ad_ids)) != m:
             raise InstanceError("ads: duplicate ad id")
-        if len(set(self.type_ids)) != len(self.type_ids):
+        if len(set(self.type_ids)) != n:
             raise InstanceError("query_types: duplicate type id")
         for ad, b in zip(self.ad_ids, self.budgets):
             if not 0.0 <= b < math.inf:
@@ -80,7 +93,7 @@ class AdInstance(Frozen):
             raise InstanceError(
                 f"query_types: probabilities sum to {math.fsum(self.probs)!r}, expected 1 within 1e-9"
             )
-        columns = range(len(self.type_ids))
+        columns = range(n)
         by_bid: list = [[] for _ in columns]
         for i, row in enumerate(self.bid_matrix):
             # Zero payments are valid and unranked; compress skips them at C speed.
@@ -90,7 +103,7 @@ class AdInstance(Frozen):
                     raise InstanceError(
                         f"bids: expected payment must be in [0, {MAX_AMOUNT}], got {p}"
                     )
-                by_bid[j].append((-p, i))
+                by_bid[j].append((p, i))
         if not 1 <= self.slots <= MAX_SLOTS:
             raise InstanceError(f"slots: must be between 1 and {MAX_SLOTS}, got {self.slots}")
         if not 0.0 < self.horizon < math.inf:
@@ -99,7 +112,9 @@ class AdInstance(Frozen):
         object.__setattr__(self, "_floors", tuple(EXHAUSTED * b for b in self.budgets))
         object.__setattr__(self, "_ad_index", {a: i for i, a in enumerate(self.ad_ids)})
         object.__setattr__(self, "_type_index", {t: j for j, t in enumerate(self.type_ids)})
-        object.__setattr__(self, "_ranking", tuple(tuple(i for _, i in sorted(c)) for c in by_bid))
+        # By decreasing payment; the sort is stable, so ties keep the lower ad index first.
+        ranking = (map(_second, sorted(c, key=_first, reverse=True)) for c in by_bid)
+        object.__setattr__(self, "_ranking", tuple(map(tuple, ranking)))
         # Canonical type order (by id): per-ad rates are summed over types in this order.
         object.__setattr__(self, "_order", tuple(sorted(columns, key=self.type_ids.__getitem__)))
         object.__setattr__(self, "_interned", {})  # random_configuration's, by index form
@@ -113,29 +128,43 @@ class AdInstance(Frozen):
         slots: int,
         horizon: float,
     ) -> "AdInstance":
-        """Assemble an instance from id-keyed data; missing bids mean zero."""
+        """Assemble an instance from id-keyed data; missing bids mean zero.
+
+        One pass over `bids` converts each payment and fills the dense rows.
+        A value that is not a number is reported first, then one of `slots`
+        or `horizon`, then the first unknown ad or type id.
+        """
         ad_ids = tuple(a for a, _ in ads)
         type_ids = tuple(t for t, _ in query_types)
         ad_index = {a: i for i, a in enumerate(ad_ids)}
         type_index = {t: j for j, t in enumerate(type_ids)}
-        for ad in bids:
-            if ad not in ad_index:
-                raise InstanceError(f"bids: unknown ad id {ad!r}")
-            for tid in bids[ad]:
-                if tid not in type_index:
-                    raise InstanceError(f"bids: unknown type id {tid!r} under ad {ad!r}")
         rows = [[0.0] * len(type_ids) for _ in ad_ids]
+        unknown = None  # the first unknown id's message
         for ad, row in bids.items():
+            i = ad_index.get(ad)
+            if i is None:
+                unknown = unknown or f"bids: unknown ad id {ad!r}"
+            dense = rows[i] if unknown is None else None
             for tid, p in row.items():
-                rows[ad_index[ad]][type_index[tid]] = float(p)
+                if type(p) is not float:  # a JSON float is one already
+                    p = _convert(f"bids: {ad}/{tid}", float, p)
+                j = type_index.get(tid)
+                if j is None:
+                    unknown = unknown or f"bids: unknown type id {tid!r} under ad {ad!r}"
+                elif unknown is None:
+                    dense[j] = p
+        slots = _integer("slots", slots)
+        horizon = _convert("horizon", float, horizon)
+        if unknown is not None:
+            raise InstanceError(unknown)
         return cls(
             ad_ids=ad_ids,
             budgets=tuple(float(b) for _, b in ads),
             type_ids=type_ids,
             probs=tuple(float(q) for _, q in query_types),
             bid_matrix=tuple(map(tuple, rows)),
-            slots=int(slots),
-            horizon=float(horizon),
+            slots=slots,
+            horizon=horizon,
         )
 
     @property
@@ -243,11 +272,14 @@ def _configuration(instance: AdInstance, cfg_idx, names: dict) -> Configuration:
     its canonicalising sort: `names` caches each pick's id form, ads sorted by id.
     Its stamp, `(instance, cfg_idx)`, is what `_config_indices` returns for it.
     """
+    assignment = []
     for pick in cfg_idx:
-        if pick not in names:
+        name = names.get(pick)
+        if name is None:
             j, ads = pick
-            names[pick] = (instance.type_ids[j], tuple(sorted(instance.ad_ids[i] for i in ads)))
-    assignment = tuple(names[pick] for pick in cfg_idx)
+            name = names[pick] = (instance.type_ids[j], tuple(sorted(map(instance.ad_ids.__getitem__, ads))))
+        assignment.append(name)
+    assignment = tuple(assignment)
     return unchecked(Configuration, assignment=assignment, _stamp=(instance, cfg_idx))
 
 
@@ -429,19 +461,63 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     exhausts early the last configuration simply idles out the horizon.
     Types run in canonical (id-sorted) order, so every per-ad rate and every
     `fsum` comparison is the one the id form gives.
+
+    Each event does work in proportion to what it changes.  Exhaustion is
+    permanent, so each type keeps a cursor past the dead prefix of its
+    ranking, and only the types whose pick held a spent-out ad re-pick.  Each
+    ad keeps the set of types that pick it, and only the ads whose set
+    changed get their rate in the best configuration summed again, over
+    their types in canonical order from 0.0, as `_spend_rates` sums it.
     """
-    horizon = instance.horizon
+    horizon, slots = instance.horizon, instance.slots
+    probs, bids, floors = instance.probs, instance.bid_matrix, instance._floors
+    order = instance._order  # per-type state below is indexed by canonical position
+    ranked = [instance._ranking[j] for j in order]
     remaining = list(instance.budgets)
-    picks = [_top_ads(instance, j, remaining) for j in range(instance.num_types)]
+    cursor = [0] * len(order)
+    picks: list = [None] * len(order)  # (type index, ads) at each position, None where no ad is live
+    pickers = [set() for _ in remaining]  # positions of the types whose pick holds the ad
+    best_rates: Dict[int, float] = {}  # `_spend_rates` of `best`, kept up to date per ad
+    stale = range(len(order))  # positions to re-pick
     segs: list = []
     exact = 0  # the durations in `segs`, summed exactly in units of 2^-1074
     elapsed = 0.0
-    current, rates = None, {}
+    current, rates, best = None, {}, ()
     while horizon - elapsed > 1e-15 * horizon:
-        best = tuple((j, picks[j]) for j in instance._order if picks[j])
-        best_rates = _spend_rates(instance, best, remaining)
+        if stale:
+            changed = set()
+            for k in stale:
+                ads, c = ranked[k], cursor[k]
+                while c < len(ads) and remaining[ads[c]] <= floors[ads[c]]:
+                    c += 1
+                cursor[k] = c
+                pick, nxt = ads[c : c + 1], c + 1
+                while len(pick) < slots and nxt < len(ads):
+                    if remaining[ads[nxt]] > floors[ads[nxt]]:
+                        pick += (ads[nxt],)
+                    nxt += 1
+                old = picks[k][1] if picks[k] else ()
+                for i in old:
+                    if i not in pick:
+                        pickers[i].discard(k)
+                        changed.add(i)
+                for i in pick:
+                    if i not in old:
+                        pickers[i].add(k)
+                        changed.add(i)
+                picks[k] = (order[k], pick) if pick else None
+            for i in changed:
+                if pickers[i]:
+                    rate = 0.0
+                    for k in sorted(pickers[i]):
+                        j = order[k]
+                        rate += probs[j] * bids[i][j]
+                    best_rates[i] = rate
+                else:
+                    del best_rates[i]
+            best = tuple(filter(None, picks))
         if current is None or math.fsum(best_rates.values()) > math.fsum(rates.values()):
-            current, rates = best, best_rates
+            current, rates = best, dict(best_rates)
         live = set(rates)
         dt, hit = _step(instance, rates, remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
@@ -454,10 +530,7 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
         elapsed = exact / _UNIT  # correctly rounded, as `math.fsum(durations)` is
         if not hit:
             break
-        gone = live.difference(rates)
-        for j, ads in enumerate(picks):
-            if not gone.isdisjoint(ads):
-                picks[j] = _top_ads(instance, j, remaining)
+        stale = set().union(*(pickers[i] for i in live.difference(rates)))
     names: dict = {}
     named = tuple((_configuration(instance, c, names), d) for c, d in segs)
     strategy = unchecked(TimedSequence, segments=named)
@@ -702,13 +775,7 @@ def parse_instance(data: Mapping) -> AdInstance:
     bids = data.get("bids", {})
     if not isinstance(bids, Mapping) or not all(isinstance(row, Mapping) for row in bids.values()):
         raise InstanceError("bids: must be an object keyed by ad id, then by type id")
-    bids = {
-        ad: {tid: _convert(f"bids: {ad}/{tid}", float, p) for tid, p in row.items()}
-        for ad, row in bids.items()
-    }
-    slots = _integer("slots", data["slots"])
-    horizon = _convert("horizon", float, data["horizon"])
-    return AdInstance.build(ads, query_types, bids, slots, horizon)
+    return AdInstance.build(ads, query_types, bids, data["slots"], data["horizon"])
 
 
 def instance_to_json(instance: AdInstance) -> dict:

@@ -367,6 +367,66 @@ def _full_horizon(instance):
     return 2.0 * total + instance.horizon
 
 
+def _slotted_instance(rng):
+    """2 or 3 slots over ads whose budgets span three orders of magnitude.
+
+    A low-ranked ad often runs out before one ranked above it, so a re-pick
+    must skip a dead ad that sits below a live one.  Budgets, payments and
+    probabilities take few values, so ads often run out at the same event.
+    """
+    m, n = int(rng.integers(3, 10)), int(rng.integers(1, 6))
+    bids = {f"a{i}": {f"t{j}": int(rng.integers(1, 5)) / 4.0 for j in range(n) if rng.random() < 0.7} for i in range(m)}
+    return adalloc.AdInstance.build(
+        [(f"a{i}", float(rng.choice([0.001, 0.01, 0.1, 1.0]))) for i in range(m)],
+        [(f"t{j}", 1.0 / n) for j in range(n)],
+        bids,
+        int(rng.integers(2, 4)),
+        float(rng.uniform(0.5, 3.0)),
+    )
+
+
+def _dead_below_live(instance, ledger):
+    """Whether some type ranks an ad that the ledger spent out below one it left live."""
+    dead = [s == b for s, b in zip(ledger.spent, instance.budgets)]
+    for j in range(instance.num_types):
+        flags = [dead[i] for i in instance.ranked_ads(j)]
+        if False in flags and True in flags[flags.index(False):]:
+            return True
+    return False
+
+
+def _underflow_instance(rng):
+    """Ads whose payment on a type of probability 1e-200 is at most 1e-130, so `q * p` underflows to 0.0.
+
+    Some of them bid on that type alone: they hold a slot at rate 0.0 and never run out.
+    """
+    m, n = int(rng.integers(2, 8)), int(rng.integers(2, 5))
+    probs = [1e-200] + [float(x) for x in rng.dirichlet(np.ones(n - 1))]
+    bids = {}
+    for i in range(m):
+        row = {"t0": float(10.0 ** rng.uniform(-300, -130))}
+        if rng.random() < 0.7:
+            row.update({f"t{j}": float(rng.uniform(0.1, 1.0)) for j in range(1, n) if rng.random() < 0.6})
+        bids[f"a{i}"] = row
+    return adalloc.AdInstance.build(
+        [(f"a{i}", float(rng.uniform(0.05, 1.0))) for i in range(m)],
+        [(f"t{j}", q) for j, q in enumerate(probs)],
+        bids,
+        int(rng.integers(1, 3)),
+        float(rng.uniform(0.1, 3.0)),
+    )
+
+
+def _assert_greedy_matches_reference(inst):
+    assert greedy_allocate(inst) == reference_greedy_allocate(inst)
+    full = replace(inst, horizon=_full_horizon(inst))
+    result = greedy_allocate(full)
+    assert result == reference_greedy_allocate(full)
+    for i, row in enumerate(full.bid_matrix):
+        if any(q * p > 0.0 for q, p in zip(full.probs, row)):
+            assert result[1].spent[i] == full.budgets[i]
+
+
 def test_greedy_allocate_matches_id_based_reference():
     # 400 random instances, then tri(n) (`_triangular`): every bid tied,
     # so each exhaustion hands its types on by tie-break, in cascades far
@@ -374,13 +434,36 @@ def test_greedy_allocate_matches_id_based_reference():
     rng = np.random.default_rng(1009)
     instances = [_differential_instance(rng) for _ in range(400)]
     for inst in instances + [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]:
-        assert greedy_allocate(inst) == reference_greedy_allocate(inst)
-        full = replace(inst, horizon=_full_horizon(inst))
-        result = greedy_allocate(full)
-        assert result == reference_greedy_allocate(full)
-        for i, row in enumerate(full.bid_matrix):
-            if any(q * p > 0.0 for q, p in zip(full.probs, row)):
-                assert result[1].spent[i] == full.budgets[i]
+        _assert_greedy_matches_reference(inst)
+
+
+def test_greedy_allocate_matches_the_reference_past_dead_ads_in_a_ranking():
+    # With 2 or 3 slots a re-pick walks past the dead prefix of a ranking
+    # and then past dead ads ranked below a live one.
+    rng = np.random.default_rng(1990)
+    instances = [_slotted_instance(rng) for _ in range(200)]
+    for inst in instances:
+        _assert_greedy_matches_reference(inst)
+    assert sum(_dead_below_live(inst, greedy_allocate(inst)[1]) for inst in instances) >= 50
+
+
+def test_greedy_allocate_matches_the_reference_where_rates_underflow():
+    # An ad whose every rate is 0.0 is picked, is never spent and never
+    # runs out; one with a positive rate elsewhere sums the 0.0 in.
+    rng = np.random.default_rng(200)
+    for _ in range(100):
+        inst = _underflow_instance(rng)
+        assert all(0.0 == inst.probs[0] * row[0] < row[0] for row in inst.bid_matrix)
+        _assert_greedy_matches_reference(inst)
+
+
+@pytest.mark.parametrize("n", [128, 200])
+def test_greedy_allocate_matches_the_reference_on_large_triangular_instances(n):
+    # Long cascades: every event re-picks every type whose pick held the ad.
+    full = replace(_triangular(n), horizon=_full_horizon(_triangular(n)))
+    result = greedy_allocate(full)
+    assert result == reference_greedy_allocate(full)
+    assert result[1].spent == full.budgets
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -971,3 +1054,64 @@ def test_instance_validation():
 def test_instance_requires_finite_values(ads, probs, bid, horizon, field):
     with pytest.raises(InstanceError, match=field):
         adalloc.AdInstance.build(ads, probs, {"a": {"t": bid}}, 1, horizon)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"budgets": (1.0,)}, r"ads: the number of budgets \(1\) must equal the number of ads \(2\)"),
+        ({"probs": (0.5, 0.5)}, r"query_types: the number of probabilities \(2\) must equal the number of types \(1\)"),
+        ({"bid_matrix": ((1.0,),)}, r"bids: the bid matrix must be num_ads x num_types \(2 x 1\)"),
+        ({"bid_matrix": ((1.0,), (1.0, 2.0))}, r"bids: the bid matrix must be num_ads x num_types \(2 x 1\)"),
+        ({"bid_matrix": ((1.0,), ())}, r"bids: the bid matrix must be num_ads x num_types \(2 x 1\)"),
+    ],
+)
+def test_instance_rejects_fields_whose_lengths_disagree(changes, message):
+    # A short budget tuple would give the greedy's ledger fewer spends than
+    # ads, and a short bid row would read as zero bids.
+    fields = dict(
+        ad_ids=("a", "b"), budgets=(1.0, 1.0), type_ids=("t",), probs=(1.0,),
+        bid_matrix=((1.0,), (2.0,)), slots=1, horizon=1.0,
+    )
+    adalloc.AdInstance(**fields)
+    with pytest.raises(InstanceError, match=f"^{message}$"):
+        adalloc.AdInstance(**{**fields, **changes})
+
+
+def _two_faults(bids, slots=1, horizon=2.0):
+    return {
+        "ads": [{"id": "a1", "budget": 1.0}, {"id": "a2", "budget": 1.0}, {"id": "a3", "budget": 1.0}],
+        "query_types": [{"id": "t1", "prob": 0.5}, {"id": "t2", "prob": 0.5}],
+        "bids": bids,
+        "slots": slots,
+        "horizon": horizon,
+    }
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # A non-number payment wins over an unknown id listed before it.
+        (_two_faults({"ghost": {"t1": 1.0}, "a2": {"t1": "x"}}), "bids: a2/t1: must be a number, got 'x'"),
+        (_two_faults({"a3": {"zz": 1.0}, "a1": {"t2": True}}), "bids: a1/t2: must be a number, got True"),
+        (_two_faults({"a2": {"t1": 10**400}, "ghost": {"t1": 1.0}}), "bids: a2/t1: int too large to convert to float"),
+        # So does a bad slots or horizon; a payment's conversion wins over both.
+        (_two_faults({"ghost": {"t1": 1.0}}, slots=1.5), "slots: must be an integer, got 1.5"),
+        (_two_faults({"a1": {"zz": 1.0}}, horizon="h"), "horizon: must be a number, got 'h'"),
+        (_two_faults({"a1": {"t1": "x"}}, slots="2"), "bids: a1/t1: must be a number, got 'x'"),
+        # An unknown id wins over a bad payment, even one listed before it.
+        (_two_faults({"a2": {"t1": -1.0}, "ghost": {"t1": 1.0}}), "bids: unknown ad id 'ghost'"),
+        (_two_faults({"a1": {"t1": math.nan}, "a3": {"t1": 1.0, "zz": 1.0}}), "bids: unknown type id 'zz' under ad 'a3'"),
+        (_two_faults({"a3": {"t2": 1e301}, "ghost": {"t2": 1.0}}), "bids: unknown ad id 'ghost'"),
+        # Of two unknown ids, the first in the bids wins.
+        (_two_faults({"a3": {"zz": 1.0}, "ghost": {"t1": 1.0}}), "bids: unknown type id 'zz' under ad 'a3'"),
+        (_two_faults({"ghost": {"zz": 1.0}, "a1": {"yy": 1.0}}), "bids: unknown ad id 'ghost'"),
+        # Of two bad payments, the first by ad index, then by type index.
+        (_two_faults({"a3": {"t1": -2.0}, "a1": {"t2": 2e300}}), "bids: expected payment must be in [0, 1e+300], got 2e+300"),
+        (_two_faults({"a2": {"t2": math.nan, "t1": -1.0}}), "bids: expected payment must be in [0, 1e+300], got -1.0"),
+    ],
+)
+def test_parse_instance_error_precedence(data, message):
+    with pytest.raises(InstanceError) as err:
+        parse_instance(data)
+    assert str(err.value) == message
