@@ -417,53 +417,34 @@ def _underflow_instance(rng):
     )
 
 
-def _assert_greedy_matches_reference(inst):
-    assert greedy_allocate(inst) == reference_greedy_allocate(inst)
-    full = replace(inst, horizon=_full_horizon(inst))
-    result = greedy_allocate(full)
-    assert result == reference_greedy_allocate(full)
-    for i, row in enumerate(full.bid_matrix):
-        if any(q * p > 0.0 for q, p in zip(full.probs, row)):
-            assert result[1].spent[i] == full.budgets[i]
-
-
 def test_greedy_allocate_matches_id_based_reference():
     # 400 random instances, then tri(n) (`_triangular`): every bid tied,
     # so each exhaustion hands its types on by tie-break, in cascades far
-    # longer than the random instances, with at most 12 ads, reach.
+    # longer than the random instances, with at most 12 ads, reach.  With
+    # 2 or 3 slots a re-pick walks past the dead prefix of a ranking and
+    # past dead ads ranked below a live one.  An ad whose every rate
+    # underflows to 0.0 is picked but never spent and never runs out.
     rng = np.random.default_rng(1009)
     instances = [_differential_instance(rng) for _ in range(400)]
-    for inst in instances + [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]:
-        _assert_greedy_matches_reference(inst)
-
-
-def test_greedy_allocate_matches_the_reference_past_dead_ads_in_a_ranking():
-    # With 2 or 3 slots a re-pick walks past the dead prefix of a ranking
-    # and then past dead ads ranked below a live one.
-    rng = np.random.default_rng(1990)
-    instances = [_slotted_instance(rng) for _ in range(200)]
-    for inst in instances:
-        _assert_greedy_matches_reference(inst)
-    assert sum(_dead_below_live(inst, greedy_allocate(inst)[1]) for inst in instances) >= 50
-
-
-def test_greedy_allocate_matches_the_reference_where_rates_underflow():
-    # An ad whose every rate is 0.0 is picked, is never spent and never
-    # runs out; one with a positive rate elsewhere sums the 0.0 in.
-    rng = np.random.default_rng(200)
-    for _ in range(100):
-        inst = _underflow_instance(rng)
-        assert all(0.0 == inst.probs[0] * row[0] < row[0] for row in inst.bid_matrix)
-        _assert_greedy_matches_reference(inst)
-
-
-@pytest.mark.parametrize("n", [128, 200])
-def test_greedy_allocate_matches_the_reference_on_large_triangular_instances(n):
-    # Long cascades: every event re-picks every type whose pick held the ad.
-    full = replace(_triangular(n), horizon=_full_horizon(_triangular(n)))
-    result = greedy_allocate(full)
-    assert result == reference_greedy_allocate(full)
-    assert result[1].spent == full.budgets
+    slotted = [_slotted_instance(rng) for _ in range(200)]
+    assert sum(_dead_below_live(inst, greedy_allocate(inst)[1]) for inst in slotted) >= 50
+    underflow = [_underflow_instance(rng) for _ in range(100)]
+    assert all(0.0 == inst.probs[0] * row[0] < row[0] for inst in underflow for row in inst.bid_matrix)
+    triangular = [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]
+    for inst in instances + slotted + underflow + triangular:
+        assert greedy_allocate(inst) == reference_greedy_allocate(inst)
+        full = replace(inst, horizon=_full_horizon(inst))
+        result = greedy_allocate(full)
+        assert result == reference_greedy_allocate(full)
+        for i, row in enumerate(full.bid_matrix):
+            if any(q * p > 0.0 for q, p in zip(full.probs, row)):
+                assert result[1].spent[i] == full.budgets[i]
+    # Longer cascades, at full horizon only.
+    for n in (128, 200):
+        full = replace(_triangular(n), horizon=_full_horizon(_triangular(n)))
+        result = greedy_allocate(full)
+        assert result == reference_greedy_allocate(full)
+        assert result[1].spent == full.budgets
 
 
 @pytest.mark.parametrize("seed", range(4))
