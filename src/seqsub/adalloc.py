@@ -295,14 +295,14 @@ def _spend_rates(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> D
     return rates
 
 
-def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit: float) -> Tuple[float, bool]:
+def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit: float) -> Tuple[float, bool, list]:
     """Run a configuration until its next budget exhaustion or for `limit`, whichever is first.
 
     `rates` is the configuration's `_spend_rates`.  Mutates `remaining`,
     clamping spent-out budgets to zero, and drops those ads from `rates`.
-    Returns the time run and whether the step stopped on an exhaustion.  The
-    ads that set the step's length always run out, even where `rem / rate`
-    underflowed to 0.0, so every exhaustion step retires at least one ad.
+    Returns the time run, whether it stopped on an exhaustion, and the ads
+    dropped.  The ads that set the step's length always run out, even where
+    `rem / rate` underflowed to 0.0, so every exhaustion step drops at least one.
     """
     floors = instance._floors
     tau = min((remaining[i] / rate for i, rate in rates.items() if rate > 0.0), default=math.inf)
@@ -318,7 +318,7 @@ def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit:
             remaining[i] = left
     for i in gone:
         del rates[i]
-    return dt, hit
+    return dt, hit, gone
 
 
 def _advance(
@@ -337,7 +337,7 @@ def _advance(
     rates = _spend_rates(instance, cfg_idx, remaining)
     done = 0.0
     while duration - done > 0.0:
-        dt, hit = _step(instance, rates, remaining, duration - done)
+        dt, hit, _ = _step(instance, rates, remaining, duration - done)
         if not hit:
             break
         done += dt
@@ -464,10 +464,10 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
 
     Each event does work in proportion to what it changes.  Exhaustion is
     permanent, so each type keeps a cursor past the dead prefix of its
-    ranking, and only the types whose pick held a spent-out ad re-pick.  Each
-    ad keeps the set of types that pick it, and only the ads whose set
-    changed get their rate in the best configuration summed again, over
-    their types in canonical order from 0.0, as `_spend_rates` sums it.
+    ranking, and only the types whose pick held an ad that `_step` reports
+    retired re-pick.  Each ad keeps the set of types that pick it, and only
+    the ads whose set changed get their rate in the best configuration summed
+    again, over their types in canonical order from 0.0, as `_spend_rates` does.
     """
     horizon, slots = instance.horizon, instance.slots
     probs, bids, floors = instance.probs, instance.bid_matrix, instance._floors
@@ -518,8 +518,7 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
             best = tuple(filter(None, picks))
         if current is None or math.fsum(best_rates.values()) > math.fsum(rates.values()):
             current, rates = best, dict(best_rates)
-        live = set(rates)
-        dt, hit = _step(instance, rates, remaining, horizon - elapsed)
+        dt, hit, gone = _step(instance, rates, remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
             exact -= _units(segs[-1][1])
             segs[-1][1] += dt
@@ -530,11 +529,11 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
         elapsed = exact / _UNIT  # correctly rounded, as `math.fsum(durations)` is
         if not hit:
             break
-        stale = set().union(*(pickers[i] for i in live.difference(rates)))
+        stale = set().union(*(pickers[i] for i in gone))
     names: dict = {}
     named = tuple((_configuration(instance, c, names), d) for c, d in segs)
     strategy = unchecked(TimedSequence, segments=named)
-    return strategy, _ledger(instance, segs, strategy.length)
+    return strategy, _ledger(instance, segs, elapsed)
 
 
 def configuration_hold(instance: AdInstance, config: Configuration, remaining) -> float:
@@ -549,7 +548,7 @@ def configuration_hold(instance: AdInstance, config: Configuration, remaining) -
     rates = _spend_rates(instance, _config_indices(instance, config), rem)
     elapsed = 0.0
     while True:
-        dt, hit = _step(instance, rates, rem, math.inf)
+        dt, hit, _ = _step(instance, rates, rem, math.inf)
         if not hit:
             return math.inf
         elapsed += dt

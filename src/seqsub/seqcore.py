@@ -69,9 +69,7 @@ class Frozen:
         cls._fields += tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):  # else every field is given, in order
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(self._fields, args))
+        self.__dict__.update(zip(self._fields, self._bind(args, kwargs)))
         self.__post_init__()
 
     @classmethod

@@ -305,7 +305,7 @@ def reference_greedy_allocate(instance):
         ):
             current = best
         rates = adalloc._spend_rates(instance, adalloc._config_indices(instance, current), remaining)
-        dt, hit = adalloc._step(instance, rates, remaining, horizon - elapsed)
+        dt, hit, _ = adalloc._step(instance, rates, remaining, horizon - elapsed)
         if segs and segs[-1][0] == current:
             segs[-1][1] += dt
         elif dt > 0.0:
@@ -417,20 +417,28 @@ def _underflow_instance(rng):
     )
 
 
-def test_greedy_allocate_matches_id_based_reference():
-    # 400 random instances, then tri(n) (`_triangular`): every bid tied,
-    # so each exhaustion hands its types on by tie-break, in cascades far
-    # longer than the random instances, with at most 12 ads, reach.  With
-    # 2 or 3 slots a re-pick walks past the dead prefix of a ranking and
-    # past dead ads ranked below a live one.  An ad whose every rate
-    # underflows to 0.0 is picked but never spent and never runs out.
+def _differential_instances():
+    """The instances of the greedy's differential test, in four families.
+
+    400 random instances, then tri(n) (`_triangular`): every bid tied, so
+    each exhaustion hands its types on by tie-break, in cascades far longer
+    than the random instances, with at most 12 ads, reach.  With 2 or 3
+    slots a re-pick walks past the dead prefix of a ranking and past dead
+    ads ranked below a live one.  An ad whose every rate underflows to 0.0
+    is picked but never spent and never runs out.
+    """
     rng = np.random.default_rng(1009)
     instances = [_differential_instance(rng) for _ in range(400)]
     slotted = [_slotted_instance(rng) for _ in range(200)]
-    assert sum(_dead_below_live(inst, greedy_allocate(inst)[1]) for inst in slotted) >= 50
     underflow = [_underflow_instance(rng) for _ in range(100)]
-    assert all(0.0 == inst.probs[0] * row[0] < row[0] for inst in underflow for row in inst.bid_matrix)
     triangular = [_triangular(n) for n in (*range(1, 17), 32, 48, 64)]
+    return instances, slotted, underflow, triangular
+
+
+def test_greedy_allocate_matches_id_based_reference():
+    instances, slotted, underflow, triangular = _differential_instances()
+    assert sum(_dead_below_live(inst, greedy_allocate(inst)[1]) for inst in slotted) >= 50
+    assert all(0.0 == inst.probs[0] * row[0] < row[0] for inst in underflow for row in inst.bid_matrix)
     for inst in instances + slotted + underflow + triangular:
         assert greedy_allocate(inst) == reference_greedy_allocate(inst)
         full = replace(inst, horizon=_full_horizon(inst))
@@ -445,6 +453,31 @@ def test_greedy_allocate_matches_id_based_reference():
         result = greedy_allocate(full)
         assert result == reference_greedy_allocate(full)
         assert result[1].spent == full.budgets
+
+
+def test_step_reports_the_ads_it_retired():
+    # On the differential test's instances, at their horizon and past the
+    # last exhaustion, every `_step` the greedy and its ledger make reports
+    # exactly the ads it dropped from `rates`: on an exhaustion, each ad
+    # that sets the step's length, ties and underflowed quotients included,
+    # and never an ad of rate 0.0.
+    step, calls = adalloc._step, []
+
+    def checked(instance, rates, remaining, limit):
+        before, left = dict(rates), list(remaining)
+        dt, hit, gone = step(instance, rates, remaining, limit)
+        assert sorted(gone) == sorted(before.keys() - rates.keys())
+        assert all(before[i] > 0.0 for i in gone)
+        if hit:
+            assert gone and {i for i, r in before.items() if r > 0.0 and left[i] / r == dt} <= set(gone)
+        calls.append(hit)
+        return dt, hit, gone
+
+    with mock.patch.object(adalloc, "_step", checked):
+        for inst in sum(_differential_instances(), []):
+            greedy_allocate(inst)
+            greedy_allocate(replace(inst, horizon=_full_horizon(inst)))
+    assert calls.count(True) > 1000 and False in calls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -498,7 +531,7 @@ def reference_configuration_hold(instance, config, remaining):
     rates = adalloc._spend_rates(instance, adalloc._config_indices(instance, config), rem)
     elapsed = 0.0
     while True:
-        dt, hit = adalloc._step(instance, rates, rem, math.inf)
+        dt, hit, _ = adalloc._step(instance, rates, rem, math.inf)
         if not hit:
             return math.inf
         elapsed += dt

@@ -557,11 +557,13 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
         (lambda d: d["query_types"][0].update(prob="0.5"), "prob"),
         (lambda d: d["bids"]["a1"].update(t1=True), "bids"),
         (lambda d: d.update(horizon=True), "horizon"),
+        (lambda d: d["ads"].append(dict(d["ads"][0])), "ads: duplicate ad id"),
+        (lambda d: d["query_types"].append(dict(d["query_types"][0])), "query_types: duplicate type id"),
     ],
     ids=["bid-infinity", "horizon-infinity", "budget-string", "ads-number", "prob-null",
          "bids-row-list", "slots-infinity", "slots-fraction", "slots-boolean", "slots-huge",
          "budgets-near-float-max", "bid-near-float-max", "slots-numeric-string", "budget-numeric-string",
-         "prob-numeric-string", "bid-boolean", "horizon-boolean"],
+         "prob-numeric-string", "bid-boolean", "horizon-boolean", "duplicate-ad", "duplicate-type"],
 )
 def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
     data = adalloc.instance_to_json(make_i1())
@@ -569,7 +571,8 @@ def test_allocate_malformed_instance_exits_2(edit, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["allocate", "--instance", str(path)]) == 2
-    assert field in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and field in line
 
 
 def test_top_level_not_an_object_exits_2(tmp_path, capsys):
@@ -592,6 +595,28 @@ def test_rewrite_malformed_rewrites_exit_2(i3_file, capsys):
         path.write_text(json.dumps(data))
         assert main(["rewrite", "--instance", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, edit, flags, message",
+    [
+        ("rewrite", lambda d: d["rewrites"].append({"id": "r1", "ads": ["a2"]}), [], "rewrites: duplicate rewrite id"),
+        ("rewrite", lambda d: d.pop("rewrites"), [], "rewrites: missing required field"),
+        ("rewrite", lambda d: d.pop("k"), [], "k: missing required field"),
+        ("verify", None, ["--checks", ","], "checks: at least one check name is required"),
+        ("verify", None, ["--samples", "0"], "samples: must be >= 1, got 0"),
+        ("verify", None, ["--seed", "-1"], "seed: must be >= 0, got -1"),
+    ],
+    ids=["duplicate-rewrite", "no-rewrites", "no-k", "no-checks", "no-samples", "negative-seed"],
+)
+def test_rewrite_and_verify_input_errors_exit_2(command, edit, flags, message, tmp_path, capsys):
+    data = json.loads((INSTANCES / "rewrite_two_paths.json").read_text())
+    if edit:
+        edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path), *flags, "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def _rename_ad(data, value):
