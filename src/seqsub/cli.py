@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import hashlib
 import json
 import math
 import os
@@ -37,8 +36,16 @@ import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import adalloc, qrewrite, seqcore
+from . import adalloc, seqcore
 from .adalloc import InstanceError, SizeGuardError
+
+try:  # CPython's builtin sha256, slower than OpenSSL's but with no library to start
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -65,7 +72,7 @@ def _load_json(path: Path) -> Tuple[dict, str]:
         raise InstanceError(f"instance: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError("instance: the top level must be a JSON object")
-    return data, hashlib.sha256(raw).hexdigest()
+    return data, sha256(raw).hexdigest()
 
 
 def _emit(args, digest: str, params: dict, outputs: dict) -> None:
@@ -99,10 +106,7 @@ def cmd_allocate(args, data: dict) -> Tuple[dict, dict, int]:
     strategy, ledger = adalloc.greedy_allocate(instance)
     outputs: Dict[str, object] = {
         "utility": ledger.utility,
-        "strategy": [
-            {"config": {t: list(ads) for t, ads in config.assignment}, "duration": dur}
-            for config, dur in strategy.segments
-        ],
+        "strategy": [{"config": dict(config.assignment), "duration": dur} for config, dur in strategy.segments],
         "breakpoints": list(ledger.breakpoints),
         "spend": {ad: s for ad, s in zip(ledger.ad_ids, ledger.spent) if s > 0.0},
         "segments": len(strategy.segments),
@@ -116,6 +120,7 @@ def cmd_allocate(args, data: dict) -> Tuple[dict, dict, int]:
 
 
 def cmd_rewrite(args, data: dict) -> Tuple[dict, dict, int]:
+    from . import qrewrite  # only rewrite and verify read rewrite instances
     instance = qrewrite.parse_rewrite_instance(data)
     plan, utility = qrewrite.greedy_rewrite(instance)
     types = [pa.query_type for pa in plan.items]
@@ -189,6 +194,7 @@ def cmd_verify(args, data: dict) -> Tuple[dict, dict, int]:
         raise InstanceError(f"samples: must be >= 1, got {args.samples}")
     if args.seed < 0:
         raise InstanceError(f"seed: must be >= 0, got {args.seed}")
+    from . import qrewrite
     rewrite_instance = None
     if "rewrites" in data:
         rewrite_instance = qrewrite.parse_rewrite_instance(data)

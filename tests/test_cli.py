@@ -1284,8 +1284,18 @@ from seqsub import cli
 
 if sys.argv[1:]:
     assert cli.main(sys.argv[1:]) == 0
-print(*(name for name in ("dataclasses", "fractions", "inspect", "seqsub.oracle") if name in sys.modules))
+names = ("_hashlib", "dataclasses", "fractions", "inspect", "seqsub.oracle", "seqsub.qrewrite")
+print(*(name for name in names if name in sys.modules))
 """
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare Python process has loaded, in the probes' environment."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], env=probe_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize(
@@ -1293,12 +1303,15 @@ print(*(name for name in ("dataclasses", "fractions", "inspect", "seqsub.oracle"
     [("allocate", False), ("rewrite", False), ("verify", False), ("allocate", True), ("rewrite", True),
      (None, False), ("simulate", False)],
 )
-def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
+def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path, bare_modules):
     # The oracle module and the fractions and decimal modules it imports are
     # loaded by --oracle alone.  No run, nor the import of seqsub.cli alone,
     # loads dataclasses or the inspect it imports, which every process start
     # would pay for; numpy, which simulate loads, imports both inspect and
-    # fractions itself.
+    # fractions itself.  The input digest starts no OpenSSL (`_hashlib`),
+    # except where numpy's import of hashlib or the bare interpreter already
+    # has it, and only the commands that read rewrite instances, and the
+    # oracle that imports their type, load seqsub.qrewrite.
     args = [command, "--instance", str(INSTANCES / "rewrite_two_paths.json"), "--out", str(tmp_path / "r.json")]
     if command == "verify":
         args += ["--samples", "20"]
@@ -1312,11 +1325,31 @@ def test_only_oracle_runs_load_the_oracle(command, oracle, tmp_path):
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    loaded = set(proc.stdout.split())
     if command == "simulate":
-        assert "dataclasses" not in loaded and "seqsub.oracle" not in loaded
-    else:
-        assert loaded == (["fractions", "seqsub.oracle"] if oracle else [])
+        assert not {"dataclasses", "seqsub.oracle", "seqsub.qrewrite"} & loaded
+        return
+    if "_hashlib" in bare_modules:
+        loaded.discard("_hashlib")
+    expected = {"fractions", "seqsub.oracle"} if oracle else set()
+    if oracle or command in ("rewrite", "verify"):
+        expected.add("seqsub.qrewrite")
+    assert loaded == expected
+
+
+def test_digest_without_the_builtin_sha256_comes_from_hashlib(tmp_path):
+    # Where neither of CPython's builtin sha256 modules imports, the digest
+    # is hashlib's, of the same bytes.
+    probe = ("import hashlib, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "from seqsub import cli\n"
+             "assert cli.sha256 is hashlib.sha256\n"
+             "sys.exit(cli.main(sys.argv[1:]))")
+    path = INSTANCES / "two_ads_two_types.json"
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-c", probe, "allocate", "--instance", str(path), "--out", str(out)],
+                          env=probe_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["instance_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -345,9 +345,9 @@ def test_fold_is_left_to_right_in_query_order():
 
 
 def test_fold_matches_query_loop_at_every_slot_table_width():
-    # 255 ads index a uint8 table whose empty marker 255 is the fold's spare
-    # entry; 256 and 300 ads need a uint16 table.  Configurations leave some
-    # slots empty and show the last ads as well as the first.
+    # The empty marker `num_ads`, the fold's spare entry, is 255, 256 or
+    # 300: at and past the largest 8-bit ad index.  Configurations leave
+    # some slots empty and show the last ads as well as the first.
     rng = np.random.default_rng(24)
     for m in (255, 256, 300):
         inst = adalloc.AdInstance.build(
