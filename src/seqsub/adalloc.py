@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, compress, islice, product
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .seqcore import Frozen, SequenceFunction, Stream, TimedSequence, unchecked
@@ -303,9 +303,16 @@ def _step(instance: AdInstance, rates: Dict[int, float], remaining: list, limit:
     Returns the time run, whether it stopped on an exhaustion, and the ads
     dropped.  The ads that set the step's length always run out, even where
     `rem / rate` underflowed to 0.0, so every exhaustion step drops at least one.
+    The first exhaustion is an explicit scan: over the 0-3 live rates a step
+    sees, `min` of a generator costs more than the divisions, and gives the same value.
     """
     floors = instance._floors
-    tau = min((remaining[i] / rate for i, rate in rates.items() if rate > 0.0), default=math.inf)
+    tau = math.inf
+    for i, rate in rates.items():
+        if rate > 0.0:
+            t = remaining[i] / rate
+            if t < tau:
+                tau = t
     hit = tau < limit
     dt = tau if hit else limit
     gone = []
@@ -398,7 +405,7 @@ def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedg
         _advance(instance, cfg_idx, remaining, dur, t, events)
         t += dur
         events.append(t)
-    spent = tuple(b - r for b, r in zip(instance.budgets, remaining))
+    spent = tuple(map(sub, instance.budgets, remaining))  # map: no per-ad generator frame
     slack = 1e-12 * min(1.0, total)
     interior = sorted(x for x in events if x < total - slack)
     breakpoints: list = []
@@ -640,7 +647,7 @@ def random_configuration(instance: AdInstance, rng: Stream) -> Configuration:
         if rng.random() < 0.25:
             continue
         drawn[j] = _draw_distinct(rng, n, min(rng.integers(1, slots + 1), n))
-    cfg_idx = tuple((j, drawn[j]) for j in instance._order if drawn[j])
+    cfg_idx = tuple([(j, drawn[j]) for j in instance._order if drawn[j]])  # a list builds faster than a genexpr
     interned = instance._interned
     config = interned.get(cfg_idx)
     if config is None:
@@ -684,7 +691,7 @@ class FluidRateModel:
 
     def utility(self, strategy: AllocationStrategy) -> float:
         remaining = _replay(self.instance, strategy)
-        return math.fsum(b - r for b, r in zip(self.instance.budgets, remaining))
+        return math.fsum(map(sub, self.instance.budgets, remaining))  # map: no per-ad generator frame
 
     def sequence_function(self) -> SequenceFunction:
         return SequenceFunction("continuous", self.utility, self.scale)

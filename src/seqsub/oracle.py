@@ -14,11 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .adalloc import AdInstance, SizeGuardError
-from .qrewrite import RewriteInstance
 from .seqcore import ActionSet, DiscreteSequence, Frozen, SequenceFunction
+
+if TYPE_CHECKING:  # an annotation only: allocate --oracle needs no qrewrite
+    from .qrewrite import RewriteInstance
 
 # An LP entry, taken at its exact value.
 Number = Union[int, float, Fraction]

@@ -51,7 +51,7 @@ class RewriteInstance(Frozen):
     def reachable_ads(self, rewrite_ids: Iterable[str]) -> FrozenSet[int]:
         """Indices, in the base instance's ad order, of the ads the rewrites unlock."""
         try:
-            return frozenset().union(*(self._ad_sets[rid] for rid in rewrite_ids))
+            return frozenset().union(*map(self._ad_sets.__getitem__, rewrite_ids))  # map: no generator frame
         except KeyError as exc:
             raise InstanceError(f"unknown rewrite id {exc.args[0]!r}") from None
 
@@ -112,7 +112,9 @@ def single_type_allocate(
         if rate == 0.0 or cap <= floors[i]:
             continue
         need = cap / rate
-        run = min(horizon, need, time_left)
+        run = need if need < horizon else horizon  # min(horizon, need, time_left), in min's order, without its call
+        if time_left < run:
+            run = time_left
         paid[i] = cap if run == need else rate * run
         time_left -= run
     return paid
@@ -139,7 +141,7 @@ def _apply(
     instance: RewriteInstance, remaining: list, type_id: str, rewrites: Sequence[str], caps: Sequence[float]
 ) -> Dict[int, float]:
     """Run one plan step, capped per ad by `caps` and by `remaining`; charge what it paid to `remaining`."""
-    capped = [min(r, c) for r, c in zip(remaining, caps)]
+    capped = list(map(min, remaining, caps))  # map: no per-ad comprehension step
     paid = single_type_allocate(instance.base, type_id, instance.reachable_ads(rewrites), capped)
     floors = instance.base._floors
     for i, spent in paid.items():

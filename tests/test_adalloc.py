@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 from unittest import mock
 
 import numpy as np
@@ -478,6 +479,58 @@ def test_step_reports_the_ads_it_retired():
             greedy_allocate(inst)
             greedy_allocate(replace(inst, horizon=_full_horizon(inst)))
     assert calls.count(True) > 1000 and False in calls
+
+
+def reference_step(instance, rates, remaining, limit):
+    """`adalloc._step` as it was, with the first exhaustion time taken by `min` over a generator."""
+    floors = instance._floors
+    tau = min((remaining[i] / rate for i, rate in rates.items() if rate > 0.0), default=math.inf)
+    hit = tau < limit
+    dt = tau if hit else limit
+    gone = []
+    for i, rate in rates.items():
+        if rate > 0.0:
+            left = remaining[i] - rate * dt
+            if left <= floors[i] or (hit and remaining[i] / rate == tau):
+                left = 0.0
+                gone.append(i)
+            remaining[i] = left
+    for i in gone:
+        del rates[i]
+    return dt, hit, gone
+
+
+# Budgets and rates from a few binary fractions tie often; 1e-300 and 1e300
+# make `rem / rate` underflow to 0.0 or overflow to inf.
+_STEP_VALUES = (0.0, 1e-300, 0.125, 0.25, 0.5, 1.0, 3.0, 1e300)
+
+
+def test_step_matches_the_min_reference_bit_for_bit():
+    # 2,400 seeded steps: the explicit scan for the first exhaustion returns
+    # the same floats, flags, retired ads, budgets and rates as `min`.
+    seen = set()
+    for seed in range(2400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        pick = lambda: rng.choice(_STEP_VALUES) if rng.random() < 0.7 else rng.random()  # noqa: E731
+        budgets = [min(pick(), 1e299) for _ in range(n)]  # within the instance's total of 1e300
+        inst = adalloc.AdInstance.build([(f"a{i}", b) for i, b in enumerate(budgets)], [("t", 1.0)], {}, 1, 1.0)
+        remaining = [rng.choice((b, pick(), b * 1e-13)) for b in budgets]
+        rates = {i: pick() for i in rng.sample(range(n), rng.randint(0, n))}
+        quotients = [remaining[i] / r for i, r in rates.items() if r > 0.0]
+        tau = min(quotients, default=math.inf)
+        limit = rng.choice((tau, math.inf, rng.random(), tau * 2.0, tau / 2.0))
+        seen.update(name for name, hit in (
+            ("empty", not rates), ("zero rate", 0.0 in rates.values()), ("inf", math.inf in quotients),
+            ("underflow", any(q == 0.0 < remaining[i] for q, i in zip(quotients, rates))),
+            ("tie", quotients.count(tau) > 1), ("limit == tau", limit == tau and tau < math.inf),
+        ) if hit)
+        results = []
+        for step in (adalloc._step, reference_step):
+            left, live = list(remaining), dict(rates)
+            results.append(repr((step(inst, live, left, limit), left, live)))
+        assert results[0] == results[1], (seed, results)
+    assert seen == {"empty", "zero rate", "inf", "underflow", "tie", "limit == tau"}
 
 
 @pytest.mark.parametrize("seed", range(4))
