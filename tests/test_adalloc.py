@@ -505,6 +505,10 @@ def reference_step(instance, rates, remaining, limit):
 _STEP_VALUES = (0.0, 1e-300, 0.125, 0.25, 0.5, 1.0, 3.0, 1e300)
 
 
+def _pick(rng):
+    return rng.choice(_STEP_VALUES) if rng.random() < 0.7 else rng.random()
+
+
 def test_step_matches_the_min_reference_bit_for_bit():
     # 2,400 seeded steps: the explicit scan for the first exhaustion returns
     # the same floats, flags, retired ads, budgets and rates as `min`.
@@ -512,11 +516,10 @@ def test_step_matches_the_min_reference_bit_for_bit():
     for seed in range(2400):
         rng = random.Random(seed)
         n = rng.randint(1, 5)
-        pick = lambda: rng.choice(_STEP_VALUES) if rng.random() < 0.7 else rng.random()  # noqa: E731
-        budgets = [min(pick(), 1e299) for _ in range(n)]  # within the instance's total of 1e300
+        budgets = [min(_pick(rng), 1e299) for _ in range(n)]  # within the instance's total of 1e300
         inst = adalloc.AdInstance.build([(f"a{i}", b) for i, b in enumerate(budgets)], [("t", 1.0)], {}, 1, 1.0)
-        remaining = [rng.choice((b, pick(), b * 1e-13)) for b in budgets]
-        rates = {i: pick() for i in rng.sample(range(n), rng.randint(0, n))}
+        remaining = [rng.choice((b, _pick(rng), b * 1e-13)) for b in budgets]
+        rates = {i: _pick(rng) for i in rng.sample(range(n), rng.randint(0, n))}
         quotients = [remaining[i] / r for i, r in rates.items() if r > 0.0]
         tau = min(quotients, default=math.inf)
         limit = rng.choice((tau, math.inf, rng.random(), tau * 2.0, tau / 2.0))
