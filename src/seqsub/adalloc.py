@@ -354,9 +354,12 @@ def _advance(
 
 
 def _budget_vector(instance: AdInstance, remaining) -> list:
+    """The one check of a remaining-budget vector: one float per ad, each >= 0 (NaN is not)."""
     vec = [float(v) for v in remaining]
     if len(vec) != instance.num_ads:
         raise ValueError(f"budget vector has {len(vec)} entries for {instance.num_ads} ads")
+    if not all(v >= 0.0 for v in vec):
+        raise ValueError("remaining budgets must be >= 0")
     return vec
 
 
@@ -367,11 +370,7 @@ def _rate(instance: AdInstance, cfg_idx, remaining: Sequence[float]) -> float:
 
 def revenue_rate(instance: AdInstance, config: Configuration, remaining) -> float:
     """Instantaneous expected revenue of a configuration given remaining budgets."""
-    rem = _budget_vector(instance, remaining)
-    for v in rem:
-        if v < 0.0:
-            raise ValueError("remaining budgets must be >= 0")
-    return _rate(instance, _config_indices(instance, config), rem)
+    return _rate(instance, _config_indices(instance, config), _budget_vector(instance, remaining))
 
 
 def _past_horizon(instance: AdInstance, length: float) -> bool:
@@ -384,25 +383,21 @@ def _past_horizon(instance: AdInstance, length: float) -> bool:
 
 
 def evaluate_strategy(instance: AdInstance, strategy: AllocationStrategy) -> SpendLedger:
-    """Fluid evaluation of a strategy: per-ad spend, total utility, breakpoints."""
+    """Fluid evaluation of a strategy: per-ad spend, total utility, breakpoints.
+
+    The one builder of a `SpendLedger`, and the check that the strategy fits
+    the horizon.  Event times within `slack` of the end, or of the previous
+    breakpoint, are dropped; the slack is 1e-12, relative below a unit length
+    so that a short strategy keeps its breakpoints.
+    """
     total = strategy.length
     if _past_horizon(instance, total):
         raise ValueError(f"strategy length {total} exceeds horizon {instance.horizon}")
-    return _ledger(instance, [(_config_indices(instance, c), dur) for c, dur in strategy.segments], total)
-
-
-def _ledger(instance: AdInstance, segments: Sequence, total: float) -> SpendLedger:
-    """Replay index-form segments of total length `total` into a ledger.
-
-    Event times within `slack` of the end, or of the previous breakpoint,
-    are dropped; the slack is 1e-12, relative below a unit length so that a
-    short strategy keeps its breakpoints.
-    """
     remaining = list(instance.budgets)
     events: list = []
     t = 0.0
-    for cfg_idx, dur in segments:
-        _advance(instance, cfg_idx, remaining, dur, t, events)
+    for config, dur in strategy.segments:
+        _advance(instance, _config_indices(instance, config), remaining, dur, t, events)
         t += dur
         events.append(t)
     spent = tuple(map(sub, instance.budgets, remaining))  # map: no per-ad generator frame
@@ -475,6 +470,7 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
     retired re-pick.  Each ad keeps the set of types that pick it, and only
     the ads whose set changed get their rate in the best configuration summed
     again, over their types in canonical order from 0.0, as `_spend_rates` does.
+    The ledger is `evaluate_strategy` of the strategy returned.
     """
     horizon, slots = instance.horizon, instance.slots
     probs, bids, floors = instance.probs, instance.bid_matrix, instance._floors
@@ -538,9 +534,8 @@ def greedy_allocate(instance: AdInstance) -> Tuple[AllocationStrategy, SpendLedg
             break
         stale = set().union(*(pickers[i] for i in gone))
     names: dict = {}
-    named = tuple((_configuration(instance, c, names), d) for c, d in segs)
-    strategy = unchecked(TimedSequence, segments=named)
-    return strategy, _ledger(instance, segs, elapsed)
+    strategy = unchecked(TimedSequence, segments=tuple((_configuration(instance, c, names), d) for c, d in segs))
+    return strategy, evaluate_strategy(instance, strategy)
 
 
 def configuration_hold(instance: AdInstance, config: Configuration, remaining) -> float:
@@ -698,7 +693,7 @@ class FluidRateModel:
 
     def rate(self, config: Configuration, delta: float, prefix: AllocationStrategy) -> float:
         """Rate of `config` after running for `delta` past `prefix` (see `marginal_rate`)."""
-        if delta < 0.0:
+        if not delta >= 0.0:  # NaN too
             raise ValueError("delta must be >= 0")
         cfg_idx = _config_indices(self.instance, config)
         return math.fsum(_advance(self.instance, cfg_idx, _replay(self.instance, prefix), delta).values())

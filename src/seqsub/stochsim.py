@@ -36,14 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .adalloc import (
-    AdInstance,
-    AllocationStrategy,
-    InstanceError,
-    _config_indices,
-    _past_horizon,
-    evaluate_strategy,
-)
+from .adalloc import AdInstance, AllocationStrategy, InstanceError, _config_indices, evaluate_strategy
 from .seqcore import Frozen, _pcg64_states
 
 # Largest per-trial query count; a run holds 8 bytes a query for the first
@@ -155,10 +148,11 @@ def simulate_stream(
     """Simulate i.i.d. query arrivals against a fixed strategy.
 
     Deterministic in the seed: trial t draws from `default_rng([seed, t])`,
-    and trials are reduced in index order.
+    and trials are reduced in index order.  The fluid utility comes first,
+    from `evaluate_strategy`, which raises `ValueError` for an action that is
+    not a `Configuration` or a strategy past the horizon.
     """
-    if _past_horizon(instance, strategy.length):
-        raise ValueError("strategy length exceeds horizon")
+    fluid = evaluate_strategy(instance, strategy).utility
     queries = config.queries(instance)
     probs = np.asarray(instance.probs, dtype=float)
     table = _guide_table(probs / probs.sum())
@@ -184,7 +178,6 @@ def simulate_stream(
         revenues.append(math.fsum(b - r for b, r in zip(instance.budgets, remaining.tolist())))
     mean = math.fsum(revenues) / len(revenues)
     std = statistics.stdev(revenues) if len(revenues) > 1 else 0.0
-    fluid = evaluate_strategy(instance, strategy).utility
     return SimResult(tuple(revenues), mean, std, fluid)
 
 

@@ -212,7 +212,7 @@ def test_greedy_ends_within_one_event_per_ad_plus_one(seed, horizon_scale):
     # Every event but the last exhausts an ad, and an exhausted ad stays so.
     inst = random_ad_instance(np.random.default_rng(seed), max_ads=6, max_types=4, max_slots=3, max_pairs=24)
     inst = replace(inst, horizon=inst.horizon * horizon_scale)
-    with mock.patch.object(adalloc, "_step", wraps=adalloc._step) as steps, mock.patch.object(adalloc, "_ledger"):
+    with mock.patch.object(adalloc, "_step", wraps=adalloc._step) as steps, mock.patch.object(adalloc, "evaluate_strategy"):
         greedy_allocate(inst)
     # The ledger's replay is patched out, so these are the greedy's own steps.
     assert steps.call_count <= inst.num_ads + 1

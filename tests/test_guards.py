@@ -1,5 +1,7 @@
 """Library entry points refuse bad arguments with a message that names the problem."""
 
+import math
+
 import pytest
 
 from seqsub import adalloc, oracle, qrewrite, seqcore, stochsim
@@ -31,6 +33,14 @@ GUARDS = [
     ("repeated-ad", lambda: Configuration.of({"t": ("a", "a")}), ValueError, "duplicate ad in assignment for type 't'"),
     ("budget-vector-length", lambda: adalloc.revenue_rate(I1, A1, [0.5]), ValueError, "budget vector has 1 entries for 2 ads"),
     ("negative-budget", lambda: adalloc.revenue_rate(I1, A1, [-1.0, 0.5]), ValueError, "remaining budgets must be >= 0"),
+    ("nan-budget", lambda: adalloc.revenue_rate(I1, A1, [math.nan, 0.5]), ValueError, "remaining budgets must be >= 0"),
+    ("best-negative-budget", lambda: adalloc.best_configuration(I1, [-1.0, 0.5]), ValueError,
+     "remaining budgets must be >= 0"),
+    ("best-nan-budget", lambda: adalloc.best_configuration(I1, [math.nan, 0.5]), ValueError,
+     "remaining budgets must be >= 0"),
+    ("hold-negative-budget", lambda: adalloc.configuration_hold(I1, A1, [-1.0, 0.5]), ValueError,
+     "remaining budgets must be >= 0"),
+    ("nan-delta", lambda: adalloc.marginal_rate(I1, A1, math.nan), ValueError, "delta must be >= 0"),
     ("configuration-cap", lambda: adalloc.enumerate_configurations(_many_configurations()), ValueError,
      "262144 configurations exceed the cap of 10\\^5"),
     ("instance-not-object", lambda: adalloc.parse_instance([1, 2]), InstanceError, "instance: must be an object"),
@@ -49,7 +59,7 @@ GUARDS = [
     ("brute-force-horizon", lambda: oracle.brute_force_discrete(DISCRETE, ACTIONS, -1), ValueError,
      "horizon must be non-negative"),
     ("overlong-strategy", lambda: stochsim.simulate_stream(I1, TimedSequence(((A1, 2.0),)), stochsim.StreamConfig(0, 1)),
-     ValueError, "strategy length exceeds horizon"),
+     ValueError, "strategy length 2.0 exceeds horizon 1.0"),
     ("scale-factor", lambda: stochsim.scale_instance(I1, 0.0), ValueError, "scale factor must be > 0"),
 ]
 
